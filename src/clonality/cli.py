@@ -276,13 +276,6 @@ def _cmd_estimate_probs(args) -> int:
     return EXIT_OK
 
 
-def _alpha(text: str) -> float:
-    value = float(text)
-    if not (0.0 < value < 1.0):
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {value}")
-    return value
-
-
 def _add_test_options(parser: argparse.ArgumentParser):
     parser.add_argument("--mutations", required=True, help="mutations TSV (tumor, marker)")
     parser.add_argument("--probs", required=True, help="marker probability TSV")
@@ -292,8 +285,6 @@ def _add_test_options(parser: argparse.ArgumentParser):
                         help="max mutated-set size for exact enumeration (default 20; 0 forces MC)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"root seed for Monte Carlo sampling (default {DEFAULT_SEED})")
-    parser.add_argument("--alpha", type=_alpha, default=0.05,
-                        help="nominal test level; validated, p-values are emitted at full precision")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads; results do not depend on the value")
 

@@ -23,6 +23,13 @@ tolerance 1e-6). The scan/refinement is vectorized across many match
 patterns at once because the null-distribution builders need to fit
 thousands of simulated patterns; markers are grouped by distinct ``p`` so
 each likelihood evaluation is O(#groups).
+
+An exact p-value only needs to know, for each null pattern, whether its
+statistic reaches the observed one. :func:`conditional_exceeds` answers that
+exactly as the fit would, but stops refining a pattern as soon as its answer
+is proven: by the grid value from below, or by a bound on the
+log-likelihood over the current golden-section bracket from above. Both it
+and :func:`fit_conditional_batch` run the one golden-section loop.
 """
 
 from __future__ import annotations
@@ -45,6 +52,9 @@ _GRID = np.linspace(0.0, 1.0, _COARSE_POINTS)
 # Finite stand-in for log(0) so matrix products stay NaN-free; any row that
 # actually has weight on such a cell ends up astronomically negative.
 _LOG_ZERO = -1e30
+# Margin on the bounds used by conditional_exceeds: far above the rounding
+# error of a log-likelihood sum, far below the 1e-9 tie tolerance.
+_BOUND_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,29 +141,55 @@ def _q_of(p: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.minimum(q, 1.0)
 
 
-def _cond_loglik_rows(pg, sizes, matched, xi_rows):
+def _cond_loglik_rows(pg, sizes, matched, xi_rows, xi_miss=None):
     """Conditional log-likelihood of each row's counts at its own xi.
 
     pg, sizes: (G,); matched: (K, G); xi_rows: (K,). Returns (K,).
+    ``xi_miss``, if given, replaces ``xi_rows`` in the unmatched terms only.
+    Since q rises with xi, ``xi_rows = hi`` with ``xi_miss = lo`` bounds the
+    log-likelihood from above over every xi in ``[lo, hi]``.
     """
     q = _q_of(pg[None, :], xi_rows[:, None])
+    q_miss = q if xi_miss is None else _q_of(pg[None, :], xi_miss[:, None])
     unmatched = sizes[None, :] - matched
     with np.errstate(divide="ignore", invalid="ignore"):
         t_match = np.where(matched > 0, matched * np.log(q), 0.0)
-        t_miss = np.where(unmatched > 0, unmatched * np.log1p(-q), 0.0)
+        t_miss = np.where(unmatched > 0, unmatched * np.log1p(-q_miss), 0.0)
     return (t_match + t_miss).sum(axis=1)
 
 
-def _golden_max(loglik_rows, lo, hi):
-    """Vectorized golden-section maximization over per-row brackets."""
+def _golden_max(loglik_rows, lo, hi, keep=None):
+    """Vectorized golden-section maximization over per-row brackets.
+
+    ``loglik_rows(xi, sel)`` evaluates the rows ``sel`` (an index array, or
+    ``slice(None)`` for all) each at its own xi. ``keep(sel, lo, hi)``, if
+    given, runs before every iteration and says which of the remaining rows
+    still need refining; the others are dropped. A kept row's bracket takes
+    exactly the steps it takes without ``keep``, and brackets nest.
+    Returns ``(sel, xi)``: the rows refined to the end and their maximizers.
+    """
+    sel = slice(None) if keep is None else np.arange(lo.size)
     for _ in range(_GOLDEN_ITER):
+        if keep is not None:
+            kept = keep(sel, lo, hi)
+            sel, lo, hi = sel[kept], lo[kept], hi[kept]
+            if not sel.size:
+                break
         h = hi - lo
         x1 = lo + _INVPHI2 * h
         x2 = lo + _INVPHI * h
-        left = loglik_rows(x1) >= loglik_rows(x2)
+        left = loglik_rows(x1, sel) >= loglik_rows(x2, sel)
         hi = np.where(left, x2, hi)
         lo = np.where(left, lo, x1)
-    return (lo + hi) / 2.0
+    return sel, (lo + hi) / 2.0
+
+
+def _grid_bracket(grid_ll):
+    """Grid argmax index of each row and the bracket of its two neighbours."""
+    best = np.argmax(grid_ll, axis=1)
+    lo = _GRID[np.maximum(best - 1, 0)]
+    hi = _GRID[np.minimum(best + 1, _COARSE_POINTS - 1)]
+    return best, lo, hi
 
 
 def _fit_rows(loglik_rows, grid_ll):
@@ -162,15 +198,50 @@ def _fit_rows(loglik_rows, grid_ll):
     grid_ll: (K, len(_GRID)) log-likelihood at every coarse grid point.
     Returns (xi_hat, ll_at_mle) with ll_at_mle >= every grid value.
     """
-    best = np.argmax(grid_ll, axis=1)
-    lo = _GRID[np.maximum(best - 1, 0)]
-    hi = _GRID[np.minimum(best + 1, _COARSE_POINTS - 1)]
-    refined = _golden_max(loglik_rows, lo, hi)
+    best, lo, hi = _grid_bracket(grid_ll)
+    _, refined = _golden_max(loglik_rows, lo, hi)
     candidates = np.column_stack([_GRID[best], refined])
     cand_ll = np.column_stack([loglik_rows(candidates[:, j]) for j in range(candidates.shape[1])])
     pick = np.argmax(cand_ll, axis=1)
     rows = np.arange(len(pick))
     return candidates[rows, pick], cand_ll[rows, pick]
+
+
+def _conditional_stage(pg, sizes, matched):
+    """The part of a conditional fit that every row needs.
+
+    Returns ``(pg, sizes, matched, ll0, full, full_stat, mixed, grid_ll)``
+    as float arrays: ``ll0`` is each row's log-likelihood at xi = 0,
+    ``full_stat`` the q-form limit statistic of the fully matched rows
+    ``full``, and ``grid_ll`` the coarse-grid log-likelihood of the rows
+    ``mixed`` that are neither fully matched nor without any match (None
+    when there are none).
+    """
+    pg = np.asarray(pg, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    matched = np.atleast_2d(np.asarray(matched, dtype=float))
+
+    q0 = pg / (2.0 - pg)
+    ll0 = matched @ np.log(q0) + (sizes[None, :] - matched) @ np.log1p(-q0)
+
+    total_matched = matched.sum(axis=1)
+    none = total_matched == 0
+    full = total_matched == sizes.sum()
+    # ll at xi=1 is 0 for fully matched patterns (every q_i = 1)
+    full_stat = matched[full] @ np.log((2.0 - pg) / pg)
+
+    mixed = ~(none | full)
+    grid_ll = None
+    if mixed.any():
+        m_mixed = matched[mixed]
+        rem = sizes[None, :] - m_mixed
+        with np.errstate(divide="ignore"):
+            q_grid = _q_of(pg[None, :], _GRID[:, None])
+            log_q = np.log(q_grid)
+            log_1mq = np.log1p(-q_grid)
+        log_1mq[np.isneginf(log_1mq)] = _LOG_ZERO
+        grid_ll = m_mixed @ log_q.T + rem @ log_1mq.T
+    return pg, sizes, matched, ll0, full, full_stat, mixed, grid_ll
 
 
 def fit_conditional_batch(
@@ -187,41 +258,21 @@ def fit_conditional_batch(
     with no matches pin ``xi_hat = 0``; fully matched patterns pin
     ``xi_hat = 1`` with the finite q-form limit statistic.
     """
-    pg = np.asarray(pg, dtype=float)
-    sizes = np.asarray(sizes, dtype=float)
-    matched = np.atleast_2d(np.asarray(matched, dtype=float))
+    pg, sizes, matched, ll0, full, full_stat, mixed, grid_ll = _conditional_stage(
+        pg, sizes, matched)
     K = matched.shape[0]
 
     xi_hat = np.zeros(K)
     stat = np.zeros(K)
-    ll_mle = np.zeros(K)
+    ll_mle = np.where(mixed | full, 0.0, ll0)  # rows with no match stay at xi = 0
+    xi_hat[full] = 1.0
+    stat[full] = full_stat
 
-    q0 = pg / (2.0 - pg)
-    ll0 = matched @ np.log(q0) + (sizes[None, :] - matched) @ np.log1p(-q0)
-
-    total_matched = matched.sum(axis=1)
-    none = total_matched == 0
-    full = total_matched == sizes.sum()
-    ll_mle[none] = ll0[none]
-
-    if full.any():
-        xi_hat[full] = 1.0
-        stat[full] = matched[full] @ np.log((2.0 - pg) / pg)
-        # ll at xi=1 is 0 for fully matched patterns (every q_i = 1)
-
-    mixed = ~(none | full)
-    if mixed.any():
+    if grid_ll is not None:
         m_mixed = matched[mixed]
-        rem = sizes[None, :] - m_mixed
-        with np.errstate(divide="ignore"):
-            q_grid = _q_of(pg[None, :], _GRID[:, None])
-            log_q = np.log(q_grid)
-            log_1mq = np.log1p(-q_grid)
-        log_1mq[np.isneginf(log_1mq)] = _LOG_ZERO
-        grid_ll = m_mixed @ log_q.T + rem @ log_1mq.T
 
-        def rows(xi):
-            return _cond_loglik_rows(pg, sizes, m_mixed, xi)
+        def rows(xi, sel=slice(None)):
+            return _cond_loglik_rows(pg, sizes, m_mixed[sel], xi)
 
         xi_m, ll_m = _fit_rows(rows, grid_ll)
         xi_hat[mixed] = xi_m
@@ -229,6 +280,54 @@ def fit_conditional_batch(
         stat[mixed] = np.maximum(ll_m - ll0[mixed], 0.0)
 
     return xi_hat, stat, ll_mle
+
+
+def conditional_exceeds(
+    pg: np.ndarray, sizes: np.ndarray, matched: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Whether each pattern's statistic reaches ``threshold``, shape (K,).
+
+    Row for row equal to ``fit_conditional_batch(pg, sizes, matched)[1] >=
+    threshold``, but a row is refined only until its answer is proven. The
+    fitted log-likelihood of a mixed row is the larger of its values at the
+    grid argmax (``c0``) and at the golden-section result, so ``c0`` alone
+    can prove a row extreme; the grid value, which differs from ``c0`` only
+    by summation rounding, does so for most rows with a ``_BOUND_SLACK``
+    margin. The other rows take the fit's own golden-section steps, and a
+    row is dropped once its log-likelihood bound over the current bracket
+    falls short of the threshold by more than ``_BOUND_SLACK``. Rows refined
+    to the end are decided by the fit's final comparison.
+    """
+    pg, sizes, matched, ll0, full, full_stat, mixed, grid_ll = _conditional_stage(
+        pg, sizes, matched)
+    exceeds = np.full(matched.shape[0], 0.0 >= threshold)  # no match: statistic 0
+    exceeds[full] = full_stat >= threshold
+    if grid_ll is None:
+        return exceeds
+
+    m_mixed, ll0_mixed = matched[mixed], ll0[mixed]
+    best, lo, hi = _grid_bracket(grid_ll)
+    grid_max = grid_ll[np.arange(best.size), best]
+    decided = grid_max - ll0_mixed >= threshold + _BOUND_SLACK
+    open_rows = np.flatnonzero(~decided)
+    c0 = _cond_loglik_rows(pg, sizes, m_mixed[open_rows], _GRID[best[open_rows]])
+    proven = np.maximum(c0 - ll0_mixed[open_rows], 0.0) >= threshold
+    decided[open_rows[proven]] = True
+    open_rows, c0_open = open_rows[~proven], c0[~proven]
+    m_open, ll0_open = m_mixed[open_rows], ll0_mixed[open_rows]
+
+    def rows(xi, sel=slice(None)):
+        return _cond_loglik_rows(pg, sizes, m_open[sel], xi)
+
+    def keep(sel, lo, hi):
+        bound = _cond_loglik_rows(pg, sizes, m_open[sel], hi, lo)
+        return bound - ll0_open[sel] >= threshold - _BOUND_SLACK
+
+    left, refined = _golden_max(rows, lo[open_rows], hi[open_rows], keep)
+    ll_left = np.maximum(c0_open[left], rows(refined, left))
+    decided[open_rows[left]] = np.maximum(ll_left - ll0_open[left], 0.0) >= threshold
+    exceeds[mixed] = decided
+    return exceeds
 
 
 def _uncond_cells(p: np.ndarray, xi: np.ndarray):
@@ -268,8 +367,8 @@ def fit_unconditional_batch(
     log_s[np.isneginf(log_s)] = _LOG_ZERO
     grid_ll = matched @ log_b.T + single @ log_s.T + unmut @ log_n.T
 
-    def rows(xi):
-        return _uncond_loglik_rows(pg, n_markers, matched, single, xi)
+    def rows(xi, sel=slice(None)):
+        return _uncond_loglik_rows(pg, n_markers, matched[sel], single[sel], xi)
 
     xi_hat, ll_mle = _fit_rows(rows, grid_ll)
     ll0 = rows(np.zeros(matched.shape[0]))

@@ -3,10 +3,16 @@
 The conditional null fixes the observed mutated marker set E and resamples
 only the match indicators, each Bernoulli with the null match probability
 ``q_i = p_i / (2 - p_i)``. For small E the distribution is enumerated
-exactly over all 2^|E| match vectors; otherwise it is sampled by Monte
-Carlo. The unconditional null simulates whole tumor pairs over a marker
-universe under zero clonality signal; it does not depend on the observed
-data, so one build per universe is cached and reused.
+exactly over all 2^|E| match vectors (up to ``EXACT_ATOM_LIMIT``), walking
+per-probability match-count patterns in chunks of ``_FIT_CHUNK``; otherwise
+it is sampled by Monte Carlo. An exact p-value needs only whether each
+pattern's statistic reaches the observed one, so :func:`exact_p_value` asks
+the decision kernel :func:`~clonality.inference.conditional_exceeds`, which
+stops refining a pattern once its answer is proven, and returns the same
+float as ``p_value(s, exact_conditional_null(ps))``. The unconditional null
+simulates whole tumor pairs over a marker universe under zero clonality
+signal; it does not depend on the observed data, so one build per universe
+is kept in a small LRU cache and reused.
 
 P-values count null statistics greater than or equal to the observed one
 (ties are extreme): the published single-locus p-value equals the
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +33,7 @@ import numpy as np
 from .errors import ClonalityError
 from .inference import (
     ConditionalData,
+    conditional_exceeds,
     conditional_statistic,
     fit_conditional_batch,
     fit_unconditional_batch,
@@ -36,6 +44,9 @@ from .rng import DEFAULT_SEED, RngStream
 TIE_TOLERANCE = 1e-9
 EXACT_MAX_DEFAULT = 20
 _FIT_CHUNK = 1 << 16
+# Most atoms (2^|E|) an exact null may enumerate: 16.8M atoms already take
+# 256 MB as statistics and probabilities, and about 1 GB while being built.
+EXACT_ATOM_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -88,7 +99,12 @@ class TestResult:
 
 @dataclass(frozen=True)
 class CalibratedRule:
-    """Randomized rejection rule with size exactly alpha on the null sample."""
+    """Randomized rejection rule with size exactly alpha on the null sample.
+
+    P-values at or below ``threshold`` are rejected; the smallest null
+    p-value above it is rejected with probability
+    ``randomized_boundary_prob``.
+    """
 
     threshold: float
     randomized_boundary_prob: float
@@ -133,6 +149,48 @@ def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) ->
     return NullDistribution(mode="monte-carlo", statistics=stats[inverse])
 
 
+def _exact_patterns(ps: Sequence[float], exact_max: int):
+    """Count patterns of the exact null, checked against the size limits.
+
+    Raises before allocating anything when ``|E|`` exceeds ``exact_max`` or
+    2^|E| exceeds ``EXACT_ATOM_LIMIT``. Returns ``(pg, sizes, chunks)``;
+    ``chunks`` yields ``(patterns, atom_prob, reps)`` for up to
+    ``_FIT_CHUNK`` patterns at a time, in one fixed order: the
+    per-probability match counts, the product-Bernoulli mass of one match
+    vector with those counts, and the number of match vectors sharing them.
+    """
+    if len(ps) > exact_max:
+        raise ClonalityError(
+            f"exact enumeration over {len(ps)} markers exceeds exact_max={exact_max}; "
+            "use Monte Carlo sampling instead"
+        )
+    if 2 ** len(ps) > EXACT_ATOM_LIMIT:
+        raise ClonalityError(
+            f"exact enumeration over {len(ps)} markers needs 2^{len(ps)} = "
+            f"{2 ** len(ps):,} atoms, over the limit of {EXACT_ATOM_LIMIT:,}; lower "
+            f"--exact-max (exact_max) to {EXACT_ATOM_LIMIT.bit_length() - 1} or less "
+            "so that larger sets use Monte Carlo sampling"
+        )
+    pg, sizes = _grouped_probabilities(ps)
+    q0 = pg / (2.0 - pg)
+    counts = sizes.astype(int)
+    shape = tuple(counts + 1)
+    n_patterns = math.prod(shape)
+    choose = [np.array([math.comb(c, k) for k in range(c + 1)], dtype=float) for c in counts]
+
+    def chunks():
+        for start in range(0, n_patterns, _FIT_CHUNK):
+            flat = np.arange(start, min(start + _FIT_CHUNK, n_patterns))
+            patterns = np.column_stack(np.unravel_index(flat, shape)).astype(float)
+            log_vector_prob = patterns @ np.log(q0) + (sizes[None, :] - patterns) @ np.log1p(-q0)
+            multiplicity = np.ones(patterns.shape[0])
+            for g, table in enumerate(choose):
+                multiplicity *= table[patterns[:, g].astype(int)]
+            yield patterns, np.exp(log_vector_prob), multiplicity.astype(np.int64)
+
+    return pg, sizes, chunks()
+
+
 def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> NullDistribution:
     """Exact null: every match vector over E with its product-Bernoulli mass.
 
@@ -140,29 +198,17 @@ def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAU
     per-probability match counts share a statistic, so the fit cost is one
     per distinct count pattern.
     """
-    if len(ps) > exact_max:
-        raise ClonalityError(
-            f"exact enumeration over {len(ps)} markers exceeds exact_max={exact_max}; "
-            "use Monte Carlo sampling instead"
-        )
-    pg, sizes = _grouped_probabilities(ps)
-    q0 = pg / (2.0 - pg)
-    counts = sizes.astype(int)
-
-    axes = np.meshgrid(*[np.arange(c + 1) for c in counts], indexing="ij")
-    patterns = np.column_stack([a.ravel() for a in axes]).astype(float)
-
-    stats = _fit_patterns_chunked(pg, sizes, patterns)
-    log_vector_prob = patterns @ np.log(q0) + (sizes[None, :] - patterns) @ np.log1p(-q0)
-    choose = [np.array([math.comb(c, k) for k in range(c + 1)], dtype=float) for c in counts]
-    multiplicity = np.ones(patterns.shape[0])
-    for g, table in enumerate(choose):
-        multiplicity *= table[patterns[:, g].astype(int)]
-    reps = multiplicity.astype(np.int64)
+    pg, sizes, chunks = _exact_patterns(ps, exact_max)
+    stats, probs, reps = [], [], []
+    for patterns, atom_prob, rep in chunks:
+        stats.append(fit_conditional_batch(pg, sizes, patterns)[1])
+        probs.append(atom_prob)
+        reps.append(rep)
+    reps = np.concatenate(reps)
     return NullDistribution(
         mode="exact",
-        statistics=np.repeat(stats, reps),
-        probabilities=np.repeat(np.exp(log_vector_prob), reps),
+        statistics=np.repeat(np.concatenate(stats), reps),
+        probabilities=np.repeat(np.concatenate(probs), reps),
     )
 
 
@@ -174,6 +220,28 @@ def p_value(observed: float, null: NullDistribution) -> float:
     if null.mode == "exact":
         return float(min(null.probabilities[extreme].sum(), 1.0))
     return float(np.mean(extreme))
+
+
+def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> float:
+    """``p_value(observed, exact_conditional_null(ps, exact_max))``, faster.
+
+    Each count pattern is only decided, statistic >= ``observed -
+    TIE_TOLERANCE`` or not, by :func:`conditional_exceeds`, which answers as
+    the full fit would. The extreme atoms are then laid out and summed as
+    :func:`p_value` does, so the result is the same float.
+    """
+    pg, sizes, chunks = _exact_patterns(ps, exact_max)
+    threshold = observed - TIE_TOLERANCE
+    probs, reps = [], []
+    every = True
+    for patterns, atom_prob, rep in chunks:
+        extreme = conditional_exceeds(pg, sizes, patterns, threshold)
+        every = every and bool(extreme.all())
+        probs.append(atom_prob[extreme])
+        reps.append(rep[extreme])
+    if every:
+        return 1.0
+    return float(min(np.repeat(np.concatenate(probs), np.concatenate(reps)).sum(), 1.0))
 
 
 def critical_value(null: NullDistribution, alpha: float) -> float:
@@ -215,15 +283,15 @@ def conditional_test(
     fit = conditional_statistic(data)
     ps = [p for p, _ in data.markers]
     if obs.union_size <= exact_max:
-        null = exact_conditional_null(ps, exact_max)
+        p = exact_p_value(fit.statistic, ps, exact_max)
         method, n_sims, used_seed = "exact", 0, None
     else:
-        null = sample_conditional_null(ps, sims, RngStream(seed, stream_index))
+        p = p_value(fit.statistic, sample_conditional_null(ps, sims, RngStream(seed, stream_index)))
         method, n_sims, used_seed = "monte-carlo", sims, seed
     return TestResult(
         statistic=fit.statistic,
         xi_hat=fit.xi_hat,
-        p_value=p_value(fit.statistic, null),
+        p_value=p,
         method=method,
         n_sims=n_sims,
         seed=used_seed,
@@ -258,7 +326,10 @@ def sample_unconditional_null(
     return NullDistribution(mode="monte-carlo", statistics=stats)
 
 
-_UNCOND_CACHE: dict = {}
+# Entries kept by cached_unconditional_null, least recently used evicted
+# first. A scenario run uses one entry per root seed and stream.
+_UNCOND_CACHE_MAX = 32
+_UNCOND_CACHE: OrderedDict = OrderedDict()
 _UNCOND_LOCK = threading.Lock()
 
 
@@ -269,11 +340,16 @@ def cached_unconditional_null(
     key = (tuple((float(p), int(n)) for p, n in universe), int(n_sims), rng.seed, rng.stream_index)
     with _UNCOND_LOCK:
         hit = _UNCOND_CACHE.get(key)
-    if hit is not None:
-        return hit
+        if hit is not None:
+            _UNCOND_CACHE.move_to_end(key)
+            return hit
     built = sample_unconditional_null(universe, n_sims, rng)
     with _UNCOND_LOCK:
-        return _UNCOND_CACHE.setdefault(key, built)
+        kept = _UNCOND_CACHE.setdefault(key, built)
+        _UNCOND_CACHE.move_to_end(key)
+        while len(_UNCOND_CACHE) > _UNCOND_CACHE_MAX:
+            _UNCOND_CACHE.popitem(last=False)
+        return kept
 
 
 def calibrated_rejection(
@@ -283,7 +359,9 @@ def calibrated_rejection(
 
     Rejects p-values at or below the largest threshold whose null mass does
     not exceed alpha, then rejects the next-larger null atom with exactly the
-    probability that brings the size to alpha.
+    probability that brings the size to alpha. When the smallest null
+    p-value alone holds more than alpha, only p-values below it are
+    rejected outright, and that atom with probability alpha over its mass.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -299,7 +377,7 @@ def calibrated_rejection(
         threshold = float(values[eligible][-1])
         size_at_threshold = float(frac_at_or_below[eligible][-1])
     else:
-        threshold = 0.0
+        threshold = float(np.nextafter(values[0], -np.inf))
         size_at_threshold = 0.0
 
     gamma = 0.0

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -119,6 +120,21 @@ def test_cmd_test_monte_carlo_seed_in_output(capsys):
     assert payload["method"] == "monte-carlo"
     assert payload["n_sims"] == 20000 and payload["seed"] == 77
     assert payload["p_value"] == pytest.approx(0.0593, abs=0.01)
+
+
+def test_cmd_test_exact_budget_is_input_error(tmp_path, capsys):
+    muts, probs = tmp_path / "m.tsv", tmp_path / "p.tsv"
+    markers = [f"M{i}" for i in range(30)]
+    muts.write_text("tumor\tmarker\n" + "".join(f"A\t{m}\n" for m in markers)
+                    + "".join(f"B\t{m}\n" for m in markers[::3]))
+    probs.write_text("marker\tprobability\n"
+                     + "".join(f"{m}\t{0.001 * (i + 1)}\n" for i, m in enumerate(markers)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "test", "--mutations", str(muts), "--probs", str(probs),
+                         "--tumor-a", "A", "--tumor-b", "B", "--exact-max", "30")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "2^30" in err and "--exact-max" in err
 
 
 # --- pairs command --------------------------------------------------------------

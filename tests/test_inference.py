@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonality.inference import (
     ConditionalData,
     UnconditionalSummary,
+    conditional_exceeds,
     conditional_log_likelihood,
     conditional_statistic,
+    fit_conditional_batch,
     match_weight,
     mle_xi_conditional,
     unconditional_log_likelihood,
@@ -257,3 +261,30 @@ def test_unconditional_summary_from_profiles():
 def test_unconditional_summary_validation():
     with pytest.raises(ValueError):
         UnconditionalSummary(((0.1, 2, 2, 1),))  # matched + single > n
+
+
+# --- decision kernel ------------------------------------------------------
+
+@st.composite
+def pattern_batches(draw):
+    """Distinct or shared probabilities and every match-count pattern over them."""
+    n_groups = draw(st.integers(1, 7))
+    pg = sorted(draw(st.lists(st.floats(1e-4, 0.6), min_size=n_groups,
+                              max_size=n_groups, unique=True)))
+    shared = draw(st.booleans())
+    sizes = [draw(st.integers(1, 3)) if shared else 1 for _ in pg]
+    axes = np.meshgrid(*[np.arange(n + 1) for n in sizes], indexing="ij")
+    patterns = np.column_stack([a.ravel() for a in axes]).astype(float)
+    return np.array(pg), np.array(sizes, dtype=float), patterns
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch=pattern_batches(), pick=st.integers(0, 10 ** 6),
+       free=st.floats(-1.0, 30.0))
+def test_conditional_exceeds_matches_full_fit(batch, pick, free):
+    pg, sizes, patterns = batch
+    stats = fit_conditional_batch(pg, sizes, patterns)[1]
+    s = float(stats[pick % stats.size])
+    for threshold in (s, s - 1e-9, s + 1e-9, np.nextafter(s, np.inf), 0.0, free):
+        decided = conditional_exceeds(pg, sizes, patterns, threshold)
+        assert np.array_equal(decided, stats >= threshold), threshold

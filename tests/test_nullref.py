@@ -4,16 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from collections import OrderedDict
+
+from clonality import nullref
 from clonality.errors import ClonalityError
-from clonality.inference import ConditionalData, conditional_statistic
+from clonality.inference import ConditionalData, conditional_statistic, fit_conditional_batch
 from clonality.model import PairObservation
 from clonality.nullref import (
+    EXACT_ATOM_LIMIT,
     NullDistribution,
     calibrated_rejection,
     cached_unconditional_null,
     conditional_test,
     critical_value,
     exact_conditional_null,
+    exact_p_value,
     p_value,
     sample_conditional_null,
     sample_unconditional_null,
@@ -90,6 +95,60 @@ def test_exact_null_size_guard():
     with pytest.raises(ClonalityError, match="Monte Carlo"):
         exact_conditional_null([0.01] * 21)
     exact_conditional_null([0.01] * 5, exact_max=5)  # boundary is allowed
+
+
+def test_exact_null_atom_budget_refused_before_allocation():
+    n = EXACT_ATOM_LIMIT.bit_length()  # one marker past the limit
+    ps = list(np.linspace(0.001, 0.3, n + 5))  # distinct: 2^|E| count patterns
+    for markers in (ps[:n], ps):
+        with pytest.raises(ClonalityError, match=rf"2\^{len(markers)} = .*--exact-max"):
+            exact_conditional_null(markers, exact_max=40)
+        with pytest.raises(ClonalityError, match="--exact-max"):
+            exact_p_value(1.0, markers, exact_max=40)
+    # at the limit, one shared probability needs only |E|+1 count patterns
+    at_limit = [0.01] * (n - 1)
+    s_full = conditional_statistic(ConditionalData.from_pairs((p, True) for p in at_limit)).statistic
+    assert exact_p_value(s_full, at_limit, exact_max=n - 1) == pytest.approx(
+        (0.01 / 1.99) ** (n - 1), rel=1e-9)
+
+
+def random_case(gen, shared):
+    """(probabilities, match indicators) of a random pair, distinct or shared p."""
+    m = int(gen.integers(1, 11))
+    if shared:
+        levels = gen.uniform(0.002, 0.3, int(gen.integers(1, 4)))
+        ps = list(gen.choice(levels, m))
+    else:
+        ps = list(gen.uniform(0.002, 0.3, m))
+    return ps, list(gen.random(m) < 0.4)
+
+
+def test_exact_p_value_equals_p_value_of_exact_null():
+    gen = np.random.default_rng(2015)
+    for trial in range(40):
+        ps, matched = random_case(gen, shared=trial % 2 == 1)
+        null = exact_conditional_null(ps)
+        s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
+        atoms = np.unique(null.statistics)
+        for s in (s_obs, 0.0, float(atoms[len(atoms) // 2]), float(atoms[-1]) + 1.0):
+            assert exact_p_value(s, ps) == p_value(s, null)
+
+
+def test_observed_pattern_atom_reproduces_observed_statistic():
+    gen = np.random.default_rng(77)
+    for trial in range(30):
+        ps, matched = random_case(gen, shared=trial % 2 == 1)
+        s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
+        pg, sizes, chunks = nullref._exact_patterns(ps, 20)
+        counts = [sum(x for p, x in zip(ps, matched) if p == g) for g in pg]
+        for patterns, _, _ in chunks:
+            row = np.flatnonzero((patterns == counts).all(axis=1))
+            if row.size:
+                s_null = fit_conditional_batch(pg, sizes, patterns)[1][row[0]]
+                assert abs(s_null - s_obs) <= 1e-12
+                break
+        else:
+            pytest.fail("observed count pattern not enumerated")
 
 
 # --- Monte Carlo null ---------------------------------------------------------
@@ -244,6 +303,20 @@ def test_unconditional_null_deterministic_and_cached():
     assert np.array_equal(c1.statistics, a.statistics)
 
 
+def test_unconditional_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(nullref, "_UNCOND_CACHE", OrderedDict())
+    monkeypatch.setattr(nullref, "_UNCOND_CACHE_MAX", 3)
+    universe = [(0.1, 5), (0.01, 50)]
+    first = cached_unconditional_null(universe, 50, RngStream(1, 0))
+    for stream in (1, 2):
+        cached_unconditional_null(universe, 50, RngStream(1, stream))
+    assert cached_unconditional_null(universe, 50, RngStream(1, 0)) is first  # now most recent
+    cached_unconditional_null(universe, 50, RngStream(1, 3))  # evicts stream 1, the oldest
+    assert len(nullref._UNCOND_CACHE) == 3
+    assert [key[-1] for key in nullref._UNCOND_CACHE] == [2, 0, 3]
+    assert cached_unconditional_null(universe, 50, RngStream(1, 0)) is first
+
+
 def test_unconditional_null_percentile_stable_across_seeds():
     universe = [(0.1, 10), (4.0 / 9990.0, 9990)]
     a = sample_unconditional_null(universe, 4000, RngStream(101))
@@ -287,6 +360,23 @@ def test_calibrated_rejection_self_size_is_alpha():
             size += rule.randomized_boundary_prob * np.mean(null_p == boundary)
         assert size == pytest.approx(alpha, abs=1e-12)
         assert rule.calibrated_power == pytest.approx(alpha, abs=1e-12)
+
+
+def test_calibrated_rejection_dominant_smallest_atom():
+    # 30 % of the null p-values sit on the smallest value, more than alpha:
+    # only smaller p-values are rejected outright, that atom with alpha / 0.3
+    gen = np.random.default_rng(3)
+    rest = gen.uniform(0.02, 1.0, 140)
+    for smallest in (0.0, 0.01):
+        null_p = np.concatenate([np.full(60, smallest), rest])
+        rule = calibrated_rejection(null_p, null_p, 0.05)
+        assert rule.threshold < smallest
+        assert rule.randomized_boundary_prob == pytest.approx(0.05 / 0.3, rel=1e-12)
+        assert rule.calibrated_power == pytest.approx(0.05, abs=1e-12)
+        alt_p = np.concatenate([np.full(10, smallest), np.full(10, 0.5)])
+        power = calibrated_rejection(null_p, alt_p, 0.05).calibrated_power
+        assert power == pytest.approx(0.5 * 0.05 / 0.3, rel=1e-12)
+    assert calibrated_rejection(null_p, [0.001, 0.002], 0.05).calibrated_power == 1.0
 
 
 def test_calibrated_rejection_validation():
