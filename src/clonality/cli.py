@@ -41,8 +41,14 @@ _COUNT_HEADER = ["marker", "ref_mutated", "ref_total", "study_mutated", "study_t
 
 def _read_rows(path: str):
     """Yield (line_number, fields) for data lines; header handled separately."""
-    with open(path, encoding="utf-8") as handle:
+    # undecodable bytes become lone surrogates, which cannot be re-encoded
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(raw[exc.start]) - 0xDC00
+                raise FileFormatError(path, lineno, f"byte 0x{byte:02x} is not valid UTF-8") from None
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -118,17 +124,18 @@ def read_counts_file(path: str, default_study_total: Optional[int] = None) -> li
         else:
             study_total = _parse_int(path, lineno, study_total_text, "study_total")
         try:
-            records.append(
-                FrequencyRecord(
-                    marker=marker,
-                    ref_mutated=_parse_int(path, lineno, fields[1], "ref_mutated"),
-                    ref_total=_parse_int(path, lineno, fields[2], "ref_total"),
-                    study_mutated=_parse_int(path, lineno, fields[3], "study_mutated"),
-                    study_total=study_total,
-                )
+            record = FrequencyRecord(
+                marker=marker,
+                ref_mutated=_parse_int(path, lineno, fields[1], "ref_mutated"),
+                ref_total=_parse_int(path, lineno, fields[2], "ref_total"),
+                study_mutated=_parse_int(path, lineno, fields[3], "study_mutated"),
+                study_total=study_total,
             )
         except ValueError as exc:
             raise FileFormatError(path, lineno, str(exc)) from None
+        if record.ref_total + record.study_total == 0:
+            raise FileFormatError(path, lineno, f"no cohort observations for marker {marker!r}")
+        records.append(record)
     if not records:
         raise FileFormatError(path, 0, "no count records found")
     return records

@@ -21,8 +21,10 @@ The constrained MLE of ``xi`` on [0, 1] is found by a 101-point grid scan
 followed by golden-section refinement of the bracketing interval (absolute
 tolerance 1e-6). The scan/refinement is vectorized across many match
 patterns at once because the null-distribution builders need to fit
-thousands of simulated patterns; markers are grouped by distinct ``p`` so
-each likelihood evaluation is O(#groups).
+thousands of simulated patterns. Markers are grouped by distinct ``p`` in
+one function, :func:`group_by_probability`, which the observed fits, both
+nulls and the simulation harness share, so each likelihood evaluation is
+O(#groups).
 
 An exact p-value only needs to know, for each null pattern, whether its
 statistic reaches the observed one. :func:`conditional_exceeds` answers that
@@ -40,7 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import MarkerCatalog, MutationProfile, PairObservation, validate_probability, validate_xi
+from .model import PairObservation, validate_probability, validate_xi
 
 _COARSE_POINTS = 101
 _XI_TOL = 1e-6
@@ -99,23 +101,6 @@ class UnconditionalSummary:
                 raise ValueError(f"inconsistent group counts: {(p, n, matched, single)}")
             clean.append((p, int(n), int(matched), int(single)))
         object.__setattr__(self, "groups", tuple(clean))
-
-    @classmethod
-    def from_profiles(
-        cls, a: MutationProfile, b: MutationProfile, catalog: MarkerCatalog
-    ) -> "UnconditionalSummary":
-        """Aggregate a full catalog against two profiles."""
-        per_p: dict[float, list[int]] = {}
-        for marker, p in catalog.probabilities.items():
-            n, m, s = per_p.setdefault(p, [0, 0, 0])
-            in_a = marker in a.mutations
-            in_b = marker in b.mutations
-            per_p[p][0] = n + 1
-            if in_a and in_b:
-                per_p[p][1] = m + 1
-            elif in_a or in_b:
-                per_p[p][2] = s + 1
-        return cls(tuple((p, n, m, s) for p, (n, m, s) in sorted(per_p.items())))
 
 
 @dataclass(frozen=True)
@@ -380,18 +365,27 @@ def fit_unconditional_batch(
 # Scalar API.
 # ---------------------------------------------------------------------------
 
+def group_by_probability(p, *counts):
+    """Merge entries of equal probability: ``(pg, *summed_counts)``.
+
+    ``p`` and every count column hold one entry per marker (or per group of
+    markers); ``pg`` is the sorted distinct probabilities and each returned
+    column sums its input over the entries sharing that probability, as
+    floats.
+    """
+    pg, inverse = np.unique(np.asarray(p, dtype=float), return_inverse=True)
+    if pg.size == 0:
+        raise ValueError("need at least one marker probability")
+    for extreme in (pg[0], pg[-1]):  # sorted, NaN last
+        validate_probability(extreme)
+    return (pg, *(np.bincount(inverse, weights=c, minlength=pg.size) for c in counts))
+
+
 def _grouped(data: ConditionalData):
     """Group markers by identical probability -> (pg, sizes, matched[1, G])."""
-    per_p: dict[float, list[int]] = {}
-    for p, x in data.markers:
-        entry = per_p.setdefault(p, [0, 0])
-        entry[0] += 1
-        entry[1] += int(x)
-    ps = sorted(per_p)
-    pg = np.array(ps)
-    sizes = np.array([per_p[p][0] for p in ps], dtype=float)
-    matched = np.array([[per_p[p][1] for p in ps]], dtype=float)
-    return pg, sizes, matched
+    pg, sizes, matched = group_by_probability(
+        [p for p, _ in data.markers], np.ones(len(data)), [x for _, x in data.markers])
+    return pg, sizes, matched[None, :]
 
 
 def _require_nonempty(data: ConditionalData):
@@ -454,22 +448,20 @@ def weight_form_statistic(data: ConditionalData, xi: float) -> float:
     return matched_term - union_term
 
 
+def _summary_arrays(summary: UnconditionalSummary):
+    """(pg, n_markers, matched[1, G], single[1, G]) as float arrays."""
+    pg, n, matched, single = (np.array(col, dtype=float) for col in zip(*summary.groups))
+    return pg, n, matched[None, :], single[None, :]
+
+
 def unconditional_log_likelihood(summary: UnconditionalSummary, xi: float) -> float:
     """Full-universe log-likelihood at signal ``xi`` (grouped by p)."""
     xi = validate_xi(xi)
-    pg = np.array([g[0] for g in summary.groups])
-    n = np.array([g[1] for g in summary.groups], dtype=float)
-    matched = np.array([[g[2] for g in summary.groups]], dtype=float)
-    single = np.array([[g[3] for g in summary.groups]], dtype=float)
-    return float(_uncond_loglik_rows(pg, n, matched, single, np.array([xi]))[0])
+    return float(_uncond_loglik_rows(*_summary_arrays(summary), np.array([xi]))[0])
 
 
 def unconditional_statistic(summary: UnconditionalSummary) -> FitResult:
     """Unconditional LR statistic ``l_u(xi_hat) - l_u(0)`` and its MLE."""
-    pg = np.array([g[0] for g in summary.groups])
-    n = np.array([g[1] for g in summary.groups], dtype=float)
-    matched = np.array([[g[2] for g in summary.groups]], dtype=float)
-    single = np.array([[g[3] for g in summary.groups]], dtype=float)
-    xi_hat, stat, ll_mle = fit_unconditional_batch(pg, n, matched, single)
+    xi_hat, stat, ll_mle = fit_unconditional_batch(*_summary_arrays(summary))
     return FitResult(xi_hat=float(xi_hat[0]), statistic=float(stat[0]),
                      log_likelihood_at_mle=float(ll_mle[0]))

@@ -2,17 +2,20 @@
 
 The conditional null fixes the observed mutated marker set E and resamples
 only the match indicators, each Bernoulli with the null match probability
-``q_i = p_i / (2 - p_i)``. For small E the distribution is enumerated
-exactly over all 2^|E| match vectors (up to ``EXACT_ATOM_LIMIT``), walking
-per-probability match-count patterns in chunks of ``_FIT_CHUNK``; otherwise
-it is sampled by Monte Carlo. An exact p-value needs only whether each
-pattern's statistic reaches the observed one, so :func:`exact_p_value` asks
-the decision kernel :func:`~clonality.inference.conditional_exceeds`, which
-stops refining a pattern once its answer is proven, and returns the same
-float as ``p_value(s, exact_conditional_null(ps))``. The unconditional null
-simulates whole tumor pairs over a marker universe under zero clonality
-signal; it does not depend on the observed data, so one build per universe
-is kept in a small LRU cache and reused.
+``q_i = p_i / (2 - p_i)``. Markers sharing a probability are exchangeable,
+so the null works on per-probability match counts, grouped by
+:func:`~clonality.inference.group_by_probability` exactly as the observed
+fit groups them. For small E the distribution is enumerated exactly over
+all 2^|E| match vectors (up to ``EXACT_ATOM_LIMIT``), walking count
+patterns in chunks of ``_FIT_CHUNK``; otherwise it is sampled by Monte
+Carlo. An exact p-value needs only whether each pattern's statistic reaches
+the observed one, so :func:`exact_p_value` asks the decision kernel
+:func:`~clonality.inference.conditional_exceeds`, which stops refining a
+pattern once its answer is proven, and returns the same float as
+``p_value(s, exact_conditional_null(ps))``. The unconditional null
+simulates whole tumor pairs over a marker universe of ``(p, n_markers)``
+groups under zero clonality signal; it does not depend on the observed
+data, so one build per universe is kept in a small LRU cache and reused.
 
 P-values count null statistics greater than or equal to the observed one
 (ties are extreme): the published single-locus p-value equals the
@@ -37,6 +40,7 @@ from .inference import (
     conditional_statistic,
     fit_conditional_batch,
     fit_unconditional_batch,
+    group_by_probability,
 )
 from .model import PairObservation, pair_outcome_probabilities, validate_probability
 from .rng import DEFAULT_SEED, RngStream
@@ -101,22 +105,15 @@ class TestResult:
 class CalibratedRule:
     """Randomized rejection rule with size exactly alpha on the null sample.
 
-    P-values at or below ``threshold`` are rejected; the smallest null
-    p-value above it is rejected with probability
-    ``randomized_boundary_prob``.
+    The boundary is the smallest null p-value above ``threshold``. P-values
+    below the boundary are rejected, and the boundary itself with
+    probability ``randomized_boundary_prob``. No null p-value lies strictly
+    between ``threshold`` and the boundary, so the null size is alpha.
     """
 
     threshold: float
     randomized_boundary_prob: float
     calibrated_power: float
-
-
-def _grouped_probabilities(ps: Sequence[float]):
-    ps = [validate_probability(p) for p in ps]
-    if not ps:
-        raise ValueError("need at least one marker probability")
-    pg, sizes = np.unique(np.asarray(ps, dtype=float), return_counts=True)
-    return pg, sizes.astype(float)
 
 
 def _fit_patterns_chunked(pg, sizes, patterns):
@@ -138,7 +135,7 @@ def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) ->
     """
     if n_sims < 1:
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
-    pg, sizes = _grouped_probabilities(ps)
+    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     q0 = pg / (2.0 - pg)
     gen = rng.generator()
     matched = np.column_stack(
@@ -171,7 +168,7 @@ def _exact_patterns(ps: Sequence[float], exact_max: int):
             f"--exact-max (exact_max) to {EXACT_ATOM_LIMIT.bit_length() - 1} or less "
             "so that larger sets use Monte Carlo sampling"
         )
-    pg, sizes = _grouped_probabilities(ps)
+    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     q0 = pg / (2.0 - pg)
     counts = sizes.astype(int)
     shape = tuple(counts + 1)
@@ -264,25 +261,25 @@ def critical_value(null: NullDistribution, alpha: float) -> float:
     return float(distinct[idx])
 
 
-def conditional_test(
-    obs: PairObservation,
+def conditional_data_test(
+    data: ConditionalData,
     *,
     sims: int = 100_000,
     exact_max: int = EXACT_MAX_DEFAULT,
     seed: int = DEFAULT_SEED,
     stream_index: int = 0,
 ) -> TestResult:
-    """End-to-end conditional test of one tumor pair.
+    """Conditional test of one pair's mutated markers and match indicators.
 
     Uses exact enumeration when ``|E| <= exact_max`` (set ``exact_max=0`` to
-    force Monte Carlo with ``sims`` draws).
+    force Monte Carlo with ``sims`` draws from stream ``(seed,
+    stream_index)``).
     """
-    if obs.union_size == 0:
+    if len(data) == 0:
         raise ValueError("no mutations observed; test undefined")
-    data = ConditionalData.from_observation(obs)
     fit = conditional_statistic(data)
     ps = [p for p, _ in data.markers]
-    if obs.union_size <= exact_max:
+    if len(data) <= exact_max:
         p = exact_p_value(fit.statistic, ps, exact_max)
         method, n_sims, used_seed = "exact", 0, None
     else:
@@ -295,9 +292,22 @@ def conditional_test(
         method=method,
         n_sims=n_sims,
         seed=used_seed,
-        n_matches=obs.n_matches,
-        n_union=obs.union_size,
+        n_matches=sum(x for _, x in data.markers),
+        n_union=len(data),
     )
+
+
+def conditional_test(
+    obs: PairObservation,
+    *,
+    sims: int = 100_000,
+    exact_max: int = EXACT_MAX_DEFAULT,
+    seed: int = DEFAULT_SEED,
+    stream_index: int = 0,
+) -> TestResult:
+    """End-to-end conditional test of one tumor pair, by :func:`conditional_data_test`."""
+    return conditional_data_test(ConditionalData.from_observation(obs), sims=sims,
+                                 exact_max=exact_max, seed=seed, stream_index=stream_index)
 
 
 def sample_unconditional_null(
@@ -357,11 +367,11 @@ def calibrated_rejection(
 ) -> CalibratedRule:
     """Randomize the rejection threshold so the null rejection rate is alpha.
 
-    Rejects p-values at or below the largest threshold whose null mass does
-    not exceed alpha, then rejects the next-larger null atom with exactly the
-    probability that brings the size to alpha. When the smallest null
-    p-value alone holds more than alpha, only p-values below it are
-    rejected outright, and that atom with probability alpha over its mass.
+    ``threshold`` is the largest null p-value whose null mass at or below it
+    does not exceed alpha (or, when the smallest null p-value alone holds
+    more than alpha, the float just below it). P-values below the next null
+    p-value, the boundary, are rejected, and the boundary with exactly the
+    probability that brings the size to alpha.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -380,18 +390,10 @@ def calibrated_rejection(
         threshold = float(np.nextafter(values[0], -np.inf))
         size_at_threshold = 0.0
 
-    gamma = 0.0
-    boundary = None
-    if size_at_threshold < alpha:
-        above = values[values > threshold]
-        if above.size:
-            boundary = float(above[0])
-            boundary_mass = float(np.mean(null_p == boundary))
-            gamma = (alpha - size_at_threshold) / boundary_mass
-
-    power = float(np.mean(alt_p <= threshold))
-    if boundary is not None:
-        power += gamma * float(np.mean(alt_p == boundary))
+    # the largest null p-value holds mass 1 > alpha, so a boundary exists
+    boundary = float(values[values > threshold][0])
+    gamma = (alpha - size_at_threshold) / float(np.mean(null_p == boundary))
+    power = float(np.mean(alt_p < boundary)) + gamma * float(np.mean(alt_p == boundary))
     return CalibratedRule(
         threshold=threshold,
         randomized_boundary_prob=gamma,

@@ -7,7 +7,10 @@ analysis probabilities. The harness simulates tumor pairs from the true
 universe, runs the conditional test on each pair (with the possibly
 perturbed probabilities used both for the statistic and for its reference
 distribution), and reports rejection rates, randomization-calibrated
-rejection rates, and matching-mutation summaries.
+rejection rates, and matching-mutation summaries. It works on per-group
+counts of the markers mutated in both tumors, in A only and in B only;
+marker labels exist only in :func:`sample_tumor_pair`, which draws the same
+pair from the same stream.
 
 Block generators honor per-block clonality: when a block's clonality draw
 comes up clonal the whole block outcome is copied to both tumors, otherwise
@@ -27,20 +30,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .inference import UnconditionalSummary, unconditional_statistic
+from .inference import (
+    ConditionalData,
+    UnconditionalSummary,
+    group_by_probability,
+    unconditional_statistic,
+)
 from .model import (
     MarkerCatalog,
     MutationProfile,
-    PairObservation,
     clamp_probability,
-    derive_pair_observation,
     validate_probability,
     validate_xi,
 )
 from .nullref import (
     cached_unconditional_null,
     calibrated_rejection,
-    conditional_test,
+    conditional_data_test,
     p_value,
 )
 from .rng import RngStream
@@ -341,38 +347,39 @@ def scenario_catalog(spec: ScenarioSpec) -> MarkerCatalog:
     return MarkerCatalog(entries)
 
 
+def _pair_markers(spec: ScenarioSpec, rng: RngStream) -> list[tuple[np.ndarray, ...]]:
+    """Draw one tumor pair: per group, the marker indices (both, A only, B only)."""
+    gen = rng.generator()
+    drawn = []
+    for group in spec.groups:
+        n = group.n_markers
+        if group.kind == "independent":
+            counts = [int(v[0]) for v in _independent_pair_counts(gen, n, group.p, spec.xi, 1)]
+            total = sum(counts)
+            ids = gen.choice(n, size=total, replace=False) if total else np.zeros(0, dtype=int)
+            drawn.append(tuple(np.split(ids, np.cumsum(counts[:2]))))
+            continue
+        if group.kind == "exclusive-block":
+            cell_a, cell_b = _exclusive_pair_cells(gen, n, group.p, spec.xi, 1)
+            mut_a, mut_b = np.arange(n) == cell_a[0], np.arange(n) == cell_b[0]
+        else:
+            mut_a, mut_b = (m[0] for m in _equicorrelated_pair_mutations(
+                gen, n, group.p, group.rho, spec.xi, 1))
+        drawn.append((np.flatnonzero(mut_a & mut_b), np.flatnonzero(mut_a & ~mut_b),
+                      np.flatnonzero(mut_b & ~mut_a)))
+    return drawn
+
+
 def sample_tumor_pair(
     spec: ScenarioSpec, rng: RngStream
 ) -> tuple[MutationProfile, MutationProfile]:
     """Draw one tumor pair from the scenario's generative model."""
-    gen = rng.generator()
     a_mut: list[str] = []
     b_mut: list[str] = []
-    for gi, group in enumerate(spec.groups):
-        if group.kind == "independent":
-            matched, a_only, b_only = (
-                int(v[0]) for v in _independent_pair_counts(gen, group.n_markers, group.p, spec.xi, 1)
-            )
-            total = matched + a_only + b_only
-            ids = gen.choice(group.n_markers, size=total, replace=False) if total else ()
-            for i in ids[:matched]:
-                label = _marker_label(gi, int(i))
-                a_mut.append(label)
-                b_mut.append(label)
-            a_mut.extend(_marker_label(gi, int(i)) for i in ids[matched:matched + a_only])
-            b_mut.extend(_marker_label(gi, int(i)) for i in ids[matched + a_only:])
-        elif group.kind == "exclusive-block":
-            cell_a, cell_b = _exclusive_pair_cells(gen, group.n_markers, group.p, spec.xi, 1)
-            if cell_a[0] < group.n_markers:
-                a_mut.append(_marker_label(gi, int(cell_a[0])))
-            if cell_b[0] < group.n_markers:
-                b_mut.append(_marker_label(gi, int(cell_b[0])))
-        else:
-            mut_a, mut_b = _equicorrelated_pair_mutations(
-                gen, group.n_markers, group.p, group.rho, spec.xi, 1
-            )
-            a_mut.extend(_marker_label(gi, int(i)) for i in np.flatnonzero(mut_a[0]))
-            b_mut.extend(_marker_label(gi, int(i)) for i in np.flatnonzero(mut_b[0]))
+    for gi, (both, a_only, b_only) in enumerate(_pair_markers(spec, rng)):
+        shared = [_marker_label(gi, int(i)) for i in both]
+        a_mut += shared + [_marker_label(gi, int(i)) for i in a_only]
+        b_mut += shared + [_marker_label(gi, int(i)) for i in b_only]
     return (
         MutationProfile("A", frozenset(a_mut)),
         MutationProfile("B", frozenset(b_mut)),
@@ -462,32 +469,6 @@ def preset_scenario(name: str, xi: float) -> ScenarioSpec:
 # Size / power harness.
 # ---------------------------------------------------------------------------
 
-def _perturbed_observation(
-    obs: PairObservation, perturbation: Perturbation, rng: RngStream
-) -> PairObservation:
-    """Apply the scenario's misspecification to the analysis probabilities."""
-    if perturbation.kind == "none":
-        return obs
-    markers = [m for m, _ in obs.shared] + [m for m, _ in obs.unshared]
-    ps = [p for _, p in obs.shared] + [p for _, p in obs.unshared]
-    if perturbation.kind == "logit-noise":
-        ps = perturb_probabilities_logit(ps, perturbation.sigma, rng)
-    else:
-        ps = inflate_rare(ps, perturbation.factor, perturbation.threshold)
-    n_shared = len(obs.shared)
-    return PairObservation(
-        shared=tuple(zip(markers[:n_shared], ps[:n_shared])),
-        unshared=tuple(zip(markers[n_shared:], ps[n_shared:])),
-    )
-
-
-def _distinct_universe(spec: ScenarioSpec) -> list[tuple[float, int]]:
-    totals: dict[float, int] = {}
-    for group in spec.groups:
-        totals[group.p] = totals.get(group.p, 0) + group.n_markers
-    return sorted(totals.items())
-
-
 def _replicate_arrays(
     spec: ScenarioSpec,
     rng: RngStream,
@@ -495,53 +476,61 @@ def _replicate_arrays(
     threads: int,
     want_unconditional: bool = False,
 ):
-    """Per-replicate p-values and summaries; thread-count invariant."""
-    catalog = scenario_catalog(spec)
-    universe = _distinct_universe(spec)
+    """Per-replicate p-values and summaries; thread-count invariant.
+
+    Each pair is reduced to per-group (matched, single) counts. The groups
+    are taken in the sort order of their marker labels, which is the order
+    in which per-marker analysis probabilities meet the perturbation noise.
+    """
+    order = sorted(range(len(spec.groups)), key=lambda g: f"g{g}:")
+    p = np.array([clamp_probability(spec.groups[g].p) for g in order])
+    n_markers = np.array([spec.groups[g].n_markers for g in order])
+    pert = spec.perturbation
     uncond_null = None
     if want_unconditional:
+        universe = list(zip(*group_by_probability(p, n_markers)))
         uncond_null = cached_unconditional_null(
             universe, spec.sims, RngStream(rng.seed, rng.stream_index + _UNCOND_NULL_STREAM)
         )
 
-    pvals = np.ones(spec.replicates)
-    pvals_u = np.ones(spec.replicates)
-    matches = np.zeros(spec.replicates)
-    mutations = np.zeros(spec.replicates)
-
     def one(i: int):
         base = rng.stream_index + run_offset + i * _STRIDE
-        a, b = sample_tumor_pair(spec, RngStream(rng.seed, base + _ROLE_DATA))
-        obs = derive_pair_observation(a, b, catalog)
-        n_mut = 0.5 * (len(a.mutations) + len(b.mutations))
+        drawn = _pair_markers(spec, RngStream(rng.seed, base + _ROLE_DATA))
+        counts = np.array([[len(ids) for ids in drawn[g]] for g in order])
+        matched, single = counts[:, 0], counts[:, 1] + counts[:, 2]
+        n_matches, n_single = int(matched.sum()), int(single.sum())
+        n_mut = 0.5 * (2 * n_matches + n_single)
         pu = 1.0
         if want_unconditional:
             # defined for every pair; it does not condition on the mutated set
-            summary = UnconditionalSummary.from_profiles(a, b, catalog)
+            grouped = group_by_probability(p, n_markers, matched, single)
+            summary = UnconditionalSummary(tuple(zip(*grouped)))
             pu = p_value(unconditional_statistic(summary).statistic, uncond_null)
-        if obs.union_size == 0:
+        if n_matches + n_single == 0:
             # conditional test undefined on an empty mutated set: never rejects
             return 1.0, pu, 0.0, n_mut
-        analysis = _perturbed_observation(
-            obs, spec.perturbation, RngStream(rng.seed, base + _ROLE_NOISE)
-        )
-        result = conditional_test(
-            analysis,
+        ps = np.concatenate([np.repeat(p, matched), np.repeat(p, single)]).tolist()
+        if pert.kind == "logit-noise":
+            ps = perturb_probabilities_logit(ps, pert.sigma, RngStream(rng.seed, base + _ROLE_NOISE))
+        elif pert.kind == "rare-inflation":
+            ps = inflate_rare(ps, pert.factor, pert.threshold)
+        data = ConditionalData.from_pairs(zip(ps, [True] * n_matches + [False] * n_single))
+        result = conditional_data_test(
+            data,
             sims=spec.sims,
             exact_max=0,
             seed=rng.seed,
             stream_index=base + _ROLE_NULL_SAMPLER,
         )
-        return result.p_value, pu, float(obs.n_matches), n_mut
+        return result.p_value, pu, float(n_matches), n_mut
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, range(spec.replicates)))
     else:
         results = [one(i) for i in range(spec.replicates)]
-    for i, (pv, pu, nm, mu) in enumerate(results):
-        pvals[i], pvals_u[i], matches[i], mutations[i] = pv, pu, nm, mu
-    return pvals, pvals_u, matches, mutations
+    # p-values, unconditional p-values, matches, mutations per tumor
+    return tuple(np.array(column, dtype=float) for column in zip(*results))
 
 
 def run_size_power(spec: ScenarioSpec, rng: RngStream, threads: int = 1) -> PowerReport:

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonality.cli import main, read_mutations_file, read_probability_file
 from clonality.model import MutationProfile, derive_pair_observation
@@ -225,6 +231,92 @@ def test_comments_and_blank_lines_ignored(tmp_path, capsys):
                        "--tumor-a", "A", "--tumor-b", "B")
     assert code == 0
     assert json.loads(out)["n_matches"] == 1
+
+
+def test_undecodable_byte_reports_line(tmp_path, capsys):
+    probs = tmp_path / "p.tsv"
+    probs.write_bytes(b"marker\tprobability\nKRAS G12D\t0.081\nXPA\xff\t0.004\n")
+    code, _, err = run(capsys, "test", "--mutations", T1_MUT, "--probs", str(probs),
+                       "--tumor-a", "T3", "--tumor-b", "T1")
+    assert code == 2
+    assert err.startswith(f"error: {probs}:3: byte 0xff")
+
+
+def test_counts_without_cohort_reports_line(tmp_path, capsys):
+    counts = tmp_path / "c.tsv"
+    counts.write_text("marker\tref_mutated\tref_total\tstudy_mutated\tstudy_total\n"
+                      "X\t1\t10\t0\t1\nY\t0\t0\t0\t0\n")
+    for argv in (("estimate-probs", "--counts", str(counts)),
+                 ("test", "--mutations", T1_MUT, "--probs", str(counts),
+                  "--tumor-a", "T3", "--tumor-b", "T1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {counts}:3: no cohort observations")
+
+
+def corruptions(kind):
+    """(name, row pick, token) edits that make a valid file of ``kind`` malformed."""
+    names = ["byte", "extra", "duplicate", "header"]
+    if kind != "mutations":
+        names.append("field")
+    if kind == "counts":
+        names.append("zero-totals")
+    return st.tuples(st.sampled_from(names), st.integers(0, 10 ** 6),
+                     st.sampled_from(["x", "1.5", "-1", "nan", "1e400"]))
+
+
+def corrupt(text: str, edit) -> bytes:
+    name, pick, token = edit
+    lines = text.split("\n")[:-1]
+    row = 1 + pick % (len(lines) - 1)
+    fields = lines[row].split("\t")
+    if name == "byte":
+        data = text.encode()
+        at = pick % (len(data) + 1)
+        return data[:at] + bytes([(0xFF, 0xFE, 0xC0, 0x80)[pick % 4]]) + data[at:]
+    if name == "extra":
+        lines[pick % len(lines)] += "\tjunk"
+    elif name == "duplicate":
+        lines.insert(row, lines[row])
+    elif name == "header":
+        lines[0] = "_" + lines[0]
+    elif name == "field":
+        fields[1 + pick % (len(fields) - 1)] = token
+        lines[row] = "\t".join(fields)
+    else:
+        lines[row] = "\t".join([fields[0]] + ["0"] * 4)
+    return "\n".join(lines + [""]).encode()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["mutations", "probs", "counts"]).flatmap(
+    lambda kind: st.tuples(st.just(kind), corruptions(kind))))
+def test_corrupted_inputs_report_file_and_line(case):
+    kind, edit = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {kind: pathlib.Path(tmp) / f"{kind}.tsv" for kind in ("mutations", "probs", "counts")}
+        files["mutations"].write_bytes(pathlib.Path(T1_MUT).read_bytes())
+        files["probs"].write_bytes(pathlib.Path(T1_PROB).read_bytes())
+        catalog = read_probability_file(T1_PROB)
+        files["counts"].write_text(
+            "marker\tref_mutated\tref_total\tstudy_mutated\tstudy_total\n" + "".join(
+                f"{m}\t{max(round(1000 * p), 1)}\t1000\t0\t1\n"
+                for m, p in catalog.probabilities.items()))
+        pair = ("--tumor-a", "T3", "--tumor-b", "Left/Mucinous")
+        commands = [("test", "--mutations", str(files["mutations"]),
+                     "--probs", str(files["counts" if kind == "counts" else "probs"]), *pair)]
+        if kind == "counts":
+            commands.append(("estimate-probs", "--counts", str(files["counts"]), "--study-size", "1"))
+        for argv in commands:
+            assert main(list(argv)) == 0
+        target = files[kind]
+        target.write_bytes(corrupt(target.read_text(), edit))
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            assert code == 2, (argv, edit, err.getvalue())
+            assert err.getvalue().startswith(f"error: {target}:"), (edit, err.getvalue())
 
 
 # --- estimate-probs -------------------------------------------------------------------

@@ -12,13 +12,13 @@ from clonality.inference import (
     conditional_log_likelihood,
     conditional_statistic,
     fit_conditional_batch,
+    group_by_probability,
     match_weight,
     mle_xi_conditional,
     unconditional_log_likelihood,
     unconditional_statistic,
     weight_form_statistic,
 )
-from clonality.model import MarkerCatalog, MutationProfile
 
 
 # --- independent oracles -------------------------------------------------
@@ -250,12 +250,14 @@ def test_unconditional_statistic_simulated_pair_vs_oracle():
     assert fit.xi_hat == pytest.approx(oracle_xi, abs=1e-4)
 
 
-def test_unconditional_summary_from_profiles():
-    catalog = MarkerCatalog({"a": 0.1, "b": 0.1, "c": 0.004, "d": 0.004, "e": 0.004})
-    a = MutationProfile("A", {"a", "c", "d"})
-    b = MutationProfile("B", {"a", "d", "e"})
-    summary = UnconditionalSummary.from_profiles(a, b, catalog)
-    assert summary.groups == ((0.004, 3, 1, 2), (0.1, 2, 1, 0))
+def test_group_by_probability_sums_columns():
+    pg, n, matched = group_by_probability([0.1, 0.004, 0.1, 0.02], [1, 2, 3, 4], [1, 0, 1, 1])
+    assert pg.tolist() == [0.004, 0.02, 0.1]
+    assert n.tolist() == [2.0, 4.0, 4.0]
+    assert matched.tolist() == [0.0, 1.0, 2.0]
+    for bad in ([], [0.1, 0.0], [1.0], [float("nan")]):
+        with pytest.raises(ValueError):
+            group_by_probability(bad, [1] * len(bad))
 
 
 def test_unconditional_summary_validation():

@@ -379,6 +379,26 @@ def test_calibrated_rejection_dominant_smallest_atom():
     assert calibrated_rejection(null_p, [0.001, 0.002], 0.05).calibrated_power == 1.0
 
 
+def test_calibrated_rejection_between_threshold_and_boundary():
+    # threshold 0.01 (size 0.02), boundary 0.03 randomized with 0.03 / 0.1:
+    # 0.02 lies below the boundary and is rejected outright
+    null_p = [0.01] * 2 + [0.03] * 10 + [0.5] * 88
+    expected = {0.005: 1.0, 0.01: 1.0, 0.02: 1.0, 0.029: 1.0, 0.03: 0.3, 0.04: 0.0, 0.5: 0.0}
+    for alt, power in expected.items():
+        rule = calibrated_rejection(null_p, [alt], 0.05)
+        assert rule.threshold == 0.01
+        assert rule.calibrated_power == pytest.approx(power, abs=1e-12), alt
+    grid = np.linspace(0.0, 1.0, 201)
+    powers = [calibrated_rejection(null_p, [alt], 0.05).calibrated_power for alt in grid]
+    assert all(a >= b for a, b in zip(powers, powers[1:]))
+    assert calibrated_rejection(null_p, null_p, 0.05).calibrated_power == pytest.approx(0.05)
+    # size alpha at the threshold: the gap below the next null p-value is
+    # rejected, that value is not (randomized with probability 0)
+    at_alpha = [0.01] * 5 + [0.5] * 95
+    powers = [calibrated_rejection(at_alpha, [alt], 0.05).calibrated_power for alt in (0.2, 0.5)]
+    assert powers == [1.0, 0.0]
+
+
 def test_calibrated_rejection_validation():
     with pytest.raises(ValueError):
         calibrated_rejection([], [0.1], 0.05)

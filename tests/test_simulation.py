@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from clonality import nullref, simulation
+from clonality.inference import ConditionalData, UnconditionalSummary, unconditional_statistic
 from clonality.model import derive_pair_observation
 from clonality.rng import RngStream
 from clonality.simulation import (
@@ -304,6 +306,98 @@ def test_sampled_profiles_resolve_against_catalog():
 
 
 # --- harness ----------------------------------------------------------------------
+
+def mixed_spec(perturbation=Perturbation()):
+    """All three group kinds, shared probabilities and more than ten groups."""
+    groups = (
+        MarkerGroup("independent", 40, 0.05),
+        MarkerGroup("exclusive-block", 10, 0.05),
+        MarkerGroup("equicorrelated-block", 12, 0.08, rho=0.5),
+        MarkerGroup("independent", 300, 0.004),
+        MarkerGroup("exclusive-block", 20, 0.02),
+        MarkerGroup("equicorrelated-block", 25, 0.02, rho=0.3),
+        MarkerGroup("independent", 200, 0.01),
+        MarkerGroup("independent", 50, 0.03),
+        MarkerGroup("exclusive-block", 5, 0.1),
+        MarkerGroup("equicorrelated-block", 8, 0.004, rho=0.9),
+        MarkerGroup("independent", 100, 0.006),
+        MarkerGroup("independent", 60, 0.015),
+    )
+    return ScenarioSpec(groups=groups, xi=0.3, perturbation=perturbation,
+                        replicates=20, sims=20)
+
+
+def labelled_summary(a, b, catalog):
+    """Unconditional summary by walking every catalog marker."""
+    per_p = {}
+    for marker, p in catalog.probabilities.items():
+        n, m, s = per_p.get(p, (0, 0, 0))
+        in_a, in_b = marker in a.mutations, marker in b.mutations
+        per_p[p] = (n + 1, m + (in_a and in_b), s + (in_a != in_b))
+    return UnconditionalSummary(tuple((p, *per_p[p]) for p in sorted(per_p)))
+
+
+def labelled_data(obs, perturbation, noise):
+    """Analysis data of an observation, perturbed in sorted-label order."""
+    ps = [p for _, p in obs.shared] + [p for _, p in obs.unshared]
+    if perturbation.kind == "logit-noise":
+        ps = perturb_probabilities_logit(ps, perturbation.sigma, noise)
+    elif perturbation.kind == "rare-inflation":
+        ps = inflate_rare(ps, perturbation.factor, perturbation.threshold)
+    flags = [True] * obs.n_matches + [False] * (obs.union_size - obs.n_matches)
+    return ConditionalData.from_pairs(zip(ps, flags))
+
+
+@pytest.mark.parametrize("perturbation", [
+    Perturbation(),
+    Perturbation("logit-noise", sigma=0.5),
+    Perturbation("rare-inflation", factor=10.0, threshold=0.01),
+], ids=lambda pert: pert.kind)
+def test_harness_counts_equal_labelled_pairs(monkeypatch, perturbation):
+    # the harness works on per-group counts; the labelled profiles of
+    # sample_tumor_pair on the same streams must give the same analysis inputs
+    spec = mixed_spec(perturbation)
+    seen_data, seen_summaries = {}, []
+
+    def conditional(data, **kwargs):
+        seen_data[kwargs["stream_index"]] = data
+        return nullref.conditional_data_test(data, **kwargs)
+
+    def unconditional(summary):
+        seen_summaries.append(summary)
+        return unconditional_statistic(summary)
+
+    monkeypatch.setattr(simulation, "conditional_data_test", conditional)
+    monkeypatch.setattr(simulation, "unconditional_statistic", unconditional)
+    rng = RngStream(57, 3)
+    _, _, matches, _ = simulation._replicate_arrays(spec, rng, 0, 1, want_unconditional=True)
+    assert matches.sum() > 0
+
+    catalog = scenario_catalog(spec)
+    for i in range(spec.replicates):
+        base = rng.stream_index + i * simulation._STRIDE
+        a, b = sample_tumor_pair(spec, RngStream(rng.seed, base + simulation._ROLE_DATA))
+        assert seen_summaries[i] == labelled_summary(a, b, catalog)
+        obs = derive_pair_observation(a, b, catalog)
+        data = seen_data.pop(base + simulation._ROLE_NULL_SAMPLER, None)
+        if obs.union_size == 0:
+            assert data is None
+            continue
+        noise = RngStream(rng.seed, base + simulation._ROLE_NOISE)
+        assert data == labelled_data(obs, perturbation, noise)
+    assert not seen_data
+
+
+def test_comparison_null_universe_uses_clamped_probabilities():
+    spec = small_spec(
+        groups=(MarkerGroup("independent", 30, 0.1), MarkerGroup("independent", 500, 1e-7)),
+        replicates=4, sims=50,
+    )
+    nullref._UNCOND_CACHE.clear()
+    run_calibrated_comparison(spec, RngStream(58))
+    universes = {key[0] for key in nullref._UNCOND_CACHE}
+    assert universes == {((1e-6, 500), (0.1, 30))}
+
 
 def test_run_size_power_null_scenario_calibrates_to_alpha():
     report = run_size_power(small_spec(xi=0.0), RngStream(51))
