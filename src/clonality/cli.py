@@ -67,29 +67,46 @@ def _parse_header(path: str, rows, *expected: list[str]) -> list[str]:
     raise FileFormatError(path, lineno, f"expected header {wanted}, got {'/'.join(fields)}")
 
 
-def read_mutations_file(path: str) -> dict[str, set[str]]:
-    """Tumor id -> mutated marker set, preserving first-appearance order."""
+def _mutation_records(path: str):
+    """Yield (line number, tumor, marker) per data row of a mutations file.
+
+    ``marker`` is empty on a row that declares a tumor with no observed
+    mutations.
+    """
     rows = _read_rows(path)
     _parse_header(path, rows, _MUTATION_HEADER)
-    tumors: dict[str, set[str]] = {}
-    seen: set[tuple[str, str]] = set()
     for lineno, fields in rows:
         if len(fields) not in (1, 2):
             raise FileFormatError(path, lineno, f"expected 1 or 2 fields, got {len(fields)}")
         tumor = fields[0].strip()
-        marker = fields[1].strip() if len(fields) == 2 else ""
         if not tumor:
             raise FileFormatError(path, lineno, "empty tumor id")
-        tumors.setdefault(tumor, set())
+        yield lineno, tumor, fields[1].strip() if len(fields) == 2 else ""
+
+
+def read_mutations_file(path: str) -> dict[str, set[str]]:
+    """Tumor id -> mutated marker set, preserving first-appearance order."""
+    tumors: dict[str, set[str]] = {}
+    for lineno, tumor, marker in _mutation_records(path):
+        markers = tumors.setdefault(tumor, set())
         if not marker:
-            continue  # declares a tumor with no observed mutations
-        if (tumor, marker) in seen:
+            continue
+        if marker in markers:
             raise FileFormatError(path, lineno, f"duplicate mutation row: {tumor}/{marker}")
-        seen.add((tumor, marker))
-        tumors[tumor].add(marker)
+        markers.add(marker)
     if not tumors:
         raise FileFormatError(path, 0, "no tumors found")
     return tumors
+
+
+def _require_cataloged(args, tumors: dict[str, set[str]], ids, catalog: MarkerCatalog):
+    """Raise at the first mutations-file line of tumors ``ids`` whose marker the catalog lacks."""
+    if all(marker in catalog for tumor in ids for marker in tumors[tumor]):
+        return
+    for lineno, tumor, marker in _mutation_records(args.mutations):
+        if tumor in ids and marker and marker not in catalog:
+            raise FileFormatError(args.mutations, lineno,
+                                  f"marker {marker!r} not in catalog {args.probs}")
 
 
 def _parse_int(path: str, lineno: int, text: str, name: str) -> int:
@@ -200,6 +217,7 @@ def _cmd_test(args) -> int:
             raise ClonalityError(
                 f"no mutations observed for tumor {profile.tumor_id!r}; test undefined"
             )
+    _require_cataloged(args, tumors, (args.tumor_a, args.tumor_b), catalog)
     obs = derive_pair_observation(profile_a, profile_b, catalog)
     result = conditional_test(
         obs, sims=args.sims, exact_max=args.exact_max, seed=args.seed
@@ -214,6 +232,7 @@ def _cmd_pairs(args) -> int:
     ids = list(tumors)
     if len(ids) < 2:
         raise FileFormatError(args.mutations, 0, "need at least 2 tumors for pairwise tests")
+    _require_cataloged(args, tumors, ids, catalog)
     jobs = []
     counter = 0
     for i, ta in enumerate(ids):

@@ -207,13 +207,19 @@ def _conditional_stage(pg, sizes, matched):
     matched = np.atleast_2d(np.asarray(matched, dtype=float))
 
     q0 = pg / (2.0 - pg)
-    ll0 = matched @ np.log(q0) + (sizes[None, :] - matched) @ np.log1p(-q0)
+    # summed per row, not by a matrix product: BLAS rounds a row differently
+    # in batches of different sizes, and a pattern's statistic must not
+    # depend on which other patterns share its batch. Column by column, no
+    # (K, G) temporary is allocated.
+    ll0 = np.zeros(matched.shape[0])
+    for g, (log_q, log_miss) in enumerate(zip(np.log(q0), np.log1p(-q0))):
+        ll0 += matched[:, g] * log_q + (sizes[g] - matched[:, g]) * log_miss
 
     total_matched = matched.sum(axis=1)
     none = total_matched == 0
     full = total_matched == sizes.sum()
     # ll at xi=1 is 0 for fully matched patterns (every q_i = 1)
-    full_stat = matched[full] @ np.log((2.0 - pg) / pg)
+    full_stat = (matched[full] * np.log((2.0 - pg) / pg)).sum(axis=1)
 
     mixed = ~(none | full)
     grid_ll = None

@@ -7,12 +7,16 @@ so the null works on per-probability match counts, grouped by
 :func:`~clonality.inference.group_by_probability` exactly as the observed
 fit groups them. For small E the distribution is enumerated exactly over
 all 2^|E| match vectors (up to ``EXACT_ATOM_LIMIT``), walking count
-patterns in chunks of ``_FIT_CHUNK``; otherwise it is sampled by Monte
-Carlo. An exact p-value needs only whether each pattern's statistic reaches
-the observed one, so :func:`exact_p_value` asks the decision kernel
+patterns in chunks of ``_FIT_CHUNK``; otherwise per-probability match
+counts are drawn by Monte Carlo and reduced to their distinct patterns. A
+p-value needs only whether each pattern's statistic reaches the observed
+one, so :func:`exact_p_value` and :func:`monte_carlo_p_value` decide, not
+fit: they ask the decision kernel
 :func:`~clonality.inference.conditional_exceeds`, which stops refining a
-pattern once its answer is proven, and returns the same float as
-``p_value(s, exact_conditional_null(ps))``. The unconditional null
+pattern once its answer is proven, about each distinct pattern, and return
+the same float as :func:`p_value` on the fully fitted null
+(:func:`exact_conditional_null`, :func:`sample_conditional_null`), which
+tests use as the reference. The unconditional null
 simulates whole tumor pairs over a marker universe of ``(p, n_markers)``
 groups under zero clonality signal; it does not depend on the observed
 data, so one build per universe is kept in a small LRU cache and reused.
@@ -116,13 +120,44 @@ class CalibratedRule:
     calibrated_power: float
 
 
-def _fit_patterns_chunked(pg, sizes, patterns):
-    """fit_conditional_batch over row chunks to bound peak memory."""
-    stats = np.empty(patterns.shape[0])
-    for start in range(0, patterns.shape[0], _FIT_CHUNK):
-        chunk = patterns[start:start + _FIT_CHUNK]
-        stats[start:start + _FIT_CHUNK] = fit_conditional_batch(pg, sizes, chunk)[1]
-    return stats
+def _chunks(patterns):
+    """Row chunks of ``_FIT_CHUNK`` patterns, which bound a fit's peak memory."""
+    return (patterns[start:start + _FIT_CHUNK] for start in range(0, patterns.shape[0], _FIT_CHUNK))
+
+
+def _null_counts(ps: Sequence[float], n_sims: int, rng: RngStream):
+    """``n_sims`` draws of the per-probability match counts under the null.
+
+    Returns ``(pg, sizes, matched)``: one binomial column of int64 counts
+    per distinct probability, drawn from stream ``rng`` column by column.
+    """
+    if n_sims < 1:
+        raise ValueError(f"n_sims must be >= 1, got {n_sims}")
+    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
+    q0 = pg / (2.0 - pg)
+    gen = rng.generator()
+    matched = np.column_stack(
+        [gen.binomial(int(sizes[g]), q0[g], size=n_sims) for g in range(len(pg))]
+    )
+    return pg, sizes, matched
+
+
+def _distinct_rows(matched: np.ndarray, sizes: np.ndarray):
+    """``np.unique(matched, axis=0, return_inverse=True)``, with a 1-D inverse.
+
+    Row ``k`` counts at most ``sizes[g]`` in column ``g``, so it is keyed by
+    one int64 in mixed radix (column 0 most significant, radix ``sizes[g] +
+    1``). The keys sort as the rows do, so one 1-D sort gives the same
+    patterns in the same order. When the radices' product leaves int64 the
+    rows are sorted as they are.
+    """
+    radix = [int(size) + 1 for size in sizes]
+    if math.prod(radix) >= 1 << 63:
+        patterns, inverse = np.unique(matched, axis=0, return_inverse=True)
+        return patterns, inverse.ravel()
+    place = np.array([math.prod(radix[g + 1:]) for g in range(len(radix))], dtype=np.int64)
+    _, first, inverse = np.unique(matched @ place, return_index=True, return_inverse=True)
+    return matched[first], inverse
 
 
 def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) -> NullDistribution:
@@ -133,17 +168,30 @@ def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) ->
     probability are exchangeable, so only the per-probability match counts
     are fitted (one fit per distinct pattern).
     """
-    if n_sims < 1:
-        raise ValueError(f"n_sims must be >= 1, got {n_sims}")
-    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
-    q0 = pg / (2.0 - pg)
-    gen = rng.generator()
-    matched = np.column_stack(
-        [gen.binomial(int(sizes[g]), q0[g], size=n_sims) for g in range(len(pg))]
-    )
-    patterns, inverse = np.unique(matched, axis=0, return_inverse=True)
-    stats = _fit_patterns_chunked(pg, sizes, patterns.astype(float))
+    pg, sizes, matched = _null_counts(ps, n_sims, rng)
+    patterns, inverse = _distinct_rows(matched, sizes)
+    stats = np.concatenate([fit_conditional_batch(pg, sizes, chunk)[1] for chunk in _chunks(patterns)])
     return NullDistribution(mode="monte-carlo", statistics=stats[inverse])
+
+
+def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: RngStream) -> float:
+    """``p_value(observed, sample_conditional_null(ps, n_sims, rng))``, faster.
+
+    The same draws are made and deduplicated; each distinct pattern is only
+    decided, statistic >= ``observed - TIE_TOLERANCE`` or not, by
+    :func:`conditional_exceeds` over the same row chunks the full fit uses,
+    so the result is the same float. Like :func:`p_value`, this is the
+    paper's b/n: 0 means that none of the ``n_sims`` draws reached the
+    observed statistic, i.e. p < 1/n_sims.
+    """
+    pg, sizes, matched = _null_counts(ps, n_sims, rng)
+    patterns, inverse = _distinct_rows(matched, sizes)
+    threshold = observed - TIE_TOLERANCE
+    extreme = np.concatenate(
+        [conditional_exceeds(pg, sizes, chunk, threshold) for chunk in _chunks(patterns)])
+    if extreme.all():
+        return 1.0
+    return float(np.mean(extreme[inverse]))
 
 
 def _exact_patterns(ps: Sequence[float], exact_max: int):
@@ -210,7 +258,12 @@ def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAU
 
 
 def p_value(observed: float, null: NullDistribution) -> float:
-    """Mass of null statistics >= observed (ties count as extreme)."""
+    """Mass of null statistics >= observed (ties count as extreme).
+
+    On a Monte Carlo null this is the share b/n of the n draws that reach
+    the observed statistic, as in the paper. So 0 means that fewer than 1
+    in n draws did, i.e. p < 1/n, not that p is 0.
+    """
     extreme = null.statistics >= observed - TIE_TOLERANCE
     if extreme.all():
         return 1.0  # avoids 1-ulp shortfalls from float atom sums
@@ -283,7 +336,7 @@ def conditional_data_test(
         p = exact_p_value(fit.statistic, ps, exact_max)
         method, n_sims, used_seed = "exact", 0, None
     else:
-        p = p_value(fit.statistic, sample_conditional_null(ps, sims, RngStream(seed, stream_index)))
+        p = monte_carlo_p_value(fit.statistic, ps, sims, RngStream(seed, stream_index))
         method, n_sims, used_seed = "monte-carlo", sims, seed
     return TestResult(
         statistic=fit.statistic,

@@ -222,6 +222,23 @@ def test_unknown_marker_is_input_error(tmp_path, capsys):
     assert "not in catalog" in err
 
 
+def test_catalog_miss_names_mutations_line_and_probability_file(tmp_path, capsys):
+    muts = tmp_path / "m.tsv"
+    muts.write_text("tumor\tmarker\nA\tX\nB\tX\nC\tZ\nB\tY\nD\tX\n")
+    probs = tmp_path / "p.tsv"
+    probs.write_text("marker\tprobability\nX\t0.1\n")
+    pair = ("--mutations", str(muts), "--probs", str(probs), "--tumor-a", "A")
+    for argv, line, marker in ((("test", *pair, "--tumor-b", "B"), 5, "Y"),
+                               (("test", *pair, "--tumor-b", "C"), 4, "Z"),
+                               (("pairs", *pair[:4]), 4, "Z")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {muts}:{line}: marker '{marker}' not in catalog {probs}\n"
+    # markers of untested tumors are not looked up
+    code, out, _ = run(capsys, "test", *pair, "--tumor-b", "D")
+    assert code == 0 and json.loads(out)["n_matches"] == 1
+
+
 def test_comments_and_blank_lines_ignored(tmp_path, capsys):
     muts = tmp_path / "m.tsv"
     muts.write_text("# case data\ntumor\tmarker\n\nA\tX\nB\tX\n")
@@ -257,7 +274,9 @@ def test_counts_without_cohort_reports_line(tmp_path, capsys):
 def corruptions(kind):
     """(name, row pick, token) edits that make a valid file of ``kind`` malformed."""
     names = ["byte", "extra", "duplicate", "header"]
-    if kind != "mutations":
+    if kind == "mutations":
+        names.append("marker")
+    else:
         names.append("field")
     if kind == "counts":
         names.append("zero-totals")
@@ -280,6 +299,10 @@ def corrupt(text: str, edit) -> bytes:
         lines.insert(row, lines[row])
     elif name == "header":
         lines[0] = "_" + lines[0]
+    elif name == "marker":  # a marker the probability file lacks, in a tested tumor
+        tested = [i for i, line in enumerate(lines) if line.startswith(("T3\t", "Left/Mucinous\t"))]
+        row = tested[pick % len(tested)]
+        lines[row] = lines[row].split("\t")[0] + "\tunknown " + token
     elif name == "field":
         fields[1 + pick % (len(fields) - 1)] = token
         lines[row] = "\t".join(fields)

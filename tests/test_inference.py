@@ -290,3 +290,31 @@ def test_conditional_exceeds_matches_full_fit(batch, pick, free):
     for threshold in (s, s - 1e-9, s + 1e-9, np.nextafter(s, np.inf), 0.0, free):
         decided = conditional_exceeds(pg, sizes, patterns, threshold)
         assert np.array_equal(decided, stats >= threshold), threshold
+
+
+@st.composite
+def fit_batches(draw):
+    """Random count patterns over up to 30 probabilities, some fully matched."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_groups = int(gen.integers(1, 31))
+    pg = np.sort(gen.uniform(1e-4, 0.6, n_groups))
+    sizes = gen.integers(1, 5, n_groups).astype(float)
+    patterns = np.floor(gen.random((int(gen.integers(2, 2000)), n_groups)) * (sizes + 1))
+    patterns[gen.random(patterns.shape[0]) < 0.05] = sizes
+    return pg, sizes, patterns, gen
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(batch=fit_batches())
+def test_fit_does_not_depend_on_its_batch(batch):
+    pg, sizes, patterns, gen = batch
+    xi, stat, _ = fit_conditional_batch(pg, sizes, patterns)
+    perm = gen.permutation(patterns.shape[0])
+    xi_perm, stat_perm, _ = fit_conditional_batch(pg, sizes, patterns[perm])
+    assert np.array_equal(xi_perm, xi[perm]) and np.array_equal(stat_perm, stat[perm])
+    subset = np.flatnonzero(gen.random(patterns.shape[0]) < 0.3)
+    xi_sub, stat_sub, _ = fit_conditional_batch(pg, sizes, patterns[subset])
+    assert np.array_equal(xi_sub, xi[subset]) and np.array_equal(stat_sub, stat[subset])
+    for row in gen.choice(patterns.shape[0], 5):
+        xi_one, stat_one, _ = fit_conditional_batch(pg, sizes, patterns[row])
+        assert xi_one[0] == xi[row] and stat_one[0] == stat[row]

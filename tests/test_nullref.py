@@ -19,6 +19,7 @@ from clonality.nullref import (
     critical_value,
     exact_conditional_null,
     exact_p_value,
+    monte_carlo_p_value,
     p_value,
     sample_conditional_null,
     sample_unconditional_null,
@@ -181,6 +182,59 @@ def test_sampled_null_deterministic_per_stream():
 def test_sampled_null_requires_positive_sims():
     with pytest.raises(ValueError):
         sample_conditional_null([0.1], 0, RngStream(1))
+
+
+def large_case(gen, shared):
+    """(probabilities, match indicators) of a random pair past the exact limit."""
+    m = int(gen.integers(21, 36))
+    if shared:
+        levels = gen.uniform(0.002, 0.6, int(gen.integers(1, 6)))
+        ps = list(gen.choice(levels, m))
+    else:
+        ps = list(gen.uniform(0.002, 0.6, m))
+    return ps, list(gen.random(m) < gen.uniform(0.05, 0.6))
+
+
+def test_monte_carlo_p_value_equals_p_value_of_sampled_null():
+    gen = np.random.default_rng(1987)
+    for trial in range(42):
+        ps, matched = large_case(gen, shared=trial % 2 == 1)
+        n_sims = (1, 500, 20_000)[trial % 3]
+        stream = (int(gen.integers(2 ** 32)), trial)
+        null = sample_conditional_null(ps, n_sims, RngStream(*stream))
+        s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
+        for s in (s_obs, 0.0, float(np.quantile(null.statistics, 0.9))):
+            assert monte_carlo_p_value(s, ps, n_sims, RngStream(*stream)) == p_value(s, null)
+
+
+def test_monte_carlo_p_value_over_several_chunks(monkeypatch):
+    monkeypatch.setattr(nullref, "_FIT_CHUNK", 1000)
+    ps = list(np.linspace(0.3, 0.8, 16))
+    pg, sizes, matched = nullref._null_counts(ps, 20_000, RngStream(8))
+    assert nullref._distinct_rows(matched, sizes)[0].shape[0] > 3 * nullref._FIT_CHUNK
+    null = sample_conditional_null(ps, 20_000, RngStream(8))
+    for q in (0.5, 0.9, 0.999):
+        s = float(np.quantile(null.statistics, q))
+        assert monte_carlo_p_value(s, ps, 20_000, RngStream(8)) == p_value(s, null)
+
+
+@pytest.mark.parametrize("n_distinct", [1, 5, 62, 63, 64])
+def test_distinct_rows_equal_numpy_unique(n_distinct):
+    gen = np.random.default_rng(n_distinct)
+    for shared in (False, True):
+        ps = list(gen.uniform(0.05, 0.9, n_distinct))
+        if shared:
+            ps += list(gen.choice(ps, 3 * n_distinct))
+        pg, sizes, matched = nullref._null_counts(ps, 1000, RngStream(n_distinct))
+        if not shared:  # from 63 distinct probabilities on, the mixed-radix key leaves int64
+            assert (math.prod(int(n) + 1 for n in sizes) >= 2 ** 63) == (n_distinct >= 63)
+        patterns, inverse = nullref._distinct_rows(matched, sizes)
+        want_patterns, want_inverse = np.unique(matched, axis=0, return_inverse=True)
+        assert np.array_equal(patterns, want_patterns)
+        assert np.array_equal(inverse, want_inverse.ravel())
+        null = sample_conditional_null(ps, 1000, RngStream(n_distinct))
+        s = float(np.quantile(null.statistics, 0.8))
+        assert monte_carlo_p_value(s, ps, 1000, RngStream(n_distinct)) == p_value(s, null)
 
 
 # --- p-values and critical values ----------------------------------------------
