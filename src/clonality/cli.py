@@ -116,8 +116,16 @@ def _parse_int(path: str, lineno: int, text: str, name: str) -> int:
         raise FileFormatError(path, lineno, f"non-integer {name}: {text!r}") from None
 
 
-def read_counts_file(path: str, default_study_total: Optional[int] = None) -> list[FrequencyRecord]:
-    """Counts-mode probability file; empty study_total cells inherit the default."""
+def read_counts_file(
+    path: str,
+    default_study_total: Optional[int] = None,
+    missing_total: str = "empty study_total and no --study-size given",
+) -> list[FrequencyRecord]:
+    """Counts-mode probability file; empty study_total cells inherit the default.
+
+    Without a default, an empty cell raises ``FileFormatError`` with the
+    message ``missing_total``.
+    """
     rows = _read_rows(path)
     _parse_header(path, rows, _COUNT_HEADER)
     records = []
@@ -134,9 +142,7 @@ def read_counts_file(path: str, default_study_total: Optional[int] = None) -> li
         study_total_text = fields[4].strip()
         if not study_total_text:
             if default_study_total is None:
-                raise FileFormatError(
-                    path, lineno, "empty study_total and no --study-size given"
-                )
+                raise FileFormatError(path, lineno, missing_total)
             study_total = default_study_total
         else:
             study_total = _parse_int(path, lineno, study_total_text, "study_total")
@@ -163,7 +169,9 @@ def read_probability_file(path: str) -> MarkerCatalog:
     rows = _read_rows(path)
     header = _parse_header(path, rows, _PROB_HEADER, _COUNT_HEADER)
     if header == _COUNT_HEADER:
-        records = read_counts_file(path)
+        records = read_counts_file(
+            path, missing_total="empty study_total; fill it in, or pool the file first "
+                                "with estimate-probs --study-size N")
         return MarkerCatalog({r.marker: estimate_marginal_probability(r) for r in records})
     entries: dict[str, float] = {}
     for lineno, fields in rows:

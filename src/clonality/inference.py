@@ -32,6 +32,10 @@ exactly as the fit would, but stops refining a pattern as soon as its answer
 is proven: by the grid value from below, or by a bound on the
 log-likelihood over the current golden-section bracket from above. Both it
 and :func:`fit_conditional_batch` run the one golden-section loop.
+Before it, :func:`bound_tables` and :func:`settle_by_bounds` settle most
+patterns of an exact null without the grid: per group and match count, the
+log-likelihood term at every tenth grid point and its upper bound between
+them, summed per pattern, prove many patterns extreme or not.
 """
 
 from __future__ import annotations
@@ -54,9 +58,12 @@ _GRID = np.linspace(0.0, 1.0, _COARSE_POINTS)
 # Finite stand-in for log(0) so matrix products stay NaN-free; any row that
 # actually has weight on such a cell ends up astronomically negative.
 _LOG_ZERO = -1e30
-# Margin on the bounds used by conditional_exceeds: far above the rounding
-# error of a log-likelihood sum, far below the 1e-9 tie tolerance.
+# Margin on the bounds used by conditional_exceeds and settle_by_bounds: far
+# above the rounding error of a log-likelihood sum, far below the 1e-9 tie
+# tolerance.
 _BOUND_SLACK = 1e-10
+# Points of the bound tables: every tenth grid point, xi = 0 first.
+_COARSE = _GRID[::10]
 
 
 @dataclass(frozen=True)
@@ -319,6 +326,53 @@ def conditional_exceeds(
     decided[open_rows[left]] = np.maximum(ll_left - ll0_open[left], 0.0) >= threshold
     exceeds[mixed] = decided
     return exceeds
+
+
+def bound_tables(pg: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """Per-group terms of the coarse log-likelihood and of its interval bounds.
+
+    One table per probability group g, shape (21, size_g + 1); column c is
+    for c matched markers. Rows 0-10 hold the group's log-likelihood term
+    at the coarse points xi = 0, 0.1, ..., 1 (every tenth grid point). Rows
+    11-20 hold ``c log q(hi) + (size_g - c) log1p(-q(lo))`` for each
+    interval [lo, hi] between them: q rises with xi, so this bounds the
+    term over the interval from above, as the refinement's bound does. A
+    pattern's sums of its groups' columns go to :func:`settle_by_bounds`.
+    """
+    pg = np.asarray(pg, dtype=float)
+    with np.errstate(divide="ignore"):
+        q = _q_of(pg[:, None], _COARSE[None, :])
+        log_q = np.log(q)
+        log_miss = np.log1p(-q)
+    log_miss[np.isneginf(log_miss)] = _LOG_ZERO  # xi = 1 with a miss
+    tables = []
+    for g, size in enumerate(np.asarray(sizes, dtype=int)):
+        matched = np.arange(size + 1.0)
+        missed = size - matched
+        tables.append(np.vstack([np.outer(log_q[g], matched) + np.outer(log_miss[g], missed),
+                                 np.outer(log_q[g, 1:], matched) + np.outer(log_miss[g, :-1], missed)]))
+    return tables
+
+
+def settle_by_bounds(sums: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Patterns whose answer the bound tables prove: ``(extreme, open_rows)``.
+
+    ``sums`` (21, K) holds in column k pattern k's sum of its groups'
+    columns of :func:`bound_tables`; its value at xi = 0 stands in for
+    ``ll0``. A pattern is extreme, statistic >= ``threshold``, when some
+    coarse value reaches ``ll0 + threshold + _BOUND_SLACK``: coarse points
+    are grid points, and the fit is at least as good as its best grid
+    point. It is not extreme when every interval bound falls below ``ll0 +
+    threshold - _BOUND_SLACK``. Both hold as well for patterns with no
+    match and fully matched ones, and the slack is far above the rounding
+    by which the sums differ from the fit's. ``extreme`` marks the proven
+    extreme patterns; ``open_rows`` indexes the rest, for
+    :func:`conditional_exceeds`.
+    """
+    ll0 = sums[0]
+    extreme = sums[:_COARSE.size].max(axis=0) - ll0 >= threshold + _BOUND_SLACK
+    ruled_out = sums[_COARSE.size:].max(axis=0) - ll0 < threshold - _BOUND_SLACK
+    return extreme, np.flatnonzero(~(extreme | ruled_out))
 
 
 def _uncond_cells(p: np.ndarray, xi: np.ndarray):

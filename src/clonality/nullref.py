@@ -11,12 +11,15 @@ patterns in chunks of ``_FIT_CHUNK``; otherwise per-probability match
 counts are drawn by Monte Carlo and reduced to their distinct patterns. A
 p-value needs only whether each pattern's statistic reaches the observed
 one, so :func:`exact_p_value` and :func:`monte_carlo_p_value` decide, not
-fit: they ask the decision kernel
-:func:`~clonality.inference.conditional_exceeds`, which stops refining a
-pattern once its answer is proven, about each distinct pattern, and return
-the same float as :func:`p_value` on the fully fitted null
+fit, and return the same float as :func:`p_value` on the fully fitted null
 (:func:`exact_conditional_null`, :func:`sample_conditional_null`), which
-tests use as the reference. The unconditional null
+tests use as the reference. The exact path first settles most count
+patterns from per-group bound tables
+(:func:`~clonality.inference.settle_by_bounds`); a pattern's sums are
+those of a leading and a trailing run of groups, each computed once. It
+passes the rest, and the Monte Carlo path every distinct pattern, to the
+decision kernel :func:`~clonality.inference.conditional_exceeds`, which
+stops refining a pattern once its answer is proven. The unconditional null
 simulates whole tumor pairs over a marker universe of ``(p, n_markers)``
 groups under zero clonality signal; it does not depend on the observed
 data, so one build per universe is kept in a small LRU cache and reused.
@@ -40,11 +43,13 @@ import numpy as np
 from .errors import ClonalityError
 from .inference import (
     ConditionalData,
+    bound_tables,
     conditional_exceeds,
     conditional_statistic,
     fit_conditional_batch,
     fit_unconditional_batch,
     group_by_probability,
+    settle_by_bounds,
 )
 from .model import PairObservation, pair_outcome_probabilities, validate_probability
 from .rng import DEFAULT_SEED, RngStream
@@ -194,7 +199,23 @@ def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: 
     return float(np.mean(extreme[inverse]))
 
 
-def _exact_patterns(ps: Sequence[float], exact_max: int):
+def _split_patterns(counts: Sequence[int]) -> list[np.ndarray]:
+    """Count patterns of a leading and a trailing run of groups, as ints.
+
+    Patterns are enumerated in mixed radix over ``counts + 1``, group 0 most
+    significant, as ``np.unravel_index`` orders them. So pattern ``k`` is
+    row ``k // B`` of the leading patterns next to row ``k % B`` of the
+    trailing ones, B being the number of trailing rows. The cut balances
+    the two row counts, so each is near the square root of the total.
+    """
+    radix = [int(c) + 1 for c in counts]
+    cut = min(range(len(radix) + 1),
+              key=lambda j: max(math.prod(radix[:j]), math.prod(radix[j:])))
+    return [np.indices(shape).reshape(len(shape), math.prod(shape)).T
+            for shape in (radix[:cut], radix[cut:])]
+
+
+def _exact_patterns(ps: Sequence[float], exact_max: int, bounds: bool = False):
     """Count patterns of the exact null, checked against the size limits.
 
     Raises before allocating anything when ``|E|`` exceeds ``exact_max`` or
@@ -203,6 +224,15 @@ def _exact_patterns(ps: Sequence[float], exact_max: int):
     ``_FIT_CHUNK`` patterns at a time, in one fixed order: the
     per-probability match counts, the product-Bernoulli mass of one match
     vector with those counts, and the number of match vectors sharing them.
+    With ``bounds``, each chunk also carries each pattern's sums of its
+    groups' columns of :func:`~clonality.inference.bound_tables`, shape
+    (21, K).
+
+    Patterns, multiplicities and table sums are computed once per row of
+    each part of :func:`_split_patterns`; a chunk combines the two parts'
+    rows by broadcasting. The mass is one matrix-vector product over the
+    chunk's patterns, whose rounding, and with it every p-value's, may
+    depend on the batch, so the chunks stay those of the flat enumeration.
     """
     if len(ps) > exact_max:
         raise ClonalityError(
@@ -219,19 +249,40 @@ def _exact_patterns(ps: Sequence[float], exact_max: int):
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     q0 = pg / (2.0 - pg)
     counts = sizes.astype(int)
-    shape = tuple(counts + 1)
-    n_patterns = math.prod(shape)
-    choose = [np.array([math.comb(c, k) for k in range(c + 1)], dtype=float) for c in counts]
+    choose = [np.array([math.comb(c, k) for k in range(c + 1)], dtype=np.int64) for c in counts]
+    tables = bound_tables(pg, sizes) if bounds else None
+    # per part: float patterns, multiplicities and (with bounds) table sums
+    parts, first = [], 0
+    for part in _split_patterns(counts):
+        reps = np.ones(part.shape[0], dtype=np.int64)
+        sums = np.zeros((tables[0].shape[0], part.shape[0])) if bounds else None
+        for j in range(part.shape[1]):
+            reps *= choose[first + j][part[:, j]]
+            if bounds:
+                sums += tables[first + j][:, part[:, j]]
+        parts.append((part.astype(float), reps, sums))
+        first += part.shape[1]
+    (lead, lead_reps, lead_sums), (trail, trail_reps, trail_sums) = parts
+    width = trail.shape[0]
+    n_patterns = lead.shape[0] * width
 
     def chunks():
         for start in range(0, n_patterns, _FIT_CHUNK):
-            flat = np.arange(start, min(start + _FIT_CHUNK, n_patterns))
-            patterns = np.column_stack(np.unravel_index(flat, shape)).astype(float)
+            stop = min(start + _FIT_CHUNK, n_patterns)
+            # the chunk is a span of (leading rows it touches) x (every trailing row)
+            top, skip = divmod(start, width)
+            rows = slice(top, -(-stop // width))
+            span = slice(skip, skip + stop - start)
+            block = np.empty((rows.stop - top, width, len(counts)))
+            block[:, :, :lead.shape[1]] = lead[rows, None]
+            block[:, :, lead.shape[1]:] = trail
+            patterns = block.reshape(-1, len(counts))[span]
             log_vector_prob = patterns @ np.log(q0) + (sizes[None, :] - patterns) @ np.log1p(-q0)
-            multiplicity = np.ones(patterns.shape[0])
-            for g, table in enumerate(choose):
-                multiplicity *= table[patterns[:, g].astype(int)]
-            yield patterns, np.exp(log_vector_prob), multiplicity.astype(np.int64)
+            chunk = (patterns, np.exp(log_vector_prob), np.outer(lead_reps[rows], trail_reps).ravel()[span])
+            if bounds:
+                sums = lead_sums[:, rows, None] + trail_sums[:, None, :]
+                chunk += (sums.reshape(sums.shape[0], -1)[:, span],)
+            yield chunk
 
     return pg, sizes, chunks()
 
@@ -276,16 +327,19 @@ def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_M
     """``p_value(observed, exact_conditional_null(ps, exact_max))``, faster.
 
     Each count pattern is only decided, statistic >= ``observed -
-    TIE_TOLERANCE`` or not, by :func:`conditional_exceeds`, which answers as
-    the full fit would. The extreme atoms are then laid out and summed as
-    :func:`p_value` does, so the result is the same float.
+    TIE_TOLERANCE`` or not, as the full fit would decide it. Most patterns
+    are settled by their bound-table sums
+    (:func:`~clonality.inference.settle_by_bounds`); only the rest go to
+    :func:`conditional_exceeds`. The extreme atoms are then laid out and
+    summed as :func:`p_value` does, so the result is the same float.
     """
-    pg, sizes, chunks = _exact_patterns(ps, exact_max)
+    pg, sizes, chunks = _exact_patterns(ps, exact_max, bounds=True)
     threshold = observed - TIE_TOLERANCE
     probs, reps = [], []
     every = True
-    for patterns, atom_prob, rep in chunks:
-        extreme = conditional_exceeds(pg, sizes, patterns, threshold)
+    for patterns, atom_prob, rep, sums in chunks:
+        extreme, open_rows = settle_by_bounds(sums, threshold)
+        extreme[open_rows] = conditional_exceeds(pg, sizes, patterns[open_rows], threshold)
         every = every and bool(extreme.all())
         probs.append(atom_prob[extreme])
         reps.append(rep[extreme])

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -200,47 +201,17 @@ def scenario_from_json_dict(doc: dict) -> ScenarioSpec:
 # Normal quantile (needed to dichotomize latent Gaussians at marginal p).
 # ---------------------------------------------------------------------------
 
-# Acklam's rational approximation of the standard normal quantile.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def normal_quantile(u: float) -> float:
-    """Standard normal quantile, |Phi(x) - u| <= 1e-9.
+    """Standard normal quantile, by the standard library (Wichura's AS241).
 
-    Rational approximation refined by one Newton step against the erf-based
-    CDF, which brings the error to near machine precision.
+    Accurate to about 1e-16 relative, well within ``|Phi(x) - u| <= 1e-9``.
     """
     if not (0.0 < u < 1.0):
         raise ValueError(f"quantile argument must lie strictly inside (0, 1), got {u}")
-    if u < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(u))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    elif u <= 1.0 - _P_LOW:
-        q = u - 0.5
-        r = q * q
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        x = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if density > 0.0:
-        x -= (_normal_cdf(x) - u) / density
-    return x
+    return _STANDARD_NORMAL.inv_cdf(u)
 
 
 # ---------------------------------------------------------------------------

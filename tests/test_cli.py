@@ -360,6 +360,15 @@ def test_cmd_estimate_probs_missing_study_size(capsys):
     assert "study-size" in err
 
 
+def test_empty_study_total_points_test_and_pairs_to_estimate_probs(capsys):
+    for argv in (("test", "--tumor-a", "T3", "--tumor-b", "T1"), ("pairs",)):
+        code, _, err = run(capsys, *argv, "--mutations", T1_MUT, "--probs", COUNTS)
+        assert code == 2
+        assert err.startswith(f"error: {COUNTS}:3: empty study_total")
+        assert "estimate-probs --study-size N" in err
+        assert "no --study-size given" not in err  # neither command has that option
+
+
 def test_cmd_estimate_probs_malformed_row(tmp_path, capsys):
     bad = tmp_path / "c.tsv"
     bad.write_text("marker\tref_mutated\tref_total\tstudy_mutated\tstudy_total\n"

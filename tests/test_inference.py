@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from clonality.inference import (
     ConditionalData,
     UnconditionalSummary,
+    bound_tables,
     conditional_exceeds,
     conditional_log_likelihood,
     conditional_statistic,
@@ -15,6 +16,7 @@ from clonality.inference import (
     group_by_probability,
     match_weight,
     mle_xi_conditional,
+    settle_by_bounds,
     unconditional_log_likelihood,
     unconditional_statistic,
     weight_form_statistic,
@@ -318,3 +320,59 @@ def test_fit_does_not_depend_on_its_batch(batch):
     for row in gen.choice(patterns.shape[0], 5):
         xi_one, stat_one, _ = fit_conditional_batch(pg, sizes, patterns[row])
         assert xi_one[0] == xi[row] and stat_one[0] == stat[row]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(batch=fit_batches(), pick=st.integers(0, 10 ** 6))
+def test_conditional_exceeds_does_not_depend_on_its_batch(batch, pick):
+    """A pattern gets the same decision alone, in a subset and in a permuted batch.
+
+    Only the 101-point grid is a matrix product whose rounding may depend on
+    the batch, and it only picks the golden-section bracket; only an exact
+    tie between two grid values could change a bracket.
+    """
+    pg, sizes, patterns, gen = batch
+    stats = fit_conditional_batch(pg, sizes, patterns)[1]
+    threshold = float(stats[pick % stats.size])
+    decided = conditional_exceeds(pg, sizes, patterns, threshold)
+    perm = gen.permutation(patterns.shape[0])
+    assert np.array_equal(conditional_exceeds(pg, sizes, patterns[perm], threshold), decided[perm])
+    subset = np.flatnonzero(gen.random(patterns.shape[0]) < 0.3)
+    assert np.array_equal(conditional_exceeds(pg, sizes, patterns[subset], threshold),
+                          decided[subset])
+    for row in [pick % stats.size, *gen.choice(patterns.shape[0], 5)]:
+        assert conditional_exceeds(pg, sizes, patterns[row], threshold)[0] == decided[row]
+
+
+def table_sums(pg, sizes, patterns):
+    """Each pattern's sums of its groups' bound-table columns, gathered group by group."""
+    tables = bound_tables(pg, sizes)
+    return sum(table[:, patterns[:, g].astype(int)] for g, table in enumerate(tables))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(batch=st.one_of(pattern_batches(), fit_batches().map(lambda b: b[:3])),
+       pick=st.integers(0, 10 ** 6))
+def test_bound_tables_settle_only_what_the_fit_decides(batch, pick):
+    pg, sizes, patterns = batch
+    stats = fit_conditional_batch(pg, sizes, patterns)[1]
+    sums = table_sums(pg, sizes, patterns)
+    s = float(stats[pick % stats.size])
+    for threshold in (s, s - 1e-9, s + 1e-9, np.nextafter(s, np.inf), np.nextafter(s, -np.inf), 0.0):
+        extreme, open_rows = settle_by_bounds(sums, threshold)
+        ruled_out = ~extreme
+        ruled_out[open_rows] = False
+        assert (stats[extreme] >= threshold).all(), threshold
+        assert (stats[ruled_out] < threshold).all(), threshold
+
+
+def test_bound_tables_settle_rows_without_match_and_fully_matched():
+    pg = np.array([0.004, 0.019, 0.081])
+    sizes = np.array([9.0, 1.0, 2.0])
+    patterns = np.array([[0.0, 0.0, 0.0], sizes])
+    stats = fit_conditional_batch(pg, sizes, patterns)[1]
+    assert stats[0] == 0.0 and stats[1] > 10.0
+    sums = table_sums(pg, sizes, patterns)
+    for threshold, extreme_rows in ((-1.0, [0, 1]), (1.0, [1]), (stats[1] + 1e-9, [])):
+        extreme, open_rows = settle_by_bounds(sums, threshold)
+        assert np.flatnonzero(extreme).tolist() == extreme_rows and open_rows.size == 0

@@ -8,7 +8,12 @@ from collections import OrderedDict
 
 from clonality import nullref
 from clonality.errors import ClonalityError
-from clonality.inference import ConditionalData, conditional_statistic, fit_conditional_batch
+from clonality.inference import (
+    ConditionalData,
+    conditional_statistic,
+    fit_conditional_batch,
+    settle_by_bounds,
+)
 from clonality.model import PairObservation
 from clonality.nullref import (
     EXACT_ATOM_LIMIT,
@@ -150,6 +155,45 @@ def test_observed_pattern_atom_reproduces_observed_statistic():
                 break
         else:
             pytest.fail("observed count pattern not enumerated")
+
+
+def test_exact_p_value_over_several_chunks_and_a_split(monkeypatch):
+    monkeypatch.setattr(nullref, "_FIT_CHUNK", 1000)
+    gen = np.random.default_rng(1114)
+    for trial in range(8):
+        m = int(gen.integers(11, 15))
+        if trial % 2:
+            ps = list(gen.choice(gen.uniform(0.002, 0.3, int(gen.integers(4, 8))), m))
+        else:
+            ps = list(gen.uniform(0.002, 0.3, m))
+        matched = list(gen.random(m) < gen.uniform(0.1, 0.6))
+        pg, sizes, chunks = nullref._exact_patterns(ps, 20)
+        lead, trail = nullref._split_patterns(sizes.astype(int))
+        assert lead.shape[1] and trail.shape[1]
+        shape = tuple(sizes.astype(int) + 1)
+        flat = np.column_stack(np.unravel_index(np.arange(math.prod(shape)), shape)).astype(float)
+        enumerated = [patterns for patterns, _, _ in chunks]
+        assert all(p.flags.c_contiguous for p in enumerated)
+        assert np.array_equal(np.concatenate(enumerated), flat)
+        assert trial % 2 or len(enumerated) > 2
+        null = exact_conditional_null(ps)
+        s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
+        atoms = np.unique(null.statistics)
+        for s in (s_obs, np.nextafter(s_obs, np.inf), 0.0, float(atoms[len(atoms) // 2]),
+                  float(atoms[-1]) + 1.0):
+            assert exact_p_value(s, ps) == p_value(s, null)
+
+
+def test_bound_tables_settle_most_exact_patterns():
+    gen = np.random.default_rng(14)
+    for shared in (False, True):
+        ps = list(gen.choice(gen.uniform(0.002, 0.3, 4), 14) if shared else gen.uniform(0.002, 0.3, 14))
+        matched = list(gen.random(14) < 0.3)
+        s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
+        _, _, chunks = nullref._exact_patterns(ps, 20, bounds=True)
+        settled = [settle_by_bounds(sums, s_obs - nullref.TIE_TOLERANCE) for *_, sums in chunks]
+        n_patterns = sum(extreme.size for extreme, _ in settled)
+        assert sum(open_rows.size for _, open_rows in settled) < 0.15 * n_patterns
 
 
 # --- Monte Carlo null ---------------------------------------------------------
