@@ -41,8 +41,9 @@ _COUNT_HEADER = ["marker", "ref_mutated", "ref_total", "study_mutated", "study_t
 
 def _read_rows(path: str):
     """Yield (line_number, fields) for data lines; header handled separately."""
-    # undecodable bytes become lone surrogates, which cannot be re-encoded
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    # undecodable bytes become lone surrogates, which cannot be re-encoded;
+    # a leading byte-order mark is dropped
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
                 raw.encode("utf-8")
@@ -220,6 +221,8 @@ def _cmd_test(args) -> int:
     catalog = read_probability_file(args.probs)
     profile_a = _profile(tumors, args.tumor_a)
     profile_b = _profile(tumors, args.tumor_b)
+    if args.tumor_a == args.tumor_b:
+        raise ClonalityError(f"--tumor-a and --tumor-b both name tumor {args.tumor_a!r}")
     for profile in (profile_a, profile_b):
         if not profile.mutations:
             raise ClonalityError(

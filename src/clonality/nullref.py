@@ -22,7 +22,12 @@ decision kernel :func:`~clonality.inference.conditional_exceeds`, which
 stops refining a pattern once its answer is proven. The unconditional null
 simulates whole tumor pairs over a marker universe of ``(p, n_markers)``
 groups under zero clonality signal; it does not depend on the observed
-data, so one build per universe is kept in a small LRU cache and reused.
+data, so a caller builds it once and passes it to every p-value.
+
+Every null is a :class:`NullDistribution` of weighted atoms: an exact null
+weights each outcome vector by its probability, a Monte Carlo null each
+draw by 1, and :func:`p_value` and :func:`critical_value` read the same
+mass over total from both.
 
 P-values count null statistics greater than or equal to the observed one
 (ties are extreme): the published single-locus p-value equals the
@@ -33,8 +38,6 @@ probability of the tied outcome itself, which a strict rule would drop. A
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,30 +69,27 @@ EXACT_ATOM_LIMIT = 1 << 24
 class NullDistribution:
     """Reference distribution of a test statistic under independence.
 
-    Monte Carlo mode stores one statistic per simulation; exact mode stores
-    one atom per outcome vector with its exact probability.
+    Weighted atoms: ``statistics[k]`` carries ``weights[k]`` of a mass
+    ``total``. An exact null has one atom per outcome vector weighted by its
+    probability (total 1); a Monte Carlo null has one atom per draw with
+    weight 1 (total n, the number of draws).
     """
 
-    mode: str
     statistics: np.ndarray
-    probabilities: Optional[np.ndarray] = None
+    weights: np.ndarray
+    total: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in ("exact", "monte-carlo"):
-            raise ValueError(f"unknown mode: {self.mode!r}")
         stats = np.asarray(self.statistics, dtype=float)
-        object.__setattr__(self, "statistics", stats)
-        if self.mode == "exact":
-            probs = np.asarray(self.probabilities, dtype=float)
-            if probs.shape != stats.shape:
-                raise ValueError("atom probabilities must align with statistics")
-            if abs(probs.sum() - 1.0) > 1e-9:
-                raise ValueError(f"atom probabilities sum to {probs.sum()}, not 1")
-            object.__setattr__(self, "probabilities", probs)
-        elif self.probabilities is not None:
-            raise ValueError("monte-carlo mode carries no atom probabilities")
+        weights = np.asarray(self.weights, dtype=float)
         if stats.size == 0:
             raise ValueError("null distribution is empty")
+        if weights.shape != stats.shape:
+            raise ValueError("atom weights must align with statistics")
+        if abs(weights.sum() - self.total) > 1e-9 * self.total:
+            raise ValueError(f"atom weights sum to {weights.sum()}, not {self.total}")
+        object.__setattr__(self, "statistics", stats)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n(self) -> int:
@@ -176,7 +176,7 @@ def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) ->
     pg, sizes, matched = _null_counts(ps, n_sims, rng)
     patterns, inverse = _distinct_rows(matched, sizes)
     stats = np.concatenate([fit_conditional_batch(pg, sizes, chunk)[1] for chunk in _chunks(patterns)])
-    return NullDistribution(mode="monte-carlo", statistics=stats[inverse])
+    return NullDistribution(stats[inverse], np.ones(n_sims), n_sims)
 
 
 def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: RngStream) -> float:
@@ -215,18 +215,17 @@ def _split_patterns(counts: Sequence[int]) -> list[np.ndarray]:
             for shape in (radix[:cut], radix[cut:])]
 
 
-def _exact_patterns(ps: Sequence[float], exact_max: int, bounds: bool = False):
+def _exact_patterns(ps: Sequence[float], exact_max: int):
     """Count patterns of the exact null, checked against the size limits.
 
     Raises before allocating anything when ``|E|`` exceeds ``exact_max`` or
     2^|E| exceeds ``EXACT_ATOM_LIMIT``. Returns ``(pg, sizes, chunks)``;
-    ``chunks`` yields ``(patterns, atom_prob, reps)`` for up to
+    ``chunks`` yields ``(patterns, atom_prob, reps, sums)`` for up to
     ``_FIT_CHUNK`` patterns at a time, in one fixed order: the
     per-probability match counts, the product-Bernoulli mass of one match
-    vector with those counts, and the number of match vectors sharing them.
-    With ``bounds``, each chunk also carries each pattern's sums of its
-    groups' columns of :func:`~clonality.inference.bound_tables`, shape
-    (21, K).
+    vector with those counts, the number of match vectors sharing them, and
+    each pattern's sums of its groups' columns of
+    :func:`~clonality.inference.bound_tables`, shape (21, K).
 
     Patterns, multiplicities and table sums are computed once per row of
     each part of :func:`_split_patterns`; a chunk combines the two parts'
@@ -250,16 +249,15 @@ def _exact_patterns(ps: Sequence[float], exact_max: int, bounds: bool = False):
     q0 = pg / (2.0 - pg)
     counts = sizes.astype(int)
     choose = [np.array([math.comb(c, k) for k in range(c + 1)], dtype=np.int64) for c in counts]
-    tables = bound_tables(pg, sizes) if bounds else None
-    # per part: float patterns, multiplicities and (with bounds) table sums
+    tables = bound_tables(pg, sizes)
+    # per part: float patterns, multiplicities and table sums
     parts, first = [], 0
     for part in _split_patterns(counts):
         reps = np.ones(part.shape[0], dtype=np.int64)
-        sums = np.zeros((tables[0].shape[0], part.shape[0])) if bounds else None
+        sums = np.zeros((tables[0].shape[0], part.shape[0]))
         for j in range(part.shape[1]):
             reps *= choose[first + j][part[:, j]]
-            if bounds:
-                sums += tables[first + j][:, part[:, j]]
+            sums += tables[first + j][:, part[:, j]]
         parts.append((part.astype(float), reps, sums))
         first += part.shape[1]
     (lead, lead_reps, lead_sums), (trail, trail_reps, trail_sums) = parts
@@ -278,11 +276,10 @@ def _exact_patterns(ps: Sequence[float], exact_max: int, bounds: bool = False):
             block[:, :, lead.shape[1]:] = trail
             patterns = block.reshape(-1, len(counts))[span]
             log_vector_prob = patterns @ np.log(q0) + (sizes[None, :] - patterns) @ np.log1p(-q0)
-            chunk = (patterns, np.exp(log_vector_prob), np.outer(lead_reps[rows], trail_reps).ravel()[span])
-            if bounds:
-                sums = lead_sums[:, rows, None] + trail_sums[:, None, :]
-                chunk += (sums.reshape(sums.shape[0], -1)[:, span],)
-            yield chunk
+            sums = lead_sums[:, rows, None] + trail_sums[:, None, :]
+            yield (patterns, np.exp(log_vector_prob),
+                   np.outer(lead_reps[rows], trail_reps).ravel()[span],
+                   sums.reshape(sums.shape[0], -1)[:, span])
 
     return pg, sizes, chunks()
 
@@ -296,20 +293,16 @@ def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAU
     """
     pg, sizes, chunks = _exact_patterns(ps, exact_max)
     stats, probs, reps = [], [], []
-    for patterns, atom_prob, rep in chunks:
+    for patterns, atom_prob, rep, _ in chunks:
         stats.append(fit_conditional_batch(pg, sizes, patterns)[1])
         probs.append(atom_prob)
         reps.append(rep)
     reps = np.concatenate(reps)
-    return NullDistribution(
-        mode="exact",
-        statistics=np.repeat(np.concatenate(stats), reps),
-        probabilities=np.repeat(np.concatenate(probs), reps),
-    )
+    return NullDistribution(np.repeat(np.concatenate(stats), reps), np.repeat(np.concatenate(probs), reps))
 
 
 def p_value(observed: float, null: NullDistribution) -> float:
-    """Mass of null statistics >= observed (ties count as extreme).
+    """Share of the null's mass at statistics >= observed (ties count as extreme).
 
     On a Monte Carlo null this is the share b/n of the n draws that reach
     the observed statistic, as in the paper. So 0 means that fewer than 1
@@ -318,9 +311,7 @@ def p_value(observed: float, null: NullDistribution) -> float:
     extreme = null.statistics >= observed - TIE_TOLERANCE
     if extreme.all():
         return 1.0  # avoids 1-ulp shortfalls from float atom sums
-    if null.mode == "exact":
-        return float(min(null.probabilities[extreme].sum(), 1.0))
-    return float(np.mean(extreme))
+    return float(min(null.weights[extreme].sum() / null.total, 1.0))
 
 
 def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> float:
@@ -333,7 +324,7 @@ def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_M
     :func:`conditional_exceeds`. The extreme atoms are then laid out and
     summed as :func:`p_value` does, so the result is the same float.
     """
-    pg, sizes, chunks = _exact_patterns(ps, exact_max, bounds=True)
+    pg, sizes, chunks = _exact_patterns(ps, exact_max)
     threshold = observed - TIE_TOLERANCE
     probs, reps = [], []
     every = True
@@ -349,21 +340,20 @@ def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_M
 
 
 def critical_value(null: NullDistribution, alpha: float) -> float:
-    """Smallest null value whose strict-exceedance mass is below alpha."""
+    """Smallest null value whose strict-exceedance share of the mass is below alpha.
+
+    The share is taken from the summed weights before dividing by the
+    total, so on a Monte Carlo null it is an exact count over n, and
+    exactly alpha*n draws above a value do not count as below alpha.
+    """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if null.mode == "exact":
-        order = np.argsort(null.statistics)
-        vals = null.statistics[order]
-        weights = null.probabilities[order]
-    else:
-        vals = np.sort(null.statistics)
-        weights = np.full(vals.size, 1.0 / vals.size)
+    order = np.argsort(null.statistics)
+    vals = null.statistics[order]
     distinct, start = np.unique(vals, return_index=True)
-    cum = np.cumsum(weights)
-    # mass at or below each distinct value = cum just before the next block
+    # weight at or below each distinct value = cumsum just before the next block
     upto = np.append(start[1:], vals.size) - 1
-    exceed = 1.0 - cum[upto]
+    exceed = (null.total - np.cumsum(null.weights[order])[upto]) / null.total
     idx = int(np.argmax(exceed < alpha))
     return float(distinct[idx])
 
@@ -440,33 +430,7 @@ def sample_unconditional_null(
     matched = np.column_stack(matched_cols).astype(float)
     single = np.column_stack(single_cols).astype(float)
     _, stats, _ = fit_unconditional_batch(pg, ng, matched, single)
-    return NullDistribution(mode="monte-carlo", statistics=stats)
-
-
-# Entries kept by cached_unconditional_null, least recently used evicted
-# first. A scenario run uses one entry per root seed and stream.
-_UNCOND_CACHE_MAX = 32
-_UNCOND_CACHE: OrderedDict = OrderedDict()
-_UNCOND_LOCK = threading.Lock()
-
-
-def cached_unconditional_null(
-    universe: Sequence[tuple[float, int]], n_sims: int, rng: RngStream
-) -> NullDistribution:
-    """Memoized :func:`sample_unconditional_null` keyed by universe and stream."""
-    key = (tuple((float(p), int(n)) for p, n in universe), int(n_sims), rng.seed, rng.stream_index)
-    with _UNCOND_LOCK:
-        hit = _UNCOND_CACHE.get(key)
-        if hit is not None:
-            _UNCOND_CACHE.move_to_end(key)
-            return hit
-    built = sample_unconditional_null(universe, n_sims, rng)
-    with _UNCOND_LOCK:
-        kept = _UNCOND_CACHE.setdefault(key, built)
-        _UNCOND_CACHE.move_to_end(key)
-        while len(_UNCOND_CACHE) > _UNCOND_CACHE_MAX:
-            _UNCOND_CACHE.popitem(last=False)
-        return kept
+    return NullDistribution(stats, np.ones(n_sims), n_sims)
 
 
 def calibrated_rejection(

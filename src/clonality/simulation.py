@@ -27,7 +27,7 @@ import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,10 +45,11 @@ from .model import (
     validate_xi,
 )
 from .nullref import (
-    cached_unconditional_null,
+    NullDistribution,
     calibrated_rejection,
     conditional_data_test,
     p_value,
+    sample_unconditional_null,
 )
 from .rng import RngStream
 
@@ -445,24 +446,20 @@ def _replicate_arrays(
     rng: RngStream,
     run_offset: int,
     threads: int,
-    want_unconditional: bool = False,
+    uncond_null: Optional[NullDistribution] = None,
 ):
     """Per-replicate p-values and summaries; thread-count invariant.
 
     Each pair is reduced to per-group (matched, single) counts. The groups
     are taken in the sort order of their marker labels, which is the order
     in which per-marker analysis probabilities meet the perturbation noise.
+    Unconditional p-values are taken against ``uncond_null`` when given,
+    and are 1 otherwise.
     """
     order = sorted(range(len(spec.groups)), key=lambda g: f"g{g}:")
     p = np.array([clamp_probability(spec.groups[g].p) for g in order])
     n_markers = np.array([spec.groups[g].n_markers for g in order])
     pert = spec.perturbation
-    uncond_null = None
-    if want_unconditional:
-        universe = list(zip(*group_by_probability(p, n_markers)))
-        uncond_null = cached_unconditional_null(
-            universe, spec.sims, RngStream(rng.seed, rng.stream_index + _UNCOND_NULL_STREAM)
-        )
 
     def one(i: int):
         base = rng.stream_index + run_offset + i * _STRIDE
@@ -472,7 +469,7 @@ def _replicate_arrays(
         n_matches, n_single = int(matched.sum()), int(single.sum())
         n_mut = 0.5 * (2 * n_matches + n_single)
         pu = 1.0
-        if want_unconditional:
+        if uncond_null is not None:
             # defined for every pair; it does not condition on the mutated set
             grouped = group_by_probability(p, n_markers, matched, single)
             summary = UnconditionalSummary(tuple(zip(*grouped)))
@@ -535,20 +532,22 @@ def run_calibrated_comparison(
     """Calibrated power of the conditional test vs the unconditional test.
 
     Both tests see the same simulated pairs. The unconditional reference
-    distribution is built once per universe (it does not depend on the
-    observed data) and shared across replicates. Defined for correctly
-    specified scenarios only.
+    distribution does not depend on the observed data, so it is built once
+    over the scenario's universe and shared by every replicate of both
+    runs. Defined for correctly specified scenarios only.
     """
     if spec.perturbation.kind != "none":
         raise ValueError("the conditional/unconditional comparison requires unperturbed probabilities")
-    alt_c, alt_u, _, _ = _replicate_arrays(spec, rng, 0, threads, want_unconditional=True)
+    universe = list(zip(*group_by_probability(
+        [clamp_probability(g.p) for g in spec.groups], [g.n_markers for g in spec.groups])))
+    uncond_null = sample_unconditional_null(
+        universe, spec.sims, RngStream(rng.seed, rng.stream_index + _UNCOND_NULL_STREAM))
+    alt_c, alt_u, _, _ = _replicate_arrays(spec, rng, 0, threads, uncond_null)
     if spec.xi == 0.0:
         null_c, null_u = alt_c, alt_u
     else:
         null_spec = replace(spec, xi=0.0)
-        null_c, null_u, _, _ = _replicate_arrays(
-            null_spec, rng, _NULL_RUN_OFFSET, threads, want_unconditional=True
-        )
+        null_c, null_u, _, _ = _replicate_arrays(null_spec, rng, _NULL_RUN_OFFSET, threads, uncond_null)
     rule_c = calibrated_rejection(null_c, alt_c, spec.alpha)
     rule_u = calibrated_rejection(null_u, alt_u, spec.alpha)
     return CalibratedComparison(

@@ -117,6 +117,17 @@ def test_cmd_test_unknown_tumor_exit_code(capsys):
     assert "P99" in err
 
 
+def test_cmd_test_same_tumor_twice_is_input_error(capsys):
+    code, out, err = run(capsys, "test", "--mutations", T1_MUT, "--probs", T1_PROB,
+                         "--tumor-a", "T3", "--tumor-b", "T3")
+    assert (code, out) == (2, "")
+    assert err == "error: --tumor-a and --tumor-b both name tumor 'T3'\n"
+    # an unknown id is reported as such, even when named twice
+    code, _, err = run(capsys, "test", "--mutations", T1_MUT, "--probs", T1_PROB,
+                       "--tumor-a", "T99", "--tumor-b", "T99")
+    assert code == 3 and "T99" in err
+
+
 def test_cmd_test_monte_carlo_seed_in_output(capsys):
     code, out, _ = run(capsys, "test", "--mutations", T1_MUT, "--probs", T1_PROB,
                        "--tumor-a", "T3", "--tumor-b", "Left/Mucinous",
@@ -171,6 +182,14 @@ def test_cmd_pairs_prostate_case(capsys):
     assert matrix["P6"]["B1"] == matrix["B1"]["P6"]
     # byte-identical on rerun
     assert run(capsys, "pairs", "--mutations", T5_MUT, "--probs", T5_PROB)[1] == out
+
+
+def test_cmd_pairs_monte_carlo_thread_count_invariance(capsys):
+    argv = ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB, "--exact-max", "0", "--sims", "3000")
+    code, out, err = run(capsys, *argv, "--threads", "1")
+    assert (code, err) == (0, "")
+    assert any(cell != "NA" for row in parse_matrix(out)[1].values() for cell in row.values())
+    assert run(capsys, *argv, "--threads", "3") == (0, out, "")
 
 
 def test_cmd_pairs_single_tumor_rejected(tmp_path, capsys):
@@ -257,6 +276,19 @@ def test_undecodable_byte_reports_line(tmp_path, capsys):
                        "--tumor-a", "T3", "--tumor-b", "T1")
     assert code == 2
     assert err.startswith(f"error: {probs}:3: byte 0xff")
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    files = {}
+    for name, source in (("m.tsv", T1_MUT), ("p.tsv", T1_PROB), ("c.tsv", COUNTS)):
+        files[name] = tmp_path / name
+        files[name].write_bytes(b"\xef\xbb\xbf" + pathlib.Path(source).read_bytes())
+    code, out, err = run(capsys, "test", "--mutations", str(files["m.tsv"]),
+                         "--probs", str(files["p.tsv"]), "--tumor-a", "T3", "--tumor-b", "Left/Mucinous")
+    assert (code, out, err) == (0, GOLDEN_TEST_JSON, "")
+    plain = run(capsys, "estimate-probs", "--counts", COUNTS, "--study-size", "1")
+    assert plain[0] == 0
+    assert run(capsys, "estimate-probs", "--counts", str(files["c.tsv"]), "--study-size", "1") == plain
 
 
 def test_counts_without_cohort_reports_line(tmp_path, capsys):

@@ -4,8 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from collections import OrderedDict
-
 from clonality import nullref
 from clonality.errors import ClonalityError
 from clonality.inference import (
@@ -19,7 +17,6 @@ from clonality.nullref import (
     EXACT_ATOM_LIMIT,
     NullDistribution,
     calibrated_rejection,
-    cached_unconditional_null,
     conditional_test,
     critical_value,
     exact_conditional_null,
@@ -60,9 +57,9 @@ def brute_force_pvalue(ps, matched):
 
 def test_exact_null_single_marker_atoms():
     null = exact_conditional_null([0.081])
-    assert null.mode == "exact"
+    assert null.total == 1.0
     assert null.n == 2
-    by_stat = dict(zip(np.round(null.statistics, 6), null.probabilities))
+    by_stat = dict(zip(np.round(null.statistics, 6), null.weights))
     q = 0.081 / 1.919
     assert by_stat[0.0] == pytest.approx(1.0 - q, rel=1e-12)
     assert by_stat[round(math.log(1.919 / 0.081), 6)] == pytest.approx(q, rel=1e-12)
@@ -70,14 +67,14 @@ def test_exact_null_single_marker_atoms():
 
 def test_exact_null_half_probability_marker():
     null = exact_conditional_null([0.5])
-    match_mass = null.probabilities[null.statistics > 0].sum()
+    match_mass = null.weights[null.statistics > 0].sum()
     assert match_mass == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_exact_null_case_pair_has_1024_atoms():
     null = exact_conditional_null(MUCINOUS_PS)
     assert null.n == 1024
-    assert null.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    assert null.weights.sum() == pytest.approx(1.0, abs=1e-12)
     s_obs = conditional_statistic(
         ConditionalData.from_pairs([(0.081, True)] + [(0.004, False)] * 9)
     ).statistic
@@ -147,7 +144,7 @@ def test_observed_pattern_atom_reproduces_observed_statistic():
         s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
         pg, sizes, chunks = nullref._exact_patterns(ps, 20)
         counts = [sum(x for p, x in zip(ps, matched) if p == g) for g in pg]
-        for patterns, _, _ in chunks:
+        for patterns, *_ in chunks:
             row = np.flatnonzero((patterns == counts).all(axis=1))
             if row.size:
                 s_null = fit_conditional_batch(pg, sizes, patterns)[1][row[0]]
@@ -172,7 +169,7 @@ def test_exact_p_value_over_several_chunks_and_a_split(monkeypatch):
         assert lead.shape[1] and trail.shape[1]
         shape = tuple(sizes.astype(int) + 1)
         flat = np.column_stack(np.unravel_index(np.arange(math.prod(shape)), shape)).astype(float)
-        enumerated = [patterns for patterns, _, _ in chunks]
+        enumerated = [patterns for patterns, *_ in chunks]
         assert all(p.flags.c_contiguous for p in enumerated)
         assert np.array_equal(np.concatenate(enumerated), flat)
         assert trial % 2 or len(enumerated) > 2
@@ -190,7 +187,7 @@ def test_bound_tables_settle_most_exact_patterns():
         ps = list(gen.choice(gen.uniform(0.002, 0.3, 4), 14) if shared else gen.uniform(0.002, 0.3, 14))
         matched = list(gen.random(14) < 0.3)
         s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
-        _, _, chunks = nullref._exact_patterns(ps, 20, bounds=True)
+        _, _, chunks = nullref._exact_patterns(ps, 20)
         settled = [settle_by_bounds(sums, s_obs - nullref.TIE_TOLERANCE) for *_, sums in chunks]
         n_patterns = sum(extreme.size for extreme, _ in settled)
         assert sum(open_rows.size for _, open_rows in settled) < 0.15 * n_patterns
@@ -201,7 +198,7 @@ def test_bound_tables_settle_most_exact_patterns():
 def test_sampled_null_single_marker_frequencies():
     n_sims = 50_000
     null = sample_conditional_null([0.081], n_sims, RngStream(42))
-    assert null.mode == "monte-carlo"
+    assert null.total == n_sims and np.array_equal(null.weights, np.ones(n_sims))
     assert null.n == n_sims
     values = set(np.round(null.statistics, 6))
     assert values == {0.0, round(math.log(1.919 / 0.081), 6)}
@@ -303,7 +300,7 @@ def test_p_value_is_one_without_matches():
 
 
 def test_critical_value_two_atom_example():
-    null = NullDistribution("exact", np.array([0.0, 3.17]), np.array([0.96, 0.04]))
+    null = NullDistribution(np.array([0.0, 3.17]), np.array([0.96, 0.04]))
     assert critical_value(null, 0.05) == 0.0
     # mass above 0 is 0.04 >= 0.03, so the next atom is needed at alpha=0.03
     assert critical_value(null, 0.03) == 3.17
@@ -312,14 +309,14 @@ def test_critical_value_two_atom_example():
 def test_critical_value_near_one_returns_minimum():
     gen = np.random.default_rng(5)
     samples = gen.uniform(0, 10, size=101)
-    null = NullDistribution("monte-carlo", samples)
+    null = NullDistribution(samples, np.ones(101), 101)
     assert critical_value(null, 0.999) == samples.min()
 
 
 def test_critical_value_order_statistic_oracle():
     gen = np.random.default_rng(11)
     samples = gen.uniform(0, 1, size=999)  # all distinct almost surely
-    null = NullDistribution("monte-carlo", samples)
+    null = NullDistribution(samples, np.ones(999), 999)
     alpha = 0.05
     k = critical_value(null, alpha)
     # direct-scan definition
@@ -327,6 +324,20 @@ def test_critical_value_order_statistic_oracle():
     assert k == expected
     # order-statistic form for distinct samples
     assert k == np.sort(samples)[math.ceil(0.95 * 999) - 1]
+
+
+def test_critical_value_counts_draws_exactly_at_ties():
+    # 1 of 20 draws lies above 0.0: a share of exactly alpha, which is not below it
+    null = NullDistribution(np.array([0.0] * 19 + [1.0]), np.ones(20), 20)
+    assert critical_value(null, 0.05) == 1.0
+    assert critical_value(null, 0.0501) == 0.0
+    gen = np.random.default_rng(12)
+    for n in (20, 100, 500, 999):
+        samples = gen.integers(0, 8, size=n).astype(float)
+        null = NullDistribution(samples, np.ones(n), n)
+        for alpha in (0.05, 0.1, 0.25, 3 / n):
+            expected = min(v for v in samples if np.sum(samples > v) < alpha * n)
+            assert critical_value(null, alpha) == expected
 
 
 # --- end-to-end conditional test -------------------------------------------------
@@ -391,28 +402,14 @@ def test_unconditional_null_single_half_marker():
 
 
 def test_unconditional_null_deterministic_and_cached():
+    # a caller builds the null once and reuses it, so equal streams give equal nulls
     universe = [(0.1, 10), (0.004, 500)]
     a = sample_unconditional_null(universe, 2000, RngStream(3, 8))
     b = sample_unconditional_null(universe, 2000, RngStream(3, 8))
     assert np.array_equal(a.statistics, b.statistics)
-    c1 = cached_unconditional_null(universe, 2000, RngStream(3, 8))
-    c2 = cached_unconditional_null(universe, 2000, RngStream(3, 8))
-    assert c1 is c2
-    assert np.array_equal(c1.statistics, a.statistics)
-
-
-def test_unconditional_cache_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(nullref, "_UNCOND_CACHE", OrderedDict())
-    monkeypatch.setattr(nullref, "_UNCOND_CACHE_MAX", 3)
-    universe = [(0.1, 5), (0.01, 50)]
-    first = cached_unconditional_null(universe, 50, RngStream(1, 0))
-    for stream in (1, 2):
-        cached_unconditional_null(universe, 50, RngStream(1, stream))
-    assert cached_unconditional_null(universe, 50, RngStream(1, 0)) is first  # now most recent
-    cached_unconditional_null(universe, 50, RngStream(1, 3))  # evicts stream 1, the oldest
-    assert len(nullref._UNCOND_CACHE) == 3
-    assert [key[-1] for key in nullref._UNCOND_CACHE] == [2, 0, 3]
-    assert cached_unconditional_null(universe, 50, RngStream(1, 0)) is first
+    assert a.total == 2000 and np.array_equal(a.weights, np.ones(2000))
+    s = float(np.median(a.statistics))
+    assert p_value(s, a) == p_value(s, b) == np.mean(a.statistics >= s - nullref.TIE_TOLERANCE)
 
 
 def test_unconditional_null_percentile_stable_across_seeds():
@@ -507,11 +504,11 @@ def test_calibrated_rejection_validation():
 # --- NullDistribution validation ------------------------------------------------------
 
 def test_null_distribution_validation():
-    with pytest.raises(ValueError):
-        NullDistribution("exact", np.array([0.0, 1.0]), np.array([0.5, 0.4]))
-    with pytest.raises(ValueError):
-        NullDistribution("monte-carlo", np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        NullDistribution("banana", np.array([0.0]))
-    with pytest.raises(ValueError):
-        NullDistribution("monte-carlo", np.array([]))
+    with pytest.raises(ValueError, match="sum to"):
+        NullDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.4]))
+    with pytest.raises(ValueError, match="sum to"):
+        NullDistribution(np.array([0.0, 1.0]), np.ones(2), 3)
+    with pytest.raises(ValueError, match="align"):
+        NullDistribution(np.array([0.0]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="empty"):
+        NullDistribution(np.array([]), np.array([]), 0)

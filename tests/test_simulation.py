@@ -370,7 +370,8 @@ def test_harness_counts_equal_labelled_pairs(monkeypatch, perturbation):
     monkeypatch.setattr(simulation, "conditional_data_test", conditional)
     monkeypatch.setattr(simulation, "unconditional_statistic", unconditional)
     rng = RngStream(57, 3)
-    _, _, matches, _ = simulation._replicate_arrays(spec, rng, 0, 1, want_unconditional=True)
+    _, _, matches, _ = simulation._replicate_arrays(
+        spec, rng, 0, 1, nullref.sample_unconditional_null([(0.1, 1)], 10, RngStream(0)))
     assert matches.sum() > 0
 
     catalog = scenario_catalog(spec)
@@ -388,15 +389,21 @@ def test_harness_counts_equal_labelled_pairs(monkeypatch, perturbation):
     assert not seen_data
 
 
-def test_comparison_null_universe_uses_clamped_probabilities():
+def test_comparison_null_universe_uses_clamped_probabilities(monkeypatch):
     spec = small_spec(
         groups=(MarkerGroup("independent", 30, 0.1), MarkerGroup("independent", 500, 1e-7)),
         replicates=4, sims=50,
     )
-    nullref._UNCOND_CACHE.clear()
+    universes = []
+
+    def build(universe, n_sims, rng):
+        universes.append([(float(p), int(n)) for p, n in universe])
+        return nullref.sample_unconditional_null(universe, n_sims, rng)
+
+    monkeypatch.setattr(simulation, "sample_unconditional_null", build)
     run_calibrated_comparison(spec, RngStream(58))
-    universes = {key[0] for key in nullref._UNCOND_CACHE}
-    assert universes == {((1e-6, 500), (0.1, 30))}
+    # built once, for the alternative and the zero-signal run alike
+    assert universes == [[(1e-6, 500), (0.1, 30)]]
 
 
 def test_run_size_power_null_scenario_calibrates_to_alpha():
