@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import CatalogMissError, ClonalityError, FileFormatError, UnknownTumorError
 from .model import MarkerCatalog, MutationProfile, derive_pair_observation
-from .nullref import TestResult, conditional_test
+from .nullref import EXACT_MAX_DEFAULT, SIMS_DEFAULT, TestResult, conditional_test
 from .priors import FrequencyRecord, estimate_marginal_probability
 from .rng import DEFAULT_SEED, RngStream
 from .simulation import PRESET_NAMES, preset_scenario, run_size_power
@@ -316,14 +316,20 @@ def _cmd_estimate_probs(args) -> int:
 def _add_test_options(parser: argparse.ArgumentParser):
     parser.add_argument("--mutations", required=True, help="mutations TSV (tumor, marker)")
     parser.add_argument("--probs", required=True, help="marker probability TSV")
-    parser.add_argument("--sims", type=int, default=100_000,
-                        help="Monte Carlo simulations when enumeration is off (default 100000)")
-    parser.add_argument("--exact-max", type=int, default=20, dest="exact_max",
-                        help="max mutated-set size for exact enumeration (default 20; 0 forces MC)")
+    parser.add_argument("--sims", type=int, default=SIMS_DEFAULT,
+                        help="Monte Carlo simulations when enumeration is off (default %(default)s)")
+    parser.add_argument("--exact-max", type=int, default=EXACT_MAX_DEFAULT, dest="exact_max",
+                        help="max mutated-set size for exact enumeration (default %(default)s; 0 forces MC)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"root seed for Monte Carlo sampling (default {DEFAULT_SEED})")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; results do not depend on the value")
+
+
+def positive_int(text: str) -> int:
+    """An integer option value of at least 1 (argparse names the type in errors)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,8 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="null-distribution samples per replicate (default 5000)")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--out", help="write the TSV report here instead of stdout")
-    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.set_defaults(func=_cmd_simulate)
+    for threaded in (p_pairs, p_sim):
+        threaded.add_argument("--threads", type=positive_int, default=1,
+                              help="worker threads (at least 1); results do not depend on the value")
 
     p_est = sub.add_parser("estimate-probs",
                            help="pool cohort counts into marginal probabilities")

@@ -46,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import PairObservation, validate_probability, validate_xi
+from .model import PairObservation, match_probabilities, outcome_cells, validate_probability, validate_xi
 
 _COARSE_POINTS = 101
 _XI_TOL = 1e-6
@@ -123,16 +123,6 @@ class FitResult:
 # Vectorized likelihood kernels.
 # ---------------------------------------------------------------------------
 
-def _q_of(p: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Match probability, broadcasting p against xi.
-
-    Clipped at 1: float cancellation in the denominator can push the ratio a
-    few ulp above 1 at xi = 1, which would turn log1p(-q) into NaN.
-    """
-    q = (p + xi * (1.0 - p)) / ((2.0 - p) - xi * (1.0 - p))
-    return np.minimum(q, 1.0)
-
-
 def _cond_loglik_rows(pg, sizes, matched, xi_rows, xi_miss=None):
     """Conditional log-likelihood of each row's counts at its own xi.
 
@@ -141,8 +131,8 @@ def _cond_loglik_rows(pg, sizes, matched, xi_rows, xi_miss=None):
     Since q rises with xi, ``xi_rows = hi`` with ``xi_miss = lo`` bounds the
     log-likelihood from above over every xi in ``[lo, hi]``.
     """
-    q = _q_of(pg[None, :], xi_rows[:, None])
-    q_miss = q if xi_miss is None else _q_of(pg[None, :], xi_miss[:, None])
+    q = match_probabilities(pg[None, :], xi_rows[:, None])
+    q_miss = q if xi_miss is None else match_probabilities(pg[None, :], xi_miss[:, None])
     unmatched = sizes[None, :] - matched
     with np.errstate(divide="ignore", invalid="ignore"):
         t_match = np.where(matched > 0, matched * np.log(q), 0.0)
@@ -234,7 +224,7 @@ def _conditional_stage(pg, sizes, matched):
         m_mixed = matched[mixed]
         rem = sizes[None, :] - m_mixed
         with np.errstate(divide="ignore"):
-            q_grid = _q_of(pg[None, :], _GRID[:, None])
+            q_grid = match_probabilities(pg[None, :], _GRID[:, None])
             log_q = np.log(q_grid)
             log_1mq = np.log1p(-q_grid)
         log_1mq[np.isneginf(log_1mq)] = _LOG_ZERO
@@ -341,7 +331,7 @@ def bound_tables(pg: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
     """
     pg = np.asarray(pg, dtype=float)
     with np.errstate(divide="ignore"):
-        q = _q_of(pg[:, None], _COARSE[None, :])
+        q = match_probabilities(pg[:, None], _COARSE[None, :])
         log_q = np.log(q)
         log_miss = np.log1p(-q)
     log_miss[np.isneginf(log_miss)] = _LOG_ZERO  # xi = 1 with a miss
@@ -375,15 +365,8 @@ def settle_by_bounds(sums: np.ndarray, threshold: float) -> tuple[np.ndarray, np
     return extreme, np.flatnonzero(~(extreme | ruled_out))
 
 
-def _uncond_cells(p: np.ndarray, xi: np.ndarray):
-    both = xi * p + (1.0 - xi) * p * p
-    single = 2.0 * (1.0 - xi) * p * (1.0 - p)
-    neither = xi * (1.0 - p) + (1.0 - xi) * (1.0 - p) ** 2
-    return both, single, neither
-
-
 def _uncond_loglik_rows(pg, n_markers, matched, single, xi_rows):
-    both_p, single_p, neither_p = _uncond_cells(pg[None, :], xi_rows[:, None])
+    both_p, single_p, neither_p = outcome_cells(pg[None, :], xi_rows[:, None])
     unmut = n_markers[None, :] - matched - single
     with np.errstate(divide="ignore", invalid="ignore"):
         t_b = np.where(matched > 0, matched * np.log(both_p), 0.0)
@@ -407,7 +390,7 @@ def fit_unconditional_batch(
     unmut = n_markers[None, :] - matched - single
 
     with np.errstate(divide="ignore"):
-        b, s, n = _uncond_cells(pg[None, :], _GRID[:, None])
+        b, s, n = outcome_cells(pg[None, :], _GRID[:, None])
         log_b, log_s, log_n = np.log(b), np.log(s), np.log(n)
     log_s[np.isneginf(log_s)] = _LOG_ZERO
     grid_ll = matched @ log_b.T + single @ log_s.T + unmut @ log_n.T

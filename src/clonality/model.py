@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import CatalogMissError
 
 # Probabilities entering a catalog are clamped inside the open unit interval:
@@ -158,13 +160,27 @@ def derive_pair_observation(
     )
 
 
-def pair_outcome_probabilities(p: float, xi: float) -> PairOutcomeDistribution:
-    """Closed-form outcome distribution for one marker at signal ``xi``."""
-    p = validate_probability(p)
-    xi = validate_xi(xi)
+def outcome_cells(p, xi):
+    """``(both, exactly_one, neither)`` of the closed form, broadcasting p against xi."""
     both = xi * p + (1.0 - xi) * p * p
     exactly_one = 2.0 * (1.0 - xi) * p * (1.0 - p)
     neither = xi * (1.0 - p) + (1.0 - xi) * (1.0 - p) ** 2
+    return both, exactly_one, neither
+
+
+def match_probabilities(p, xi):
+    """Match probability, broadcasting p against xi.
+
+    Clipped at 1: float cancellation in the denominator can push the ratio a
+    few ulp above 1 at xi = 1, which would turn log1p(-q) into NaN.
+    """
+    q = (p + xi * (1.0 - p)) / ((2.0 - p) - xi * (1.0 - p))
+    return np.minimum(q, 1.0)
+
+
+def pair_outcome_probabilities(p: float, xi: float) -> PairOutcomeDistribution:
+    """Closed-form outcome distribution for one marker at signal ``xi``."""
+    both, exactly_one, neither = outcome_cells(validate_probability(p), validate_xi(xi))
     return PairOutcomeDistribution(both=both, exactly_one=exactly_one, neither=neither)
 
 
@@ -175,7 +191,4 @@ def match_probability(p: float, xi: float) -> float:
     null match probability ``p / (2 - p)``, and it increases to 1 at
     ``xi = 1``.
     """
-    p = validate_probability(p)
-    xi = validate_xi(xi)
-    q = (p + xi * (1.0 - p)) / ((2.0 - p) - xi * (1.0 - p))
-    return min(q, 1.0)  # cancellation can overshoot by a few ulp at xi = 1
+    return float(match_probabilities(validate_probability(p), validate_xi(xi)))

@@ -5,24 +5,25 @@ only the match indicators, each Bernoulli with the null match probability
 ``q_i = p_i / (2 - p_i)``. Markers sharing a probability are exchangeable,
 so the null works on per-probability match counts, grouped by
 :func:`~clonality.inference.group_by_probability` exactly as the observed
-fit groups them. For small E the distribution is enumerated exactly over
-all 2^|E| match vectors (up to ``EXACT_ATOM_LIMIT``), walking count
-patterns in chunks of ``_FIT_CHUNK``; otherwise per-probability match
-counts are drawn by Monte Carlo and reduced to their distinct patterns. A
-p-value needs only whether each pattern's statistic reaches the observed
-one, so :func:`exact_p_value` and :func:`monte_carlo_p_value` decide, not
-fit, and return the same float as :func:`p_value` on the fully fitted null
-(:func:`exact_conditional_null`, :func:`sample_conditional_null`), which
-tests use as the reference. The exact path first settles most count
-patterns from per-group bound tables
-(:func:`~clonality.inference.settle_by_bounds`); a pattern's sums are
-those of a leading and a trailing run of groups, each computed once. It
-passes the rest, and the Monte Carlo path every distinct pattern, to the
-decision kernel :func:`~clonality.inference.conditional_exceeds`, which
-stops refining a pattern once its answer is proven. The unconditional null
-simulates whole tumor pairs over a marker universe of ``(p, n_markers)``
-groups under zero clonality signal; it does not depend on the observed
-data, so a caller builds it once and passes it to every p-value.
+fit groups them. Two sources yield count patterns in chunks of up to
+``_FIT_CHUNK`` rows, ``(patterns, weights, reps, sums)``, a pattern
+standing for ``reps`` atoms of weight ``weights``. For small E,
+:func:`_exact_patterns` enumerates all 2^|E| match vectors (up to
+``EXACT_ATOM_LIMIT``) as patterns weighted by one vector's mass, with
+their sums of per-group bound tables; otherwise :func:`_drawn_patterns`
+yields the distinct patterns of Monte Carlo draws, weight 1, their draw
+counts and no sums. A p-value needs only whether each pattern's statistic
+reaches the observed one, so the one decide-and-sum,
+:func:`_extreme_share`, settles what the bound tables prove
+(:func:`~clonality.inference.settle_by_bounds`) and passes the rest to
+:func:`~clonality.inference.conditional_exceeds`, which stops refining a
+pattern once its answer is proven. It returns the same float as
+:func:`p_value` on the null the one oracle, :func:`_fitted_null`, fits in
+full (:func:`exact_conditional_null`, :func:`sample_conditional_null`),
+which tests use as the reference. The unconditional null simulates whole
+tumor pairs over ``(p, n_markers)`` groups under zero clonality signal; it
+does not depend on the observed data, so a caller builds it once and
+passes it to every p-value.
 
 Every null is a :class:`NullDistribution` of weighted atoms: an exact null
 weights each outcome vector by its probability, a Monte Carlo null each
@@ -59,6 +60,7 @@ from .rng import DEFAULT_SEED, RngStream
 
 TIE_TOLERANCE = 1e-9
 EXACT_MAX_DEFAULT = 20
+SIMS_DEFAULT = 100_000
 _FIT_CHUNK = 1 << 16
 # Most atoms (2^|E|) an exact null may enumerate: 16.8M atoms already take
 # 256 MB as statistics and probabilities, and about 1 GB while being built.
@@ -125,30 +127,8 @@ class CalibratedRule:
     calibrated_power: float
 
 
-def _chunks(patterns):
-    """Row chunks of ``_FIT_CHUNK`` patterns, which bound a fit's peak memory."""
-    return (patterns[start:start + _FIT_CHUNK] for start in range(0, patterns.shape[0], _FIT_CHUNK))
-
-
-def _null_counts(ps: Sequence[float], n_sims: int, rng: RngStream):
-    """``n_sims`` draws of the per-probability match counts under the null.
-
-    Returns ``(pg, sizes, matched)``: one binomial column of int64 counts
-    per distinct probability, drawn from stream ``rng`` column by column.
-    """
-    if n_sims < 1:
-        raise ValueError(f"n_sims must be >= 1, got {n_sims}")
-    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
-    q0 = pg / (2.0 - pg)
-    gen = rng.generator()
-    matched = np.column_stack(
-        [gen.binomial(int(sizes[g]), q0[g], size=n_sims) for g in range(len(pg))]
-    )
-    return pg, sizes, matched
-
-
 def _distinct_rows(matched: np.ndarray, sizes: np.ndarray):
-    """``np.unique(matched, axis=0, return_inverse=True)``, with a 1-D inverse.
+    """``np.unique(matched, axis=0, return_counts=True)``: ``(patterns, counts)``.
 
     Row ``k`` counts at most ``sizes[g]`` in column ``g``, so it is keyed by
     one int64 in mixed radix (column 0 most significant, radix ``sizes[g] +
@@ -158,45 +138,34 @@ def _distinct_rows(matched: np.ndarray, sizes: np.ndarray):
     """
     radix = [int(size) + 1 for size in sizes]
     if math.prod(radix) >= 1 << 63:
-        patterns, inverse = np.unique(matched, axis=0, return_inverse=True)
-        return patterns, inverse.ravel()
+        return np.unique(matched, axis=0, return_counts=True)
     place = np.array([math.prod(radix[g + 1:]) for g in range(len(radix))], dtype=np.int64)
-    _, first, inverse = np.unique(matched @ place, return_index=True, return_inverse=True)
-    return matched[first], inverse
+    _, first, counts = np.unique(matched @ place, return_index=True, return_counts=True)
+    return matched[first], counts
 
 
-def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) -> NullDistribution:
-    """Monte Carlo null of the conditional statistic over the marker set E.
+def _drawn_patterns(ps: Sequence[float], n_sims: int, rng: RngStream):
+    """Distinct count patterns of ``n_sims`` null draws from stream ``rng``.
 
-    Each simulation draws the match indicator of every marker from its null
-    probability ``q_i`` and refits the clonality signal. Markers sharing a
-    probability are exchangeable, so only the per-probability match counts
-    are fitted (one fit per distinct pattern).
+    Draws one binomial column per distinct probability, ascending. Returns
+    ``(pg, sizes, chunks)``; ``chunks`` yields ``(patterns, ones, draws,
+    None)`` per ``_FIT_CHUNK`` patterns. Bound-table sums would leave about
+    half of the drawn patterns open and cost more time than they save.
     """
-    pg, sizes, matched = _null_counts(ps, n_sims, rng)
-    patterns, inverse = _distinct_rows(matched, sizes)
-    stats = np.concatenate([fit_conditional_batch(pg, sizes, chunk)[1] for chunk in _chunks(patterns)])
-    return NullDistribution(stats[inverse], np.ones(n_sims), n_sims)
+    if n_sims < 1:
+        raise ValueError(f"n_sims must be >= 1, got {n_sims}")
+    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
+    q0 = pg / (2.0 - pg)
+    gen = rng.generator()
+    matched = np.column_stack([gen.binomial(int(size), q, size=n_sims) for size, q in zip(sizes, q0)])
+    patterns, counts = _distinct_rows(matched, sizes)
 
+    def chunks():
+        for start in range(0, patterns.shape[0], _FIT_CHUNK):
+            rows = slice(start, start + _FIT_CHUNK)
+            yield patterns[rows], np.ones(counts[rows].size), counts[rows], None
 
-def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: RngStream) -> float:
-    """``p_value(observed, sample_conditional_null(ps, n_sims, rng))``, faster.
-
-    The same draws are made and deduplicated; each distinct pattern is only
-    decided, statistic >= ``observed - TIE_TOLERANCE`` or not, by
-    :func:`conditional_exceeds` over the same row chunks the full fit uses,
-    so the result is the same float. Like :func:`p_value`, this is the
-    paper's b/n: 0 means that none of the ``n_sims`` draws reached the
-    observed statistic, i.e. p < 1/n_sims.
-    """
-    pg, sizes, matched = _null_counts(ps, n_sims, rng)
-    patterns, inverse = _distinct_rows(matched, sizes)
-    threshold = observed - TIE_TOLERANCE
-    extreme = np.concatenate(
-        [conditional_exceeds(pg, sizes, chunk, threshold) for chunk in _chunks(patterns)])
-    if extreme.all():
-        return 1.0
-    return float(np.mean(extreme[inverse]))
+    return pg, sizes, chunks()
 
 
 def _split_patterns(counts: Sequence[int]) -> list[np.ndarray]:
@@ -220,7 +189,7 @@ def _exact_patterns(ps: Sequence[float], exact_max: int):
 
     Raises before allocating anything when ``|E|`` exceeds ``exact_max`` or
     2^|E| exceeds ``EXACT_ATOM_LIMIT``. Returns ``(pg, sizes, chunks)``;
-    ``chunks`` yields ``(patterns, atom_prob, reps, sums)`` for up to
+    ``chunks`` yields ``(patterns, weights, reps, sums)`` for up to
     ``_FIT_CHUNK`` patterns at a time, in one fixed order: the
     per-probability match counts, the product-Bernoulli mass of one match
     vector with those counts, the number of match vectors sharing them, and
@@ -284,6 +253,42 @@ def _exact_patterns(ps: Sequence[float], exact_max: int):
     return pg, sizes, chunks()
 
 
+def _extreme_share(pg, sizes, chunks, threshold: float, total: float = 1.0) -> float:
+    """Mass over ``total`` of the ``chunks``' patterns with statistic >= ``threshold``.
+
+    Each pattern is decided as the full fit would decide it: by its
+    bound-table sums where its chunk has them, else by
+    :func:`conditional_exceeds`. The extreme weights are summed per atom as
+    :func:`p_value` sums them, so the result is the same float.
+    """
+    weights, reps = [], []
+    every = True
+    for patterns, weight, rep, sums in chunks:
+        if sums is None:
+            extreme, open_rows = np.zeros(rep.size, dtype=bool), slice(None)
+        else:
+            extreme, open_rows = settle_by_bounds(sums, threshold)
+        extreme[open_rows] = conditional_exceeds(pg, sizes, patterns[open_rows], threshold)
+        every = every and bool(extreme.all())
+        weights.append(weight[extreme])
+        reps.append(rep[extreme])
+    if every:
+        return 1.0
+    return float(min(np.repeat(np.concatenate(weights), np.concatenate(reps)).sum() / total, 1.0))
+
+
+def _fitted_null(pg, sizes, chunks, total: float = 1.0) -> NullDistribution:
+    """The null of ``chunks`` fully fitted: each pattern's statistic once per atom."""
+    stats, weights, reps = [], [], []
+    for patterns, weight, rep, _ in chunks:
+        stats.append(fit_conditional_batch(pg, sizes, patterns)[1])
+        weights.append(weight)
+        reps.append(rep)
+    reps = np.concatenate(reps)
+    return NullDistribution(np.repeat(np.concatenate(stats), reps),
+                            np.repeat(np.concatenate(weights), reps), total)
+
+
 def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> NullDistribution:
     """Exact null: every match vector over E with its product-Bernoulli mass.
 
@@ -291,14 +296,19 @@ def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAU
     per-probability match counts share a statistic, so the fit cost is one
     per distinct count pattern.
     """
-    pg, sizes, chunks = _exact_patterns(ps, exact_max)
-    stats, probs, reps = [], [], []
-    for patterns, atom_prob, rep, _ in chunks:
-        stats.append(fit_conditional_batch(pg, sizes, patterns)[1])
-        probs.append(atom_prob)
-        reps.append(rep)
-    reps = np.concatenate(reps)
-    return NullDistribution(np.repeat(np.concatenate(stats), reps), np.repeat(np.concatenate(probs), reps))
+    return _fitted_null(*_exact_patterns(ps, exact_max))
+
+
+def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) -> NullDistribution:
+    """Monte Carlo null of the conditional statistic over the marker set E.
+
+    Each simulation draws the match indicator of every marker from its null
+    probability ``q_i`` and refits the clonality signal. Markers sharing a
+    probability are exchangeable, so only the per-probability match counts
+    are fitted (one fit per distinct pattern). The atoms, one per draw, come
+    grouped by pattern in the patterns' sorted order, not in draw order.
+    """
+    return _fitted_null(*_drawn_patterns(ps, n_sims, rng), n_sims)
 
 
 def p_value(observed: float, null: NullDistribution) -> float:
@@ -315,28 +325,17 @@ def p_value(observed: float, null: NullDistribution) -> float:
 
 
 def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> float:
-    """``p_value(observed, exact_conditional_null(ps, exact_max))``, faster.
+    """``p_value(observed, exact_conditional_null(ps, exact_max))``, deciding, not fitting."""
+    return _extreme_share(*_exact_patterns(ps, exact_max), observed - TIE_TOLERANCE)
 
-    Each count pattern is only decided, statistic >= ``observed -
-    TIE_TOLERANCE`` or not, as the full fit would decide it. Most patterns
-    are settled by their bound-table sums
-    (:func:`~clonality.inference.settle_by_bounds`); only the rest go to
-    :func:`conditional_exceeds`. The extreme atoms are then laid out and
-    summed as :func:`p_value` does, so the result is the same float.
+
+def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: RngStream) -> float:
+    """``p_value(observed, sample_conditional_null(ps, n_sims, rng))``, deciding, not fitting.
+
+    Like :func:`p_value`, this is the paper's b/n: 0 means that none of the
+    ``n_sims`` draws reached the observed statistic, i.e. p < 1/n_sims.
     """
-    pg, sizes, chunks = _exact_patterns(ps, exact_max)
-    threshold = observed - TIE_TOLERANCE
-    probs, reps = [], []
-    every = True
-    for patterns, atom_prob, rep, sums in chunks:
-        extreme, open_rows = settle_by_bounds(sums, threshold)
-        extreme[open_rows] = conditional_exceeds(pg, sizes, patterns[open_rows], threshold)
-        every = every and bool(extreme.all())
-        probs.append(atom_prob[extreme])
-        reps.append(rep[extreme])
-    if every:
-        return 1.0
-    return float(min(np.repeat(np.concatenate(probs), np.concatenate(reps)).sum(), 1.0))
+    return _extreme_share(*_drawn_patterns(ps, n_sims, rng), observed - TIE_TOLERANCE, n_sims)
 
 
 def critical_value(null: NullDistribution, alpha: float) -> float:
@@ -361,7 +360,7 @@ def critical_value(null: NullDistribution, alpha: float) -> float:
 def conditional_data_test(
     data: ConditionalData,
     *,
-    sims: int = 100_000,
+    sims: int = SIMS_DEFAULT,
     exact_max: int = EXACT_MAX_DEFAULT,
     seed: int = DEFAULT_SEED,
     stream_index: int = 0,
@@ -397,7 +396,7 @@ def conditional_data_test(
 def conditional_test(
     obs: PairObservation,
     *,
-    sims: int = 100_000,
+    sims: int = SIMS_DEFAULT,
     exact_max: int = EXACT_MAX_DEFAULT,
     seed: int = DEFAULT_SEED,
     stream_index: int = 0,

@@ -41,7 +41,3 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
         return np.random.default_rng(ss)
-
-    def shifted(self, offset: int) -> "RngStream":
-        """Stream with the index advanced by ``offset`` (same seed)."""
-        return RngStream(self.seed, (self.stream_index + offset) & _MASK64)

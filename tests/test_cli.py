@@ -192,6 +192,28 @@ def test_cmd_pairs_monte_carlo_thread_count_invariance(capsys):
     assert run(capsys, *argv, "--threads", "3") == (0, out, "")
 
 
+def usage_error(capsys, *argv):
+    """Exit code and stderr of an invocation that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_cmd_test_has_no_threads_option(capsys):
+    code, err = usage_error(capsys, "test", "--mutations", T1_MUT, "--probs", T1_PROB,
+                            "--tumor-a", "T3", "--tumor-b", "Left/Mucinous", "--threads", "2")
+    assert code == 2 and "unrecognized arguments: --threads 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB, "--threads", "0"),
+    ("simulate", "--preset", "table2-m5", "--xi", "0", "--replicates", "2", "--threads", "-2"),
+])
+def test_thread_count_below_one_is_usage_error(capsys, argv):
+    code, err = usage_error(capsys, *argv)
+    assert code == 2 and "argument --threads: must be at least 1" in err
+
+
 def test_cmd_pairs_single_tumor_rejected(tmp_path, capsys):
     single = tmp_path / "single.tsv"
     single.write_text("tumor\tmarker\nA\tKRAS G12D\n")

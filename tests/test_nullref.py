@@ -10,6 +10,7 @@ from clonality.inference import (
     ConditionalData,
     conditional_statistic,
     fit_conditional_batch,
+    group_by_probability,
     settle_by_bounds,
 )
 from clonality.model import PairObservation
@@ -251,12 +252,21 @@ def test_monte_carlo_p_value_equals_p_value_of_sampled_null():
 def test_monte_carlo_p_value_over_several_chunks(monkeypatch):
     monkeypatch.setattr(nullref, "_FIT_CHUNK", 1000)
     ps = list(np.linspace(0.3, 0.8, 16))
-    pg, sizes, matched = nullref._null_counts(ps, 20_000, RngStream(8))
-    assert nullref._distinct_rows(matched, sizes)[0].shape[0] > 3 * nullref._FIT_CHUNK
+    _, _, chunks = nullref._drawn_patterns(ps, 20_000, RngStream(8))
+    assert sum(patterns.shape[0] for patterns, *_ in chunks) > 3 * nullref._FIT_CHUNK
     null = sample_conditional_null(ps, 20_000, RngStream(8))
     for q in (0.5, 0.9, 0.999):
         s = float(np.quantile(null.statistics, q))
         assert monte_carlo_p_value(s, ps, 20_000, RngStream(8)) == p_value(s, null)
+
+
+def raw_draws(ps, n_sims, rng):
+    """Grouped probabilities, sizes and the ``n_sims`` drawn count rows, in draw order."""
+    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
+    gen = rng.generator()
+    q0 = pg / (2.0 - pg)
+    return pg, sizes, np.column_stack(
+        [gen.binomial(int(sizes[g]), q0[g], size=n_sims) for g in range(len(pg))])
 
 
 @pytest.mark.parametrize("n_distinct", [1, 5, 62, 63, 64])
@@ -266,16 +276,28 @@ def test_distinct_rows_equal_numpy_unique(n_distinct):
         ps = list(gen.uniform(0.05, 0.9, n_distinct))
         if shared:
             ps += list(gen.choice(ps, 3 * n_distinct))
-        pg, sizes, matched = nullref._null_counts(ps, 1000, RngStream(n_distinct))
+        pg, sizes, matched = raw_draws(ps, 1000, RngStream(n_distinct))
         if not shared:  # from 63 distinct probabilities on, the mixed-radix key leaves int64
             assert (math.prod(int(n) + 1 for n in sizes) >= 2 ** 63) == (n_distinct >= 63)
-        patterns, inverse = nullref._distinct_rows(matched, sizes)
-        want_patterns, want_inverse = np.unique(matched, axis=0, return_inverse=True)
+        patterns, counts = nullref._distinct_rows(matched, sizes)
+        want_patterns, want_counts = np.unique(matched, axis=0, return_counts=True)
         assert np.array_equal(patterns, want_patterns)
-        assert np.array_equal(inverse, want_inverse.ravel())
+        assert np.array_equal(counts, want_counts)
+        assert counts.sum() == 1000
         null = sample_conditional_null(ps, 1000, RngStream(n_distinct))
         s = float(np.quantile(null.statistics, 0.8))
         assert monte_carlo_p_value(s, ps, 1000, RngStream(n_distinct)) == p_value(s, null)
+
+
+def test_sampled_null_holds_the_fit_of_every_draw():
+    gen = np.random.default_rng(2024)
+    for trial in range(8):
+        ps, _ = large_case(gen, shared=trial % 2 == 1)
+        n_sims = (1, 7, 500, 3000)[trial % 4]
+        pg, sizes, matched = raw_draws(ps, n_sims, RngStream(trial, 5))
+        null = sample_conditional_null(ps, n_sims, RngStream(trial, 5))
+        want = fit_conditional_batch(pg, sizes, matched)[1]
+        assert np.array_equal(np.sort(null.statistics), np.sort(want))
 
 
 # --- p-values and critical values ----------------------------------------------
