@@ -27,7 +27,7 @@ from .errors import CatalogMissError, ClonalityError, FileFormatError, UnknownTu
 from .model import MarkerCatalog, MutationProfile, derive_pair_observation
 from .nullref import EXACT_MAX_DEFAULT, SIMS_DEFAULT, TestResult, conditional_test
 from .priors import FrequencyRecord, estimate_marginal_probability
-from .rng import DEFAULT_SEED, RngStream
+from .rng import DEFAULT_SEED, UINT64_MAX, RngStream
 from .simulation import PRESET_NAMES, preset_scenario, run_size_power
 
 EXIT_OK = 0
@@ -316,20 +316,25 @@ def _cmd_estimate_probs(args) -> int:
 def _add_test_options(parser: argparse.ArgumentParser):
     parser.add_argument("--mutations", required=True, help="mutations TSV (tumor, marker)")
     parser.add_argument("--probs", required=True, help="marker probability TSV")
-    parser.add_argument("--sims", type=int, default=SIMS_DEFAULT,
+    parser.add_argument("--sims", type=int_range(1), default=SIMS_DEFAULT,
                         help="Monte Carlo simulations when enumeration is off (default %(default)s)")
-    parser.add_argument("--exact-max", type=int, default=EXACT_MAX_DEFAULT, dest="exact_max",
+    parser.add_argument("--exact-max", type=int_range(0), default=EXACT_MAX_DEFAULT, dest="exact_max",
                         help="max mutated-set size for exact enumeration (default %(default)s; 0 forces MC)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    parser.add_argument("--seed", type=int_range(0, UINT64_MAX), default=DEFAULT_SEED,
                         help=f"root seed for Monte Carlo sampling (default {DEFAULT_SEED})")
 
 
-def positive_int(text: str) -> int:
-    """An integer option value of at least 1 (argparse names the type in errors)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_range(low: int, high: Optional[int] = None):
+    """Option type: an integer in ``low`` ... ``high`` (argparse names the option in errors)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-integer is an "invalid int value", as with type=int
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--preset", required=True,
                        help="one of: " + ", ".join(PRESET_NAMES))
     p_sim.add_argument("--xi", required=True, type=float, help="clonality signal in [0, 1]")
-    p_sim.add_argument("--replicates", type=int, default=1000)
-    p_sim.add_argument("--sims", type=int, default=5000,
+    p_sim.add_argument("--replicates", type=int_range(1), default=1000)
+    p_sim.add_argument("--sims", type=int_range(1), default=5000,
                        help="null-distribution samples per replicate (default 5000)")
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sim.add_argument("--seed", type=int_range(0, UINT64_MAX), default=DEFAULT_SEED)
     p_sim.add_argument("--out", help="write the TSV report here instead of stdout")
     p_sim.set_defaults(func=_cmd_simulate)
     for threaded in (p_pairs, p_sim):
-        threaded.add_argument("--threads", type=positive_int, default=1,
+        threaded.add_argument("--threads", type=int_range(1), default=1,
                               help="worker threads (at least 1); results do not depend on the value")
 
     p_est = sub.add_parser("estimate-probs",

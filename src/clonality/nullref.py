@@ -3,9 +3,9 @@
 The conditional null fixes the observed mutated marker set E and resamples
 only the match indicators, each Bernoulli with the null match probability
 ``q_i = p_i / (2 - p_i)``. Markers sharing a probability are exchangeable,
-so the null works on per-probability match counts, grouped by
-:func:`~clonality.inference.group_by_probability` exactly as the observed
-fit groups them. Two sources yield count patterns in chunks of up to
+so the null works on per-probability match counts, over the groups that
+:func:`~clonality.inference.group_by_probability` makes once per pair and
+the observed fit shares. Two sources yield count patterns in chunks of up to
 ``_FIT_CHUNK`` rows, ``(patterns, weights, reps, sums)``, a pattern
 standing for ``reps`` atoms of weight ``weights``. For small E,
 :func:`_exact_patterns` enumerates all 2^|E| match vectors (up to
@@ -20,10 +20,18 @@ reaches the observed one, so the one decide-and-sum,
 pattern once its answer is proven. It returns the same float as
 :func:`p_value` on the null the one oracle, :func:`_fitted_null`, fits in
 full (:func:`exact_conditional_null`, :func:`sample_conditional_null`),
-which tests use as the reference. The unconditional null simulates whole
-tumor pairs over ``(p, n_markers)`` groups under zero clonality signal; it
-does not depend on the observed data, so a caller builds it once and
-passes it to every p-value.
+which tests use as the reference.
+
+:func:`counts_test` is the one test core: it takes a pair's match counts
+already grouped by probability, fits the observed statistic, chooses the
+exact or the Monte Carlo source and builds the :class:`TestResult`.
+:func:`conditional_data_test` groups a pair's markers once and calls it,
+:func:`conditional_test` first reduces an observation to markers, and the
+simulation harness calls it on the counts it draws.
+
+The unconditional null simulates whole tumor pairs over ``(p, n_markers)``
+groups under zero clonality signal; it does not depend on the observed
+data, so a caller builds it once and passes it to every p-value.
 
 Every null is a :class:`NullDistribution` of weighted atoms: an exact null
 weights each outcome vector by its probability, a Monte Carlo null each
@@ -49,7 +57,6 @@ from .inference import (
     ConditionalData,
     bound_tables,
     conditional_exceeds,
-    conditional_statistic,
     fit_conditional_batch,
     fit_unconditional_batch,
     group_by_probability,
@@ -144,17 +151,16 @@ def _distinct_rows(matched: np.ndarray, sizes: np.ndarray):
     return matched[first], counts
 
 
-def _drawn_patterns(ps: Sequence[float], n_sims: int, rng: RngStream):
+def _drawn_patterns(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
     """Distinct count patterns of ``n_sims`` null draws from stream ``rng``.
 
-    Draws one binomial column per distinct probability, ascending. Returns
-    ``(pg, sizes, chunks)``; ``chunks`` yields ``(patterns, ones, draws,
-    None)`` per ``_FIT_CHUNK`` patterns. Bound-table sums would leave about
-    half of the drawn patterns open and cost more time than they save.
+    Draws one binomial column per group of ``(pg, sizes)``, in order, and
+    yields ``(patterns, ones, draws, None)`` per ``_FIT_CHUNK`` patterns.
+    Bound-table sums would leave about half of the drawn patterns open and
+    cost more time than they save.
     """
     if n_sims < 1:
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
-    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     q0 = pg / (2.0 - pg)
     gen = rng.generator()
     matched = np.column_stack([gen.binomial(int(size), q, size=n_sims) for size, q in zip(sizes, q0)])
@@ -165,7 +171,7 @@ def _drawn_patterns(ps: Sequence[float], n_sims: int, rng: RngStream):
             rows = slice(start, start + _FIT_CHUNK)
             yield patterns[rows], np.ones(counts[rows].size), counts[rows], None
 
-    return pg, sizes, chunks()
+    return chunks()
 
 
 def _split_patterns(counts: Sequence[int]) -> list[np.ndarray]:
@@ -184,12 +190,12 @@ def _split_patterns(counts: Sequence[int]) -> list[np.ndarray]:
             for shape in (radix[:cut], radix[cut:])]
 
 
-def _exact_patterns(ps: Sequence[float], exact_max: int):
-    """Count patterns of the exact null, checked against the size limits.
+def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
+    """Count patterns of the exact null over groups ``(pg, sizes)``.
 
-    Raises before allocating anything when ``|E|`` exceeds ``exact_max`` or
-    2^|E| exceeds ``EXACT_ATOM_LIMIT``. Returns ``(pg, sizes, chunks)``;
-    ``chunks`` yields ``(patterns, weights, reps, sums)`` for up to
+    Raises before allocating anything when ``|E| = sizes.sum()`` exceeds
+    ``exact_max`` or 2^|E| exceeds ``EXACT_ATOM_LIMIT``. Yields
+    ``(patterns, weights, reps, sums)`` for up to
     ``_FIT_CHUNK`` patterns at a time, in one fixed order: the
     per-probability match counts, the product-Bernoulli mass of one match
     vector with those counts, the number of match vectors sharing them, and
@@ -202,19 +208,19 @@ def _exact_patterns(ps: Sequence[float], exact_max: int):
     chunk's patterns, whose rounding, and with it every p-value's, may
     depend on the batch, so the chunks stay those of the flat enumeration.
     """
-    if len(ps) > exact_max:
+    n = int(sizes.sum())
+    if n > exact_max:
         raise ClonalityError(
-            f"exact enumeration over {len(ps)} markers exceeds exact_max={exact_max}; "
+            f"exact enumeration over {n} markers exceeds exact_max={exact_max}; "
             "use Monte Carlo sampling instead"
         )
-    if 2 ** len(ps) > EXACT_ATOM_LIMIT:
+    if 2 ** n > EXACT_ATOM_LIMIT:
         raise ClonalityError(
-            f"exact enumeration over {len(ps)} markers needs 2^{len(ps)} = "
-            f"{2 ** len(ps):,} atoms, over the limit of {EXACT_ATOM_LIMIT:,}; lower "
+            f"exact enumeration over {n} markers needs 2^{n} = "
+            f"{2 ** n:,} atoms, over the limit of {EXACT_ATOM_LIMIT:,}; lower "
             f"--exact-max (exact_max) to {EXACT_ATOM_LIMIT.bit_length() - 1} or less "
             "so that larger sets use Monte Carlo sampling"
         )
-    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     q0 = pg / (2.0 - pg)
     counts = sizes.astype(int)
     choose = [np.array([math.comb(c, k) for k in range(c + 1)], dtype=np.int64) for c in counts]
@@ -250,7 +256,7 @@ def _exact_patterns(ps: Sequence[float], exact_max: int):
                    np.outer(lead_reps[rows], trail_reps).ravel()[span],
                    sums.reshape(sums.shape[0], -1)[:, span])
 
-    return pg, sizes, chunks()
+    return chunks()
 
 
 def _extreme_share(pg, sizes, chunks, threshold: float, total: float = 1.0) -> float:
@@ -289,6 +295,11 @@ def _fitted_null(pg, sizes, chunks, total: float = 1.0) -> NullDistribution:
                             np.repeat(np.concatenate(weights), reps), total)
 
 
+def _grouped(ps: Sequence[float]):
+    """``(pg, sizes)``: the distinct probabilities of ``ps`` and their marker counts."""
+    return group_by_probability(ps, np.ones(len(ps)))
+
+
 def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> NullDistribution:
     """Exact null: every match vector over E with its product-Bernoulli mass.
 
@@ -296,7 +307,8 @@ def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAU
     per-probability match counts share a statistic, so the fit cost is one
     per distinct count pattern.
     """
-    return _fitted_null(*_exact_patterns(ps, exact_max))
+    pg, sizes = _grouped(ps)
+    return _fitted_null(pg, sizes, _exact_patterns(pg, sizes, exact_max))
 
 
 def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) -> NullDistribution:
@@ -308,7 +320,8 @@ def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) ->
     are fitted (one fit per distinct pattern). The atoms, one per draw, come
     grouped by pattern in the patterns' sorted order, not in draw order.
     """
-    return _fitted_null(*_drawn_patterns(ps, n_sims, rng), n_sims)
+    pg, sizes = _grouped(ps)
+    return _fitted_null(pg, sizes, _drawn_patterns(pg, sizes, n_sims, rng), n_sims)
 
 
 def p_value(observed: float, null: NullDistribution) -> float:
@@ -326,7 +339,8 @@ def p_value(observed: float, null: NullDistribution) -> float:
 
 def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> float:
     """``p_value(observed, exact_conditional_null(ps, exact_max))``, deciding, not fitting."""
-    return _extreme_share(*_exact_patterns(ps, exact_max), observed - TIE_TOLERANCE)
+    pg, sizes = _grouped(ps)
+    return _extreme_share(pg, sizes, _exact_patterns(pg, sizes, exact_max), observed - TIE_TOLERANCE)
 
 
 def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: RngStream) -> float:
@@ -335,7 +349,9 @@ def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: 
     Like :func:`p_value`, this is the paper's b/n: 0 means that none of the
     ``n_sims`` draws reached the observed statistic, i.e. p < 1/n_sims.
     """
-    return _extreme_share(*_drawn_patterns(ps, n_sims, rng), observed - TIE_TOLERANCE, n_sims)
+    pg, sizes = _grouped(ps)
+    return _extreme_share(pg, sizes, _drawn_patterns(pg, sizes, n_sims, rng),
+                          observed - TIE_TOLERANCE, n_sims)
 
 
 def critical_value(null: NullDistribution, alpha: float) -> float:
@@ -357,53 +373,52 @@ def critical_value(null: NullDistribution, alpha: float) -> float:
     return float(distinct[idx])
 
 
-def conditional_data_test(
-    data: ConditionalData,
+def counts_test(
+    pg: np.ndarray,
+    sizes: np.ndarray,
+    matched: np.ndarray,
     *,
     sims: int = SIMS_DEFAULT,
     exact_max: int = EXACT_MAX_DEFAULT,
     seed: int = DEFAULT_SEED,
     stream_index: int = 0,
 ) -> TestResult:
-    """Conditional test of one pair's mutated markers and match indicators.
+    """Conditional test of one pair from its match counts grouped by probability.
 
-    Uses exact enumeration when ``|E| <= exact_max`` (set ``exact_max=0`` to
-    force Monte Carlo with ``sims`` draws from stream ``(seed,
-    stream_index)``).
+    ``pg``, ``sizes`` and ``matched`` (each shape (G,)) are the distinct
+    probabilities of the mutated set E, its markers per probability and the
+    matched ones among them, as :func:`~clonality.inference.group_by_probability`
+    returns them. Uses exact enumeration when ``|E| = sizes.sum() <=
+    exact_max`` (set ``exact_max=0`` to force Monte Carlo with ``sims``
+    draws from stream ``(seed, stream_index)``).
+    """
+    xi_hat, stat, _ = fit_conditional_batch(pg, sizes, matched[None, :])
+    statistic, n_union = float(stat[0]), int(sizes.sum())
+    if n_union <= exact_max:
+        method, n_sims, used_seed = "exact", 0, None
+        chunks, total = _exact_patterns(pg, sizes, exact_max), 1.0
+    else:
+        method, n_sims, used_seed = "monte-carlo", sims, seed
+        chunks, total = _drawn_patterns(pg, sizes, sims, RngStream(seed, stream_index)), sims
+    p = _extreme_share(pg, sizes, chunks, statistic - TIE_TOLERANCE, total)
+    return TestResult(statistic=statistic, xi_hat=float(xi_hat[0]), p_value=p, method=method,
+                      n_sims=n_sims, seed=used_seed, n_matches=int(matched.sum()), n_union=n_union)
+
+
+def conditional_data_test(data: ConditionalData, **options) -> TestResult:
+    """:func:`counts_test` of one pair's mutated markers and match indicators.
+
+    ``options`` are the keyword options of :func:`counts_test`.
     """
     if len(data) == 0:
         raise ValueError("no mutations observed; test undefined")
-    fit = conditional_statistic(data)
-    ps = [p for p, _ in data.markers]
-    if len(data) <= exact_max:
-        p = exact_p_value(fit.statistic, ps, exact_max)
-        method, n_sims, used_seed = "exact", 0, None
-    else:
-        p = monte_carlo_p_value(fit.statistic, ps, sims, RngStream(seed, stream_index))
-        method, n_sims, used_seed = "monte-carlo", sims, seed
-    return TestResult(
-        statistic=fit.statistic,
-        xi_hat=fit.xi_hat,
-        p_value=p,
-        method=method,
-        n_sims=n_sims,
-        seed=used_seed,
-        n_matches=sum(x for _, x in data.markers),
-        n_union=len(data),
-    )
+    return counts_test(*group_by_probability([p for p, _ in data.markers], np.ones(len(data)),
+                                             [x for _, x in data.markers]), **options)
 
 
-def conditional_test(
-    obs: PairObservation,
-    *,
-    sims: int = SIMS_DEFAULT,
-    exact_max: int = EXACT_MAX_DEFAULT,
-    seed: int = DEFAULT_SEED,
-    stream_index: int = 0,
-) -> TestResult:
+def conditional_test(obs: PairObservation, **options) -> TestResult:
     """End-to-end conditional test of one tumor pair, by :func:`conditional_data_test`."""
-    return conditional_data_test(ConditionalData.from_observation(obs), sims=sims,
-                                 exact_max=exact_max, seed=seed, stream_index=stream_index)
+    return conditional_data_test(ConditionalData.from_observation(obs), **options)
 
 
 def sample_unconditional_null(

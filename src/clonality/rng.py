@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+UINT64_MAX = (1 << 64) - 1
 
 # Default root seed used by the CLI when --seed is not given. Fixed (not
 # time-based) so repeated invocations are byte-identical.
@@ -32,9 +32,9 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.seed <= _MASK64):
+        if not (0 <= self.seed <= UINT64_MAX):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not (0 <= self.stream_index <= _MASK64):
+        if not (0 <= self.stream_index <= UINT64_MAX):
             raise ValueError(f"stream_index must be a 64-bit unsigned integer, got {self.stream_index}")
 
     def generator(self) -> np.random.Generator:

@@ -10,7 +10,10 @@ distribution), and reports rejection rates, randomization-calibrated
 rejection rates, and matching-mutation summaries. It works on per-group
 counts of the markers mutated in both tumors, in A only and in B only;
 marker labels exist only in :func:`sample_tumor_pair`, which draws the same
-pair from the same stream.
+pair from the same stream. Each pair's mutated markers, grouped by their
+analysis probabilities, go to :func:`~clonality.nullref.counts_test`; the
+unconditional statistics of a whole run, which shares one universe, come
+from one batched fit.
 
 Block generators honor per-block clonality: when a block's clonality draw
 comes up clonal the whole block outcome is copied to both tumors, otherwise
@@ -31,12 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .inference import (
-    ConditionalData,
-    UnconditionalSummary,
-    group_by_probability,
-    unconditional_statistic,
-)
+from .inference import fit_unconditional_batch, group_by_probability
 from .model import (
     MarkerCatalog,
     MutationProfile,
@@ -47,7 +45,7 @@ from .model import (
 from .nullref import (
     NullDistribution,
     calibrated_rejection,
-    conditional_data_test,
+    counts_test,
     p_value,
     sample_unconditional_null,
 )
@@ -453,8 +451,12 @@ def _replicate_arrays(
     Each pair is reduced to per-group (matched, single) counts. The groups
     are taken in the sort order of their marker labels, which is the order
     in which per-marker analysis probabilities meet the perturbation noise.
-    Unconditional p-values are taken against ``uncond_null`` when given,
-    and are 1 otherwise.
+    A replicate groups its mutated markers' analysis probabilities and
+    passes the counts to :func:`~clonality.nullref.counts_test`. Every
+    replicate of a run shares the universe ``(p, n_markers)``, so once all
+    are drawn one :func:`~clonality.inference.fit_unconditional_batch`
+    gives the run's unconditional statistics, whose p-values are taken
+    against ``uncond_null`` when given; they are 1 otherwise.
     """
     order = sorted(range(len(spec.groups)), key=lambda g: f"g{g}:")
     p = np.array([clamp_probability(spec.groups[g].p) for g in order])
@@ -466,39 +468,39 @@ def _replicate_arrays(
         drawn = _pair_markers(spec, RngStream(rng.seed, base + _ROLE_DATA))
         counts = np.array([[len(ids) for ids in drawn[g]] for g in order])
         matched, single = counts[:, 0], counts[:, 1] + counts[:, 2]
-        n_matches, n_single = int(matched.sum()), int(single.sum())
-        n_mut = 0.5 * (2 * n_matches + n_single)
-        pu = 1.0
-        if uncond_null is not None:
-            # defined for every pair; it does not condition on the mutated set
-            grouped = group_by_probability(p, n_markers, matched, single)
-            summary = UnconditionalSummary(tuple(zip(*grouped)))
-            pu = p_value(unconditional_statistic(summary).statistic, uncond_null)
-        if n_matches + n_single == 0:
+        n_matches, n = int(matched.sum()), int(counts.sum())
+        if n == 0:
             # conditional test undefined on an empty mutated set: never rejects
-            return 1.0, pu, 0.0, n_mut
+            return matched, single, 1.0
         ps = np.concatenate([np.repeat(p, matched), np.repeat(p, single)]).tolist()
         if pert.kind == "logit-noise":
             ps = perturb_probabilities_logit(ps, pert.sigma, RngStream(rng.seed, base + _ROLE_NOISE))
         elif pert.kind == "rare-inflation":
             ps = inflate_rare(ps, pert.factor, pert.threshold)
-        data = ConditionalData.from_pairs(zip(ps, [True] * n_matches + [False] * n_single))
-        result = conditional_data_test(
-            data,
+        result = counts_test(
+            *group_by_probability(ps, np.ones(n), np.arange(n) < n_matches),
             sims=spec.sims,
             exact_max=0,
             seed=rng.seed,
             stream_index=base + _ROLE_NULL_SAMPLER,
         )
-        return result.p_value, pu, float(n_matches), n_mut
+        return matched, single, result.p_value
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, range(spec.replicates)))
     else:
         results = [one(i) for i in range(spec.replicates)]
+    matched, single, pvals = (np.array(column, dtype=float) for column in zip(*results))
+    pu = np.ones(spec.replicates)
+    if uncond_null is not None:
+        # defined for every pair; it does not condition on the mutated set
+        pg, ng, *grouped = group_by_probability(p, n_markers, *matched, *single)
+        stats = fit_unconditional_batch(pg, ng, grouped[:spec.replicates], grouped[spec.replicates:])[1]
+        pu = np.array([p_value(stat, uncond_null) for stat in stats])
+    n_matches = matched.sum(axis=1)
     # p-values, unconditional p-values, matches, mutations per tumor
-    return tuple(np.array(column, dtype=float) for column in zip(*results))
+    return pvals, pu, n_matches, 0.5 * (2 * n_matches + single.sum(axis=1))
 
 
 def run_size_power(spec: ScenarioSpec, rng: RngStream, threads: int = 1) -> PowerReport:

@@ -214,6 +214,36 @@ def test_thread_count_below_one_is_usage_error(capsys, argv):
     assert code == 2 and "argument --threads: must be at least 1" in err
 
 
+RANGE_CHECKED = {
+    "test": ("test", "--mutations", T1_MUT, "--probs", T1_PROB, "--tumor-a", "T3",
+             "--tumor-b", "Left/Mucinous"),
+    "pairs": ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB),
+    "simulate": ("simulate", "--preset", "table2-m5", "--xi", "0", "--replicates", "2", "--sims", "5"),
+}
+OUT_OF_RANGE = [
+    ("test", ("--sims", "0"), "must be at least 1, got 0"),
+    ("pairs", ("--sims", "0"), "must be at least 1, got 0"),
+    ("pairs", ("--sims", "-5"), "must be at least 1, got -5"),
+    ("simulate", ("--sims", "0"), "must be at least 1, got 0"),
+    ("simulate", ("--replicates", "0"), "must be at least 1, got 0"),
+    ("test", ("--exact-max", "-1"), "must be at least 0, got -1"),
+    ("pairs", ("--exact-max", "-3"), "must be at least 0, got -3"),
+    ("test", ("--seed", "-1"), "must be at least 0, got -1"),
+    ("pairs", ("--seed", "-1"), "must be at least 0, got -1"),
+    ("pairs", ("--seed", str(2 ** 64)), f"must be at most {2 ** 64 - 1}, got {2 ** 64}"),
+    ("simulate", ("--seed", str(2 ** 64)), f"must be at most {2 ** 64 - 1}, got {2 ** 64}"),
+    ("pairs", ("--sims", "x"), "invalid int value: 'x'"),
+]
+
+
+@pytest.mark.parametrize("command, option, message", OUT_OF_RANGE,
+                         ids=[f"{c} {' '.join(o)}" for c, o, _ in OUT_OF_RANGE])
+def test_out_of_range_option_is_usage_error(capsys, command, option, message):
+    # checked at parse time, also where every pair of the input is exact
+    code, err = usage_error(capsys, *RANGE_CHECKED[command], *option)
+    assert code == 2 and f"argument {option[0]}: {message}" in err
+
+
 def test_cmd_pairs_single_tumor_rejected(tmp_path, capsys):
     single = tmp_path / "single.tsv"
     single.write_text("tumor\tmarker\nA\tKRAS G12D\n")

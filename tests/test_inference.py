@@ -13,6 +13,7 @@ from clonality.inference import (
     conditional_log_likelihood,
     conditional_statistic,
     fit_conditional_batch,
+    fit_unconditional_batch,
     group_by_probability,
     match_weight,
     mle_xi_conditional,
@@ -319,6 +320,38 @@ def test_fit_does_not_depend_on_its_batch(batch):
     assert np.array_equal(xi_sub, xi[subset]) and np.array_equal(stat_sub, stat[subset])
     for row in gen.choice(patterns.shape[0], 5):
         xi_one, stat_one, _ = fit_conditional_batch(pg, sizes, patterns[row])
+        assert xi_one[0] == xi[row] and stat_one[0] == stat[row]
+
+
+@st.composite
+def unconditional_batches(draw):
+    """Outcome counts of random pairs over up to 60 groups, at a random signal per row."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_groups = int(gen.integers(1, 61))
+    pg = np.sort(gen.uniform(1e-6, 0.5, n_groups))
+    n_markers = gen.integers(1, 5000, n_groups)
+    xi = gen.choice([0.0, 1.0, *gen.random(8)], (int(gen.integers(1, 1500)), 1))
+    both = xi * pg + (1 - xi) * pg * pg
+    single_given_not_both = 2 * (1 - xi) * pg * (1 - pg) / (1 - both)
+    matched = gen.binomial(n_markers, both)
+    single = gen.binomial(n_markers - matched, np.minimum(single_given_not_both, 1.0))
+    return pg, n_markers.astype(float), matched.astype(float), single.astype(float), gen
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(batch=unconditional_batches())
+def test_unconditional_fit_does_not_depend_on_its_batch(batch):
+    # the grid product is BLAS and only chooses each row's bracket
+    pg, n_markers, matched, single, gen = batch
+    xi, stat, _ = fit_unconditional_batch(pg, n_markers, matched, single)
+    perm = gen.permutation(matched.shape[0])
+    xi_perm, stat_perm, _ = fit_unconditional_batch(pg, n_markers, matched[perm], single[perm])
+    assert np.array_equal(xi_perm, xi[perm]) and np.array_equal(stat_perm, stat[perm])
+    subset = np.flatnonzero(gen.random(matched.shape[0]) < 0.3)
+    xi_sub, stat_sub, _ = fit_unconditional_batch(pg, n_markers, matched[subset], single[subset])
+    assert np.array_equal(xi_sub, xi[subset]) and np.array_equal(stat_sub, stat[subset])
+    for row in gen.choice(matched.shape[0], 5):
+        xi_one, stat_one, _ = fit_unconditional_batch(pg, n_markers, matched[row], single[row])
         assert xi_one[0] == xi[row] and stat_one[0] == stat[row]
 
 

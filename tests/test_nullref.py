@@ -143,7 +143,8 @@ def test_observed_pattern_atom_reproduces_observed_statistic():
     for trial in range(30):
         ps, matched = random_case(gen, shared=trial % 2 == 1)
         s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
-        pg, sizes, chunks = nullref._exact_patterns(ps, 20)
+        pg, sizes = group_by_probability(ps, np.ones(len(ps)))
+        chunks = nullref._exact_patterns(pg, sizes, 20)
         counts = [sum(x for p, x in zip(ps, matched) if p == g) for g in pg]
         for patterns, *_ in chunks:
             row = np.flatnonzero((patterns == counts).all(axis=1))
@@ -165,7 +166,8 @@ def test_exact_p_value_over_several_chunks_and_a_split(monkeypatch):
         else:
             ps = list(gen.uniform(0.002, 0.3, m))
         matched = list(gen.random(m) < gen.uniform(0.1, 0.6))
-        pg, sizes, chunks = nullref._exact_patterns(ps, 20)
+        pg, sizes = group_by_probability(ps, np.ones(len(ps)))
+        chunks = nullref._exact_patterns(pg, sizes, 20)
         lead, trail = nullref._split_patterns(sizes.astype(int))
         assert lead.shape[1] and trail.shape[1]
         shape = tuple(sizes.astype(int) + 1)
@@ -188,7 +190,7 @@ def test_bound_tables_settle_most_exact_patterns():
         ps = list(gen.choice(gen.uniform(0.002, 0.3, 4), 14) if shared else gen.uniform(0.002, 0.3, 14))
         matched = list(gen.random(14) < 0.3)
         s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
-        _, _, chunks = nullref._exact_patterns(ps, 20)
+        chunks = nullref._exact_patterns(*group_by_probability(ps, np.ones(len(ps))), 20)
         settled = [settle_by_bounds(sums, s_obs - nullref.TIE_TOLERANCE) for *_, sums in chunks]
         n_patterns = sum(extreme.size for extreme, _ in settled)
         assert sum(open_rows.size for _, open_rows in settled) < 0.15 * n_patterns
@@ -252,7 +254,8 @@ def test_monte_carlo_p_value_equals_p_value_of_sampled_null():
 def test_monte_carlo_p_value_over_several_chunks(monkeypatch):
     monkeypatch.setattr(nullref, "_FIT_CHUNK", 1000)
     ps = list(np.linspace(0.3, 0.8, 16))
-    _, _, chunks = nullref._drawn_patterns(ps, 20_000, RngStream(8))
+    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
+    chunks = nullref._drawn_patterns(pg, sizes, 20_000, RngStream(8))
     assert sum(patterns.shape[0] for patterns, *_ in chunks) > 3 * nullref._FIT_CHUNK
     null = sample_conditional_null(ps, 20_000, RngStream(8))
     for q in (0.5, 0.9, 0.999):

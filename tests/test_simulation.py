@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from clonality import nullref, simulation
-from clonality.inference import ConditionalData, UnconditionalSummary, unconditional_statistic
+from clonality.inference import (
+    ConditionalData,
+    UnconditionalSummary,
+    fit_unconditional_batch,
+    group_by_probability,
+)
 from clonality.model import derive_pair_observation
 from clonality.rng import RngStream
 from clonality.simulation import (
@@ -357,36 +362,40 @@ def test_harness_counts_equal_labelled_pairs(monkeypatch, perturbation):
     # the harness works on per-group counts; the labelled profiles of
     # sample_tumor_pair on the same streams must give the same analysis inputs
     spec = mixed_spec(perturbation)
-    seen_data, seen_summaries = {}, []
+    seen_counts, seen_batches = {}, []
 
-    def conditional(data, **kwargs):
-        seen_data[kwargs["stream_index"]] = data
-        return nullref.conditional_data_test(data, **kwargs)
+    def conditional(pg, sizes, matched, **kwargs):
+        seen_counts[kwargs["stream_index"]] = (pg, sizes, matched)
+        return nullref.counts_test(pg, sizes, matched, **kwargs)
 
-    def unconditional(summary):
-        seen_summaries.append(summary)
-        return unconditional_statistic(summary)
+    def unconditional(pg, n_markers, matched, single):
+        seen_batches.append((pg, n_markers, matched, single))
+        return fit_unconditional_batch(pg, n_markers, matched, single)
 
-    monkeypatch.setattr(simulation, "conditional_data_test", conditional)
-    monkeypatch.setattr(simulation, "unconditional_statistic", unconditional)
+    monkeypatch.setattr(simulation, "counts_test", conditional)
+    monkeypatch.setattr(simulation, "fit_unconditional_batch", unconditional)
     rng = RngStream(57, 3)
     _, _, matches, _ = simulation._replicate_arrays(
         spec, rng, 0, 1, nullref.sample_unconditional_null([(0.1, 1)], 10, RngStream(0)))
     assert matches.sum() > 0
+    [(pg, n_markers, uncond_matched, uncond_single)] = seen_batches  # one batch per run
 
     catalog = scenario_catalog(spec)
     for i in range(spec.replicates):
         base = rng.stream_index + i * simulation._STRIDE
         a, b = sample_tumor_pair(spec, RngStream(rng.seed, base + simulation._ROLE_DATA))
-        assert seen_summaries[i] == labelled_summary(a, b, catalog)
+        rows = tuple(zip(pg, n_markers, uncond_matched[i], uncond_single[i]))
+        assert UnconditionalSummary(rows) == labelled_summary(a, b, catalog)
         obs = derive_pair_observation(a, b, catalog)
-        data = seen_data.pop(base + simulation._ROLE_NULL_SAMPLER, None)
+        counts = seen_counts.pop(base + simulation._ROLE_NULL_SAMPLER, None)
         if obs.union_size == 0:
-            assert data is None
+            assert counts is None
             continue
-        noise = RngStream(rng.seed, base + simulation._ROLE_NOISE)
-        assert data == labelled_data(obs, perturbation, noise)
-    assert not seen_data
+        data = labelled_data(obs, perturbation, RngStream(rng.seed, base + simulation._ROLE_NOISE))
+        want = group_by_probability([p for p, _ in data.markers], np.ones(len(data)),
+                                    [x for _, x in data.markers])
+        assert all(np.array_equal(got, col) for got, col in zip(counts, want, strict=True))
+    assert not seen_counts
 
 
 def test_comparison_null_universe_uses_clamped_probabilities(monkeypatch):

@@ -1,0 +1,112 @@
+"""Print the outputs that a refactor of the test or the harness must keep bit for bit.
+
+    python3 tools/pinned_outputs.py > change.tsv
+
+Each line is ``name<TAB>repr(value)``. Floats print by ``repr``, which
+round-trips, and numpy scalars print with their type, so a ``diff`` of two
+checkouts' outputs shows every moved bit. The package is imported from the
+``src/`` next to this file. The run is deterministic and takes well under a
+minute on a 2-vCPU machine.
+
+Covered: the CLI ``test`` bytes of the Table 1 pair; ``pairs`` on the
+Table 5 files, exact and Monte Carlo, at 1 and 3 threads; ``run_size_power``
+for every preset kind at xi 0 and 0.25 over three seeds, and once at 3
+threads; ``run_calibrated_comparison`` at 1 and 3 threads; 64
+``conditional_data_test`` results, exact and Monte Carlo, on distinct and
+shared probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
+observed statistic s, at s/2 and at one ulp above s.
+"""
+
+import contextlib
+import dataclasses
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from clonality import cli  # noqa: E402
+from clonality.inference import ConditionalData, conditional_statistic  # noqa: E402
+from clonality.nullref import conditional_data_test, exact_p_value, monte_carlo_p_value  # noqa: E402
+from clonality.rng import RngStream  # noqa: E402
+from clonality.simulation import preset_scenario, run_calibrated_comparison, run_size_power  # noqa: E402
+
+FIXTURES = ROOT / "tests" / "fixtures"
+PRESETS = ("table2-m5", "table2-m10", "table2-m20", "table3-noise", "table3-inflate",
+           "table4-exclusive", "table4-corr(0.3)", "table4-corr(0.9)")
+
+
+def emit(name, value):
+    print(f"{name}\t{value!r}")
+
+
+def cli_output(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_values():
+    t1 = ("--mutations", str(FIXTURES / "table1_mutations.tsv"),
+          "--probs", str(FIXTURES / "table1_probs.tsv"))
+    emit("cli test T3/Left-Mucinous", cli_output("test", *t1, "--tumor-a", "T3",
+                                                  "--tumor-b", "Left/Mucinous"))
+    t5 = ("pairs", "--mutations", str(FIXTURES / "table5_mutations.tsv"),
+          "--probs", str(FIXTURES / "table5_probs.tsv"))
+    for threads in ("1", "3"):
+        emit(f"cli pairs exact threads={threads}", cli_output(*t5, "--threads", threads))
+        emit(f"cli pairs mc threads={threads}",
+             cli_output(*t5, "--exact-max", "0", "--sims", "3000", "--threads", threads))
+
+
+def harness_values():
+    for name in PRESETS:
+        for xi in (0.0, 0.25):
+            spec = dataclasses.replace(preset_scenario(name, xi), replicates=20, sims=200)
+            for seed in (1, 2, 3):
+                emit(f"run_size_power {name} xi={xi} seed={seed}", run_size_power(spec, RngStream(seed)))
+    spec = dataclasses.replace(preset_scenario("table3-noise", 0.25), replicates=20, sims=200)
+    emit("run_size_power table3-noise xi=0.25 seed=4 threads=3",
+         run_size_power(spec, RngStream(4), threads=3))
+    spec = dataclasses.replace(preset_scenario("table2-m5", 0.25), replicates=60, sims=300)
+    for threads in (1, 3):
+        emit(f"run_calibrated_comparison table2-m5 threads={threads}",
+             run_calibrated_comparison(spec, RngStream(5), threads=threads))
+
+
+def random_case(gen, size, shared):
+    """(probabilities, match indicators) of a random pair with |E| = size."""
+    if shared:
+        ps = gen.choice(gen.uniform(0.002, 0.5, int(gen.integers(1, 6))), size)
+    else:
+        ps = gen.uniform(0.002, 0.5, size)
+    # about as many matches as the null gives, so that p-values spread over (0, 1]
+    q = ps / (2.0 - ps) * gen.uniform(0.5, 3.0)
+    return [float(p) for p in ps], [bool(x) for x in gen.random(size) < q]
+
+
+def conditional_values():
+    gen = np.random.default_rng(20151117)
+    for k in range(64):
+        size = int(gen.integers(1, 17) if k % 2 == 0 else gen.integers(21, 36))
+        ps, matched = random_case(gen, size, shared=k % 4 >= 2)
+        data = ConditionalData.from_pairs(zip(ps, matched))
+        result = conditional_data_test(data, sims=(1, 500, 4000)[k % 3], seed=k)
+        emit(f"conditional_data_test case={k}", result)
+        s = conditional_statistic(data).statistic
+        for label, threshold in (("s", s), ("s/2", s / 2), ("s+ulp", float(np.nextafter(s, np.inf)))):
+            if size <= 16:
+                emit(f"exact_p_value case={k} at {label}", exact_p_value(threshold, ps))
+            else:
+                emit(f"monte_carlo_p_value case={k} at {label}",
+                     monte_carlo_p_value(threshold, ps, 2000, RngStream(k, 7)))
+
+
+if __name__ == "__main__":
+    cli_values()
+    harness_values()
+    conditional_values()
