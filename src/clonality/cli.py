@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate-probs",
                            help="pool cohort counts into marginal probabilities")
     p_est.add_argument("--counts", required=True, help="counts-mode probability TSV")
-    p_est.add_argument("--study-size", type=int, default=None, dest="study_size",
+    p_est.add_argument("--study-size", type=int_range(0), default=None, dest="study_size",
                        help="study cohort size for rows with an empty study_total")
     p_est.set_defaults(func=_cmd_estimate_probs)
     return parser

@@ -29,7 +29,7 @@ import math
 import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,6 +108,10 @@ class Perturbation:
             raise ValueError("logit-noise requires sigma > 0")
         if self.kind == "rare-inflation" and self.factor <= 1.0:
             raise ValueError("rare-inflation requires factor > 1")
+        if self.kind != "logit-noise" and self.sigma != 0.0:
+            raise ValueError(f"sigma is only read by logit-noise, got {self.sigma}")
+        if self.kind != "rare-inflation" and (self.factor, self.threshold) != (1.0, 0.01):
+            raise ValueError("factor and threshold are only read by rare-inflation")
 
 
 @dataclass(frozen=True)
@@ -156,44 +160,21 @@ class CalibratedComparison:
 
 
 def scenario_to_json_dict(spec: ScenarioSpec) -> dict:
-    """Field-for-field JSON image of a scenario."""
-    return {
-        "groups": [
-            {"kind": g.kind, "n_markers": g.n_markers, "p": g.p, "rho": g.rho}
-            for g in spec.groups
-        ],
-        "xi": spec.xi,
-        "perturbation": {
-            "kind": spec.perturbation.kind,
-            "sigma": spec.perturbation.sigma,
-            "factor": spec.perturbation.factor,
-            "threshold": spec.perturbation.threshold,
-        },
-        "replicates": spec.replicates,
-        "sims": spec.sims,
-        "alpha": spec.alpha,
-    }
+    """JSON image of a scenario: its dataclass fields, in field order."""
+    return {**asdict(spec), "groups": [asdict(g) for g in spec.groups]}
 
 
 def scenario_from_json_dict(doc: dict) -> ScenarioSpec:
-    groups = tuple(
-        MarkerGroup(kind=g["kind"], n_markers=g["n_markers"], p=g["p"], rho=g.get("rho", 0.0))
-        for g in doc["groups"]
-    )
-    pert = doc.get("perturbation", {"kind": "none"})
-    return ScenarioSpec(
-        groups=groups,
-        xi=doc["xi"],
-        perturbation=Perturbation(
-            kind=pert.get("kind", "none"),
-            sigma=pert.get("sigma", 0.0),
-            factor=pert.get("factor", 1.0),
-            threshold=pert.get("threshold", 0.01),
-        ),
-        replicates=doc.get("replicates", 1000),
-        sims=doc.get("sims", 5000),
-        alpha=doc.get("alpha", 0.05),
-    )
+    """Scenario from its JSON image.
+
+    An omitted field takes its dataclass default; an unknown key raises the
+    constructor's ``TypeError``, which names it.
+    """
+    return ScenarioSpec(**{
+        **doc,
+        "groups": [MarkerGroup(**g) for g in doc["groups"]],
+        "perturbation": Perturbation(**doc.get("perturbation", {})),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -503,21 +484,28 @@ def _replicate_arrays(
     return pvals, pu, n_matches, 0.5 * (2 * n_matches + single.sum(axis=1))
 
 
+def _paired_runs(spec: ScenarioSpec, rng: RngStream, threads: int,
+                 uncond_null: Optional[NullDistribution] = None):
+    """A run of ``spec`` and its calibration run, as two ``_replicate_arrays`` results.
+
+    The calibration run is the same scenario at xi = 0, drawn from the same
+    seed at streams offset by ``_NULL_RUN_OFFSET``; a zero-signal scenario is
+    its own calibration run.
+    """
+    run = _replicate_arrays(spec, rng, 0, threads, uncond_null)
+    if spec.xi == 0.0:
+        return run, run
+    return run, _replicate_arrays(replace(spec, xi=0.0), rng, _NULL_RUN_OFFSET, threads, uncond_null)
+
+
 def run_size_power(spec: ScenarioSpec, rng: RngStream, threads: int = 1) -> PowerReport:
     """Estimate size (xi = 0) or power of the conditional test.
 
-    The calibrated rate re-thresholds the observed p-values against a
-    matching zero-signal run (same seed, disjoint streams) so the null
-    rejection rate is exactly ``alpha``; for a zero-signal scenario the run
-    calibrates against itself and the calibrated rate is ``alpha`` by
-    construction.
+    The calibrated rate re-thresholds the observed p-values against the
+    calibration run of :func:`_paired_runs`, so that the null rejection rate
+    is exactly ``alpha``.
     """
-    pvals, _, matches, mutations = _replicate_arrays(spec, rng, 0, threads)
-    if spec.xi == 0.0:
-        null_pvals = pvals
-    else:
-        null_spec = replace(spec, xi=0.0)
-        null_pvals = _replicate_arrays(null_spec, rng, _NULL_RUN_OFFSET, threads)[0]
+    (pvals, _, matches, mutations), (null_pvals, *_) = _paired_runs(spec, rng, threads)
     rule = calibrated_rejection(null_pvals, pvals, spec.alpha)
     return PowerReport(
         rejection_rate=float(np.mean(pvals <= spec.alpha)),
@@ -533,7 +521,8 @@ def run_calibrated_comparison(
 ) -> CalibratedComparison:
     """Calibrated power of the conditional test vs the unconditional test.
 
-    Both tests see the same simulated pairs. The unconditional reference
+    Both tests see the same simulated pairs, and both are calibrated against
+    the calibration run of :func:`_paired_runs`. The unconditional reference
     distribution does not depend on the observed data, so it is built once
     over the scenario's universe and shared by every replicate of both
     runs. Defined for correctly specified scenarios only.
@@ -544,12 +533,7 @@ def run_calibrated_comparison(
         [clamp_probability(g.p) for g in spec.groups], [g.n_markers for g in spec.groups])))
     uncond_null = sample_unconditional_null(
         universe, spec.sims, RngStream(rng.seed, rng.stream_index + _UNCOND_NULL_STREAM))
-    alt_c, alt_u, _, _ = _replicate_arrays(spec, rng, 0, threads, uncond_null)
-    if spec.xi == 0.0:
-        null_c, null_u = alt_c, alt_u
-    else:
-        null_spec = replace(spec, xi=0.0)
-        null_c, null_u, _, _ = _replicate_arrays(null_spec, rng, _NULL_RUN_OFFSET, threads, uncond_null)
+    (alt_c, alt_u, _, _), (null_c, null_u, _, _) = _paired_runs(spec, rng, threads, uncond_null)
     rule_c = calibrated_rejection(null_c, alt_c, spec.alpha)
     rule_u = calibrated_rejection(null_u, alt_u, spec.alpha)
     return CalibratedComparison(

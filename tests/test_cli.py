@@ -219,6 +219,7 @@ RANGE_CHECKED = {
              "--tumor-b", "Left/Mucinous"),
     "pairs": ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB),
     "simulate": ("simulate", "--preset", "table2-m5", "--xi", "0", "--replicates", "2", "--sims", "5"),
+    "estimate-probs": ("estimate-probs", "--counts", COUNTS),
 }
 OUT_OF_RANGE = [
     ("test", ("--sims", "0"), "must be at least 1, got 0"),
@@ -233,6 +234,8 @@ OUT_OF_RANGE = [
     ("pairs", ("--seed", str(2 ** 64)), f"must be at most {2 ** 64 - 1}, got {2 ** 64}"),
     ("simulate", ("--seed", str(2 ** 64)), f"must be at most {2 ** 64 - 1}, got {2 ** 64}"),
     ("pairs", ("--sims", "x"), "invalid int value: 'x'"),
+    ("estimate-probs", ("--study-size", "-5"), "must be at least 0, got -5"),
+    ("estimate-probs", ("--study-size", "-1"), "must be at least 0, got -1"),
 ]
 
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -168,12 +170,71 @@ def test_preset_unknown_name():
         preset_scenario("table9-m5", 0.0)
 
 
+PRESET_KINDS = ("table2-m5", "table2-m10", "table2-m20", "table3-noise", "table3-inflate",
+                "table4-exclusive", "table4-corr(0.3)", "table4-corr(0.9)")
+
+
 def test_scenario_json_round_trip():
     spec = preset_scenario("table4-corr(0.3)", 0.25)
     doc = scenario_to_json_dict(spec)
     assert scenario_from_json_dict(doc) == spec
     noise = dataclasses.replace(preset_scenario("table3-noise", 0.1), replicates=7)
     assert scenario_from_json_dict(scenario_to_json_dict(noise)) == noise
+    for name in PRESET_KINDS:
+        spec = preset_scenario(name, 0.25)
+        assert scenario_from_json_dict(scenario_to_json_dict(spec)) == spec, name
+
+
+def test_scenario_json_image_is_the_fields_in_order():
+    spec = ScenarioSpec(
+        groups=(
+            MarkerGroup("independent", 50, 0.1),
+            MarkerGroup("exclusive-block", 10, 0.05),
+            MarkerGroup("equicorrelated-block", 8, 0.2, rho=0.5),
+        ),
+        xi=0.3,
+        perturbation=Perturbation("rare-inflation", factor=10.0, threshold=0.02),
+        replicates=7,
+        sims=11,
+        alpha=0.1,
+    )
+    expected = {
+        "groups": [
+            {"kind": "independent", "n_markers": 50, "p": 0.1, "rho": 0.0},
+            {"kind": "exclusive-block", "n_markers": 10, "p": 0.05, "rho": 0.0},
+            {"kind": "equicorrelated-block", "n_markers": 8, "p": 0.2, "rho": 0.5},
+        ],
+        "xi": 0.3,
+        "perturbation": {"kind": "rare-inflation", "sigma": 0.0, "factor": 10.0, "threshold": 0.02},
+        "replicates": 7,
+        "sims": 11,
+        "alpha": 0.1,
+    }
+    doc = scenario_to_json_dict(spec)
+    assert doc == expected
+    assert json.dumps(doc) == json.dumps(expected)  # key order, at every level
+
+
+def test_scenario_json_defaults_and_unknown_keys():
+    doc = {"groups": [{"kind": "independent", "n_markers": 5, "p": 0.1}], "xi": 0.2}
+    before = copy.deepcopy(doc)
+    assert scenario_from_json_dict(doc) == ScenarioSpec(
+        groups=(MarkerGroup("independent", 5, 0.1, rho=0.0),),
+        xi=0.2,
+        perturbation=Perturbation("none", sigma=0.0, factor=1.0, threshold=0.01),
+        replicates=1000,
+        sims=5000,
+        alpha=0.05,
+    )
+    typos = [
+        ("replicate", {**doc, "replicate": 10}),
+        ("rh0", {**doc, "groups": [{**doc["groups"][0], "rh0": 0.3}]}),
+        ("sigm", {**doc, "perturbation": {"kind": "logit-noise", "sigm": 0.5}}),
+    ]
+    for key, typo in typos:
+        with pytest.raises(TypeError, match=f"'{key}'"):
+            scenario_from_json_dict(typo)
+    assert doc == before
 
 
 # --- generators ----------------------------------------------------------------
@@ -475,3 +536,17 @@ def test_scenario_spec_validation():
         Perturbation("logit-noise", sigma=0.0)
     with pytest.raises(ValueError):
         Perturbation("rare-inflation", factor=1.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind="none", sigma=0.5), "sigma is only read by logit-noise"),
+    (dict(kind="rare-inflation", sigma=0.5, factor=10.0), "sigma is only read by logit-noise"),
+    (dict(kind="none", factor=2.0), "only read by rare-inflation"),
+    (dict(kind="none", threshold=0.02), "only read by rare-inflation"),
+    (dict(kind="logit-noise", sigma=0.5, factor=10.0), "only read by rare-inflation"),
+    (dict(kind="logit-noise", sigma=0.5, threshold=0.05), "only read by rare-inflation"),
+], ids=["none sigma", "rare-inflation sigma", "none factor", "none threshold",
+        "logit-noise factor", "logit-noise threshold"])
+def test_perturbation_rejects_a_field_its_kind_does_not_read(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Perturbation(**fields)

@@ -14,12 +14,15 @@ for every preset kind at xi 0 and 0.25 over three seeds, and once at 3
 threads; ``run_calibrated_comparison`` at 1 and 3 threads; 64
 ``conditional_data_test`` results, exact and Monte Carlo, on distinct and
 shared probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
-observed statistic s, at s/2 and at one ulp above s.
+observed statistic s, at s/2 and at one ulp above s; for every preset kind
+at xi 0.25, the ``json.dumps`` of ``scenario_to_json_dict`` and whether
+``scenario_from_json_dict`` gives the scenario back.
 """
 
 import contextlib
 import dataclasses
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -32,7 +35,13 @@ from clonality import cli  # noqa: E402
 from clonality.inference import ConditionalData, conditional_statistic  # noqa: E402
 from clonality.nullref import conditional_data_test, exact_p_value, monte_carlo_p_value  # noqa: E402
 from clonality.rng import RngStream  # noqa: E402
-from clonality.simulation import preset_scenario, run_calibrated_comparison, run_size_power  # noqa: E402
+from clonality.simulation import (  # noqa: E402
+    preset_scenario,
+    run_calibrated_comparison,
+    run_size_power,
+    scenario_from_json_dict,
+    scenario_to_json_dict,
+)
 
 FIXTURES = ROOT / "tests" / "fixtures"
 PRESETS = ("table2-m5", "table2-m10", "table2-m20", "table3-noise", "table3-inflate",
@@ -78,6 +87,13 @@ def harness_values():
              run_calibrated_comparison(spec, RngStream(5), threads=threads))
 
 
+def scenario_values():
+    for name in PRESETS:
+        spec = preset_scenario(name, 0.25)
+        doc = scenario_to_json_dict(spec)
+        emit(f"scenario json {name}", (json.dumps(doc), scenario_from_json_dict(doc) == spec))
+
+
 def random_case(gen, size, shared):
     """(probabilities, match indicators) of a random pair with |E| = size."""
     if shared:
@@ -110,3 +126,4 @@ if __name__ == "__main__":
     cli_values()
     harness_values()
     conditional_values()
+    scenario_values()
