@@ -5,9 +5,11 @@ File formats (tab-separated, mandatory header line, ``#`` comments ignored):
 * mutations file: columns ``tumor`` and ``marker``, one observed mutation per
   row. A row with an empty or missing marker field declares a tumor with no
   observed mutations (it appears in ``pairs`` output as NA).
-* probability file: either columns ``marker``/``probability``, or counts mode
-  with columns ``marker``/``ref_mutated``/``ref_total``/``study_mutated``/
-  ``study_total`` (probabilities are then pooled frequencies).
+* probability file: one row per marker, each marker once, either with columns
+  ``marker``/``probability``, or in counts mode with columns ``marker``/
+  ``ref_mutated``/``ref_total``/``study_mutated``/``study_total``
+  (probabilities are then pooled frequencies; ``estimate-probs`` writes them
+  out as a ``marker``/``probability`` file).
 
 Exit codes: 0 success; 2 parse/validation problem; 3 unknown tumor id.
 All randomness is governed by ``--seed`` (a fixed documented constant by
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 
 from .errors import CatalogMissError, ClonalityError, FileFormatError, UnknownTumorError
 from .model import MarkerCatalog, MutationProfile, derive_pair_observation
-from .nullref import EXACT_MAX_DEFAULT, SIMS_DEFAULT, TestResult, conditional_test
+from .nullref import EXACT_MAX_DEFAULT, SIMS_DEFAULT, conditional_test
 from .priors import FrequencyRecord, estimate_marginal_probability
 from .rng import DEFAULT_SEED, UINT64_MAX, RngStream
 from .simulation import PRESET_NAMES, preset_scenario, run_size_power
@@ -117,72 +119,69 @@ def _parse_int(path: str, lineno: int, text: str, name: str) -> int:
         raise FileFormatError(path, lineno, f"non-integer {name}: {text!r}") from None
 
 
-def read_counts_file(
-    path: str,
-    default_study_total: Optional[int] = None,
-    missing_total: str = "empty study_total and no --study-size given",
-) -> list[FrequencyRecord]:
-    """Counts-mode probability file; empty study_total cells inherit the default.
+def _marker_rows(path: str, rows, width: int):
+    """Yield (line number, marker, fields) per data row of a marker table.
 
-    Without a default, an empty cell raises ``FileFormatError`` with the
-    message ``missing_total``.
+    Every row has ``width`` fields and a non-empty marker, and no marker
+    comes twice; the first row that breaks a rule raises ``FileFormatError``.
     """
-    rows = _read_rows(path)
-    _parse_header(path, rows, _COUNT_HEADER)
-    records = []
     seen = set()
     for lineno, fields in rows:
-        if len(fields) != 5:
-            raise FileFormatError(path, lineno, f"expected 5 fields, got {len(fields)}")
+        if len(fields) != width:
+            raise FileFormatError(path, lineno, f"expected {width} fields, got {len(fields)}")
         marker = fields[0].strip()
         if not marker:
             raise FileFormatError(path, lineno, "empty marker id")
         if marker in seen:
             raise FileFormatError(path, lineno, f"duplicate marker: {marker}")
         seen.add(marker)
+        yield lineno, marker, fields
+
+
+def read_counts_file(
+    path: str,
+    default_study_total: Optional[int] = None,
+    missing_total: str = "empty study_total and no --study-size given",
+) -> dict[str, float]:
+    """Counts-mode probability file pooled into marker -> probability.
+
+    Each row is pooled by ``estimate_marginal_probability``. Empty
+    study_total cells inherit the default; without one, an empty cell raises
+    ``FileFormatError`` with the message ``missing_total``.
+    """
+    rows = _read_rows(path)
+    _parse_header(path, rows, _COUNT_HEADER)
+    probabilities: dict[str, float] = {}
+    for lineno, marker, fields in _marker_rows(path, rows, 5):
         study_total_text = fields[4].strip()
-        if not study_total_text:
-            if default_study_total is None:
-                raise FileFormatError(path, lineno, missing_total)
-            study_total = default_study_total
-        else:
-            study_total = _parse_int(path, lineno, study_total_text, "study_total")
+        if not study_total_text and default_study_total is None:
+            raise FileFormatError(path, lineno, missing_total)
+        study_total = (_parse_int(path, lineno, study_total_text, "study_total")
+                       if study_total_text else default_study_total)
         try:
-            record = FrequencyRecord(
+            probabilities[marker] = estimate_marginal_probability(FrequencyRecord(
                 marker=marker,
                 ref_mutated=_parse_int(path, lineno, fields[1], "ref_mutated"),
                 ref_total=_parse_int(path, lineno, fields[2], "ref_total"),
                 study_mutated=_parse_int(path, lineno, fields[3], "study_mutated"),
                 study_total=study_total,
-            )
+            ))
         except ValueError as exc:
             raise FileFormatError(path, lineno, str(exc)) from None
-        if record.ref_total + record.study_total == 0:
-            raise FileFormatError(path, lineno, f"no cohort observations for marker {marker!r}")
-        records.append(record)
-    if not records:
+    if not probabilities:
         raise FileFormatError(path, 0, "no count records found")
-    return records
+    return probabilities
 
 
 def read_probability_file(path: str) -> MarkerCatalog:
     """Probability file in either mode, reduced to a catalog."""
     rows = _read_rows(path)
-    header = _parse_header(path, rows, _PROB_HEADER, _COUNT_HEADER)
-    if header == _COUNT_HEADER:
-        records = read_counts_file(
+    if _parse_header(path, rows, _PROB_HEADER, _COUNT_HEADER) == _COUNT_HEADER:
+        return MarkerCatalog(read_counts_file(
             path, missing_total="empty study_total; fill it in, or pool the file first "
-                                "with estimate-probs --study-size N")
-        return MarkerCatalog({r.marker: estimate_marginal_probability(r) for r in records})
+                                "with estimate-probs --study-size N"))
     entries: dict[str, float] = {}
-    for lineno, fields in rows:
-        if len(fields) != 2:
-            raise FileFormatError(path, lineno, f"expected 2 fields, got {len(fields)}")
-        marker = fields[0].strip()
-        if not marker:
-            raise FileFormatError(path, lineno, "empty marker id")
-        if marker in entries:
-            raise FileFormatError(path, lineno, f"duplicate marker: {marker}")
+    for lineno, marker, fields in _marker_rows(path, rows, 2):
         try:
             p = float(fields[1])
         except ValueError:
@@ -199,21 +198,6 @@ def _profile(tumors: dict[str, set[str]], tumor_id: str) -> MutationProfile:
     if tumor_id not in tumors:
         raise UnknownTumorError(tumor_id)
     return MutationProfile(tumor_id, frozenset(tumors[tumor_id]))
-
-
-def _result_payload(tumor_a: str, tumor_b: str, result: TestResult) -> dict:
-    return {
-        "tumor_a": tumor_a,
-        "tumor_b": tumor_b,
-        "n_union": result.n_union,
-        "n_matches": result.n_matches,
-        "xi_hat": result.xi_hat,
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "method": result.method,
-        "n_sims": result.n_sims,
-        "seed": result.seed,
-    }
 
 
 def _cmd_test(args) -> int:
@@ -233,7 +217,8 @@ def _cmd_test(args) -> int:
     result = conditional_test(
         obs, sims=args.sims, exact_max=args.exact_max, seed=args.seed
     )
-    print(json.dumps(_result_payload(args.tumor_a, args.tumor_b, result), indent=2))
+    print(json.dumps({"tumor_a": args.tumor_a, "tumor_b": args.tumor_b,
+                      **dataclasses.asdict(result)}, indent=2))
     return EXIT_OK
 
 
@@ -306,10 +291,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate_probs(args) -> int:
-    records = read_counts_file(args.counts, default_study_total=args.study_size)
-    lines = ["marker\tprobability"]
-    lines += [f"{r.marker}\t{estimate_marginal_probability(r)}" for r in records]
-    print("\n".join(lines))
+    probabilities = read_counts_file(args.counts, default_study_total=args.study_size)
+    print("\n".join(["\t".join(_PROB_HEADER)] + [f"{m}\t{p}" for m, p in probabilities.items()]))
     return EXIT_OK
 
 

@@ -107,16 +107,16 @@ class NullDistribution:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one clonal-relatedness test."""
+    """Outcome of one clonal-relatedness test; the fields are in ``test`` JSON key order."""
 
-    statistic: float
+    n_union: int
+    n_matches: int
     xi_hat: float
+    statistic: float
     p_value: float
     method: str
     n_sims: int
     seed: Optional[int]
-    n_matches: int
-    n_union: int
 
 
 @dataclass(frozen=True)

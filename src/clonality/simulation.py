@@ -26,6 +26,7 @@ preserves each marker's marginal frequency.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +63,12 @@ _NULL_RUN_OFFSET = 1 << 40
 _UNCOND_NULL_STREAM = (1 << 41) + 1
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MarkerGroup:
     """A homogeneous slice of the marker universe."""
@@ -76,8 +83,7 @@ class MarkerGroup:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}; expected one of {self._KINDS}")
-        if self.n_markers < 1:
-            raise ValueError("n_markers must be >= 1")
+        _check_count("n_markers", self.n_markers)
         validate_probability(self.p, "p")
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
@@ -127,9 +133,11 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
+        if not self.groups:
+            raise ValueError("a scenario needs at least one marker group")
         validate_xi(self.xi)
-        if self.replicates < 1 or self.sims < 1:
-            raise ValueError("replicates and sims must be >= 1")
+        _check_count("replicates", self.replicates)
+        _check_count("sims", self.sims)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 

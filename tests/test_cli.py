@@ -358,6 +358,46 @@ def test_counts_without_cohort_reports_line(tmp_path, capsys):
         assert err.startswith(f"error: {counts}:3: no cohort observations")
 
 
+_TABLE_HEADERS = {"probs": "marker\tprobability\n",
+                  "counts": "marker\tref_mutated\tref_total\tstudy_mutated\tstudy_total\n"}
+_COUNT_CHECKS = [
+    ("fields", "X\t1\t10\t0\n", 2, "expected 5 fields, got 4"),
+    ("empty marker", "X\t1\t10\t0\t1\n\t1\t10\t0\t1\n", 3, "empty marker id"),
+    ("duplicate", "X\t1\t10\t0\t1\nY\t1\t10\t0\t1\nX\t2\t10\t0\t1\n", 4, "duplicate marker: X"),
+    ("non-integer", "X\t1\t10\t0.5\t1\n", 2, "non-integer study_mutated: '0.5'"),
+    ("several faults", "X\tx\t-1\t5\ty\n", 2, "non-integer study_total: 'y'"),
+    ("above total", "X\t11\t10\t0\t1\n", 2,
+     "ref counts must satisfy 0 <= mutated <= total, got 11/10 for 'X'"),
+    ("zero totals", "X\t1\t10\t0\t1\nY\t0\t0\t0\t0\n", 3, "no cohort observations for marker 'Y'"),
+    ("empty body", "", 0, "no count records found"),
+]
+READER_CHECKS = [
+    ("test", "probs", "fields", "X\t0.1\tjunk\n", 2, "expected 2 fields, got 3"),
+    ("test", "probs", "empty marker", " \t0.1\n", 2, "empty marker id"),
+    ("test", "probs", "duplicate", "X\t0.1\nY\t0.1\nX\t0.2\n", 4, "duplicate marker: X"),
+    ("test", "probs", "non-numeric", "X\t0.1\nY\tabc\n", 3, "non-numeric probability: 'abc'"),
+    ("test", "probs", "out of range", "X\t0\n", 2, "probability must lie in (0, 1), got 0.0"),
+    ("test", "probs", "empty body", "", 0, "no probability records found"),
+    *[(command, "counts", *check) for command in ("test", "estimate-probs") for check in _COUNT_CHECKS],
+    ("test", "counts", "empty study_total", "X\t1\t10\t0\t\n", 2,
+     "empty study_total; fill it in, or pool the file first with estimate-probs --study-size N"),
+    ("estimate-probs", "counts", "empty study_total", "X\t1\t10\t0\t\n", 2,
+     "empty study_total and no --study-size given"),
+]
+
+
+@pytest.mark.parametrize("command, kind, name, body, line, message", READER_CHECKS,
+                         ids=[" ".join(case[:3]) for case in READER_CHECKS])
+def test_reader_check_messages(tmp_path, capsys, command, kind, name, body, line, message):
+    table = tmp_path / f"{kind}.tsv"
+    table.write_text(_TABLE_HEADERS[kind] + body)
+    if command == "test":
+        argv = ("test", "--mutations", T1_MUT, "--probs", str(table), "--tumor-a", "T3", "--tumor-b", "T1")
+    else:
+        argv = ("estimate-probs", "--counts", str(table))
+    assert run(capsys, *argv) == (2, "", f"error: {table}:{line}: {message}\n")
+
+
 def corruptions(kind):
     """(name, row pick, token) edits that make a valid file of ``kind`` malformed."""
     names = ["byte", "extra", "duplicate", "header"]

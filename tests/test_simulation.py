@@ -131,6 +131,10 @@ def test_marker_group_validation():
         MarkerGroup("equicorrelated-block", 10, 0.1, rho=1.0)
     with pytest.raises(ValueError):
         MarkerGroup("pathway", 10, 0.1)
+    for n_markers in (10.5, True):  # JSON carries floats and booleans
+        with pytest.raises(ValueError, match="n_markers must be an integer"):
+            MarkerGroup("independent", n_markers, 0.1)
+    assert MarkerGroup("independent", np.int64(10), 0.1).n_markers == 10
 
 
 def test_preset_universes_hit_target_means():
@@ -536,6 +540,14 @@ def test_scenario_spec_validation():
         Perturbation("logit-noise", sigma=0.0)
     with pytest.raises(ValueError):
         Perturbation("rare-inflation", factor=1.0)
+    with pytest.raises(ValueError, match="at least one marker group"):
+        scenario_from_json_dict({"groups": [], "xi": 0.1, "replicates": 3, "sims": 5})
+    group = {"kind": "independent", "n_markers": 10, "p": 0.1}
+    for field, value in (("replicates", 2.5), ("sims", 5.5)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            scenario_from_json_dict({"groups": [group], "xi": 0.1, "replicates": 3, "sims": 5,
+                                     field: value})
+    assert small_spec(replicates=np.int64(3), sims=np.int32(5)).sims == 5
 
 
 @pytest.mark.parametrize("fields, message", [

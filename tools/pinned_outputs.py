@@ -9,11 +9,16 @@ checkouts' outputs shows every moved bit. The package is imported from the
 minute on a 2-vCPU machine.
 
 Covered: the CLI ``test`` bytes of the Table 1 pair; ``pairs`` on the
-Table 5 files, exact and Monte Carlo, at 1 and 3 threads; ``run_size_power``
-for every preset kind at xi 0 and 0.25 over three seeds, and once at 3
-threads; ``run_calibrated_comparison`` at 1 and 3 threads; 64
-``conditional_data_test`` results, exact and Monte Carlo, on distinct and
-shared probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
+Table 5 files, exact and Monte Carlo, at 1 and 3 threads; ``test`` and
+``pairs`` on a counts-mode copy of the Table 1 probabilities;
+``estimate-probs`` on ``tests/fixtures/counts_example.tsv`` at
+``--study-size 1``; the exit code, stdout and stderr of one malformed
+probability file per reader check, in probability mode under ``test`` and in
+counts mode under ``test`` and ``estimate-probs``; ``run_size_power`` for
+every preset kind at xi 0 and 0.25 over three seeds, and once at 3 threads;
+``run_calibrated_comparison`` at 1 and 3 threads; 64 ``conditional_data_test``
+results by field name, exact and Monte Carlo, on distinct and shared
+probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
 observed statistic s, at s/2 and at one ulp above s; for every preset kind
 at xi 0.25, the ``json.dumps`` of ``scenario_to_json_dict`` and whether
 ``scenario_from_json_dict`` gives the scenario back.
@@ -24,6 +29,7 @@ import dataclasses
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +50,31 @@ from clonality.simulation import (  # noqa: E402
 )
 
 FIXTURES = ROOT / "tests" / "fixtures"
+HEADERS = {"probs": "marker\tprobability\n",
+           "counts": "marker\tref_mutated\tref_total\tstudy_mutated\tstudy_total\n"}
+COUNT_CHECKS = (
+    ("fields", "X\t1\t10\t0\n"),
+    ("empty marker", "\t1\t10\t0\t1\n"),
+    ("duplicate", "X\t1\t10\t0\t1\nX\t2\t10\t0\t1\n"),
+    ("non-integer", "X\tfive\t10\t0\t1\n"),
+    ("several faults", "X\tx\t-1\t5\ty\n"),
+    ("above total", "X\t1\t10\t3\t1\n"),
+    ("zero totals", "X\t1\t10\t0\t1\nY\t0\t0\t0\t0\n"),
+    ("empty study_total", "X\t1\t10\t0\t\n"),
+    ("empty body", ""),
+)
+# (command, mode, check, body) of one malformed probability file per reader check
+MALFORMED = (
+    ("test", "probs", "fields", "X\t0.1\t0.2\n"),
+    ("test", "probs", "empty marker", "\t0.1\n"),
+    ("test", "probs", "duplicate", "X\t0.1\nX\t0.1\n"),
+    ("test", "probs", "non-numeric", "X\tlow\n"),
+    ("test", "probs", "out of range", "X\t1.5\n"),
+    ("test", "probs", "empty body", ""),
+    *((command, "counts", name, body)
+      for command in ("test", "estimate-probs") for name, body in COUNT_CHECKS),
+)
+
 PRESETS = ("table2-m5", "table2-m10", "table2-m20", "table3-noise", "table3-inflate",
            "table4-exclusive", "table4-corr(0.3)", "table4-corr(0.9)")
 
@@ -70,6 +101,26 @@ def cli_values():
         emit(f"cli pairs exact threads={threads}", cli_output(*t5, "--threads", threads))
         emit(f"cli pairs mc threads={threads}",
              cli_output(*t5, "--exact-max", "0", "--sims", "3000", "--threads", threads))
+    emit("cli estimate-probs counts_example",
+         cli_output("estimate-probs", "--counts", str(FIXTURES / "counts_example.tsv"),
+                    "--study-size", "1"))
+    with tempfile.TemporaryDirectory() as tmp:
+        counts = Path(tmp) / "counts.tsv"
+        counts.write_text(HEADERS["counts"] + "".join(
+            f"{m}\t{max(round(1000 * p), 1)}\t1000\t0\t1\n"
+            for m, p in cli.read_probability_file(str(FIXTURES / "table1_probs.tsv")).probabilities.items()))
+        emit("cli test T3/Left-Mucinous counts", cli_output("test", *t1[:2], "--probs", str(counts),
+                                                             "--tumor-a", "T3", "--tumor-b", "Left/Mucinous"))
+        emit("cli pairs table1 counts", cli_output("pairs", *t1[:2], "--probs", str(counts)))
+        for command, mode, name, body in MALFORMED:
+            table = Path(tmp) / "table.tsv"
+            table.write_text(HEADERS[mode] + body)
+            if command == "test":
+                argv = ("test", *t1[:2], "--probs", str(table), "--tumor-a", "T3", "--tumor-b", "T1")
+            else:
+                argv = ("estimate-probs", "--counts", str(table))
+            code, out, err = cli_output(*argv)
+            emit(f"cli {command} {mode} malformed {name}", (code, out, err.replace(tmp, "<tmp>")))
 
 
 def harness_values():
@@ -112,7 +163,7 @@ def conditional_values():
         ps, matched = random_case(gen, size, shared=k % 4 >= 2)
         data = ConditionalData.from_pairs(zip(ps, matched))
         result = conditional_data_test(data, sims=(1, 500, 4000)[k % 3], seed=k)
-        emit(f"conditional_data_test case={k}", result)
+        emit(f"conditional_data_test case={k}", sorted(dataclasses.asdict(result).items()))
         s = conditional_statistic(data).statistic
         for label, threshold in (("s", s), ("s/2", s / 2), ("s+ulp", float(np.nextafter(s, np.inf)))):
             if size <= 16:
