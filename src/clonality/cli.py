@@ -13,7 +13,8 @@ File formats (tab-separated, mandatory header line, ``#`` comments ignored):
 
 Exit codes: 0 success; 2 parse/validation problem; 3 unknown tumor id.
 All randomness is governed by ``--seed`` (a fixed documented constant by
-default), so identical invocations produce byte-identical output.
+default), so identical invocations produce byte-identical output. Every
+command runs numpy's OpenBLAS on one thread (``_blas.one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
+from ._blas import one_blas_thread
 from .errors import CatalogMissError, ClonalityError, FileFormatError, UnknownTumorError
 from .model import MarkerCatalog, MutationProfile, derive_pair_observation
 from .nullref import EXACT_MAX_DEFAULT, SIMS_DEFAULT, conditional_test
@@ -364,7 +366,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except UnknownTumorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_TUMOR

@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .inference import fit_unconditional_batch, group_by_probability
 from .model import (
     MarkerCatalog,
@@ -69,6 +70,12 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MarkerGroup:
     """A homogeneous slice of the marker universe."""
@@ -84,6 +91,8 @@ class MarkerGroup:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}; expected one of {self._KINDS}")
         _check_count("n_markers", self.n_markers)
+        _check_real("p", self.p)
+        _check_real("rho", self.rho)
         validate_probability(self.p, "p")
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
@@ -110,6 +119,8 @@ class Perturbation:
     def __post_init__(self):
         if self.kind not in _PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation {self.kind!r}; expected one of {_PERTURBATION_KINDS}")
+        for name in ("sigma", "factor", "threshold"):
+            _check_real(name, getattr(self, name))
         if self.kind == "logit-noise" and self.sigma <= 0.0:
             raise ValueError("logit-noise requires sigma > 0")
         if self.kind == "rare-inflation" and self.factor <= 1.0:
@@ -135,6 +146,8 @@ class ScenarioSpec:
         object.__setattr__(self, "groups", tuple(self.groups))
         if not self.groups:
             raise ValueError("a scenario needs at least one marker group")
+        _check_real("xi", self.xi)
+        _check_real("alpha", self.alpha)
         validate_xi(self.xi)
         _check_count("replicates", self.replicates)
         _check_count("sims", self.sims)
@@ -511,9 +524,11 @@ def run_size_power(spec: ScenarioSpec, rng: RngStream, threads: int = 1) -> Powe
 
     The calibrated rate re-thresholds the observed p-values against the
     calibration run of :func:`_paired_runs`, so that the null rejection rate
-    is exactly ``alpha``.
+    is exactly ``alpha``. Numpy's OpenBLAS runs on one thread meanwhile
+    (:func:`~clonality._blas.one_blas_thread`).
     """
-    (pvals, _, matches, mutations), (null_pvals, *_) = _paired_runs(spec, rng, threads)
+    with one_blas_thread():
+        (pvals, _, matches, mutations), (null_pvals, *_) = _paired_runs(spec, rng, threads)
     rule = calibrated_rejection(null_pvals, pvals, spec.alpha)
     return PowerReport(
         rejection_rate=float(np.mean(pvals <= spec.alpha)),
@@ -533,15 +548,17 @@ def run_calibrated_comparison(
     the calibration run of :func:`_paired_runs`. The unconditional reference
     distribution does not depend on the observed data, so it is built once
     over the scenario's universe and shared by every replicate of both
-    runs. Defined for correctly specified scenarios only.
+    runs. Defined for correctly specified scenarios only. Numpy's OpenBLAS
+    runs on one thread meanwhile (:func:`~clonality._blas.one_blas_thread`).
     """
     if spec.perturbation.kind != "none":
         raise ValueError("the conditional/unconditional comparison requires unperturbed probabilities")
     universe = list(zip(*group_by_probability(
         [clamp_probability(g.p) for g in spec.groups], [g.n_markers for g in spec.groups])))
-    uncond_null = sample_unconditional_null(
-        universe, spec.sims, RngStream(rng.seed, rng.stream_index + _UNCOND_NULL_STREAM))
-    (alt_c, alt_u, _, _), (null_c, null_u, _, _) = _paired_runs(spec, rng, threads, uncond_null)
+    with one_blas_thread():
+        uncond_null = sample_unconditional_null(
+            universe, spec.sims, RngStream(rng.seed, rng.stream_index + _UNCOND_NULL_STREAM))
+        (alt_c, alt_u, _, _), (null_c, null_u, _, _) = _paired_runs(spec, rng, threads, uncond_null)
     rule_c = calibrated_rejection(null_c, alt_c, spec.alpha)
     rule_u = calibrated_rejection(null_u, alt_u, spec.alpha)
     return CalibratedComparison(

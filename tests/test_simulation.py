@@ -241,6 +241,24 @@ def test_scenario_json_defaults_and_unknown_keys():
     assert doc == before
 
 
+def test_scenario_json_float_fields_refuse_booleans_and_strings():
+    doc = {"groups": [{"kind": "independent", "n_markers": 10, "p": 0.1}],
+           "replicates": 3, "sims": 5}
+    bad = [
+        ("xi", {**doc, "xi": True}),
+        ("xi", {**doc, "xi": "0.1"}),
+        ("sigma", {**doc, "xi": 0.1, "perturbation": {"kind": "logit-noise", "sigma": True}}),
+        ("alpha", {**doc, "xi": 0.1, "alpha": "0.05"}),
+        ("p", {**doc, "xi": 0.1, "groups": [{**doc["groups"][0], "p": False}]}),
+        ("threshold", {**doc, "xi": 0.1,
+                       "perturbation": {"kind": "rare-inflation", "factor": 10, "threshold": None}}),
+    ]
+    for name, scenario in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            scenario_from_json_dict(scenario)
+    assert scenario_from_json_dict({**doc, "xi": 0}).xi == 0  # an integer is a number
+
+
 # --- generators ----------------------------------------------------------------
 
 def test_sample_pair_fully_clonal_profiles_identical():

@@ -19,7 +19,10 @@ every preset kind at xi 0 and 0.25 over three seeds, and once at 3 threads;
 ``run_calibrated_comparison`` at 1 and 3 threads; 64 ``conditional_data_test``
 results by field name, exact and Monte Carlo, on distinct and shared
 probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
-observed statistic s, at s/2 and at one ulp above s; for every preset kind
+observed statistic s, at s/2 and at one ulp above s; ``exact_p_value`` at
+the observed statistic of each of the 112 ``case-exact`` pool cases of
+``bench/workloads.py`` (distinct probabilities at |E| 8-16, shared ones at
+16-20); for every preset kind
 at xi 0.25, the ``json.dumps`` of ``scenario_to_json_dict`` and whether
 ``scenario_from_json_dict`` gives the scenario back.
 """
@@ -48,6 +51,9 @@ from clonality.simulation import (  # noqa: E402
     scenario_from_json_dict,
     scenario_to_json_dict,
 )
+
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import EXACT_POOL_VARIANTS, EXACT_STRATA, exact_pool_case  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
 HEADERS = {"probs": "marker\tprobability\n",
@@ -173,8 +179,17 @@ def conditional_values():
                      monte_carlo_p_value(threshold, ps, 2000, RngStream(k, 7)))
 
 
+def exact_pool_values():
+    for stratum in EXACT_STRATA:
+        for variant in range(EXACT_POOL_VARIANTS):
+            case = exact_pool_case(stratum, variant)
+            s = conditional_statistic(ConditionalData.from_pairs(case)).statistic
+            emit(f"exact_p_value case-exact {stratum}/{variant}", exact_p_value(s, [p for p, _ in case]))
+
+
 if __name__ == "__main__":
     cli_values()
     harness_values()
     conditional_values()
+    exact_pool_values()
     scenario_values()
