@@ -123,21 +123,51 @@ class FitResult:
 # Vectorized likelihood kernels.
 # ---------------------------------------------------------------------------
 
+def _rows_of(value, rows, shared_ndim):
+    """``value`` at ``rows`` if it holds one entry per row, else ``value`` itself.
+
+    A per-row value has one axis more than a shared one (``shared_ndim``):
+    sizes (K, G) against (G,), thresholds (K,) against a scalar. A shared
+    value is passed on whole, never expanded to the rows.
+    """
+    return value[rows] if np.ndim(value) > shared_ndim else value
+
+
+def _row_sums(terms, sizes):
+    """``terms.sum(axis=1)``, each row summed over its nonzero-size columns only.
+
+    Numpy sums a row of 8 or more terms pairwise, so a zero-size column of
+    per-row ``sizes`` (K, G) would regroup the sum. Rows are summed as a
+    one-row call over their own columns sums them, so a row's bits do not
+    depend on the columns that other rows add.
+    """
+    if sizes.ndim == 1 or terms.shape[1] < 8:
+        return terms.sum(axis=1)
+    present = sizes > 0
+    width = present.sum(axis=1)
+    sums = np.zeros(terms.shape[0])
+    for w in np.unique(width[width > 0]):
+        rows = width == w
+        sums[rows] = terms[rows][present[rows]].reshape(-1, w).sum(axis=1)
+    return sums
+
+
 def _cond_loglik_rows(pg, sizes, matched, xi_rows, xi_miss=None):
     """Conditional log-likelihood of each row's counts at its own xi.
 
-    pg, sizes: (G,); matched: (K, G); xi_rows: (K,). Returns (K,).
-    ``xi_miss``, if given, replaces ``xi_rows`` in the unmatched terms only.
-    Since q rises with xi, ``xi_rows = hi`` with ``xi_miss = lo`` bounds the
-    log-likelihood from above over every xi in ``[lo, hi]``.
+    pg: (G,); sizes: (G,), or (K, G) per row; matched: (K, G); xi_rows:
+    (K,). Returns (K,). ``xi_miss``, if given, replaces ``xi_rows`` in the
+    unmatched terms only. Since q rises with xi, ``xi_rows = hi`` with
+    ``xi_miss = lo`` bounds the log-likelihood from above over every xi in
+    ``[lo, hi]``.
     """
     q = match_probabilities(pg[None, :], xi_rows[:, None])
     q_miss = q if xi_miss is None else match_probabilities(pg[None, :], xi_miss[:, None])
-    unmatched = sizes[None, :] - matched
+    unmatched = sizes - matched
     with np.errstate(divide="ignore", invalid="ignore"):
         t_match = np.where(matched > 0, matched * np.log(q), 0.0)
         t_miss = np.where(unmatched > 0, unmatched * np.log1p(-q_miss), 0.0)
-    return (t_match + t_miss).sum(axis=1)
+    return _row_sums(t_match + t_miss, sizes)
 
 
 def _golden_max(loglik_rows, lo, hi, keep=None):
@@ -192,12 +222,13 @@ def _fit_rows(loglik_rows, grid_ll):
 def _conditional_stage(pg, sizes, matched):
     """The part of a conditional fit that every row needs.
 
-    Returns ``(pg, sizes, matched, ll0, full, full_stat, mixed, grid_ll)``
-    as float arrays: ``ll0`` is each row's log-likelihood at xi = 0,
-    ``full_stat`` the q-form limit statistic of the fully matched rows
-    ``full``, and ``grid_ll`` the coarse-grid log-likelihood of the rows
-    ``mixed`` that are neither fully matched nor without any match (None
-    when there are none).
+    ``sizes`` is shared (G,) or per row (K, G); a zero-size column adds
+    exact zeros to every sum of a row. Returns ``(pg, sizes, matched, ll0,
+    full, full_stat, mixed, grid_ll)`` as float arrays: ``ll0`` is each
+    row's log-likelihood at xi = 0, ``full_stat`` the q-form limit
+    statistic of the fully matched rows ``full``, and ``grid_ll`` the
+    coarse-grid log-likelihood of the rows ``mixed`` that are neither fully
+    matched nor without any match (None when there are none).
     """
     pg = np.asarray(pg, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
@@ -210,19 +241,19 @@ def _conditional_stage(pg, sizes, matched):
     # (K, G) temporary is allocated.
     ll0 = np.zeros(matched.shape[0])
     for g, (log_q, log_miss) in enumerate(zip(np.log(q0), np.log1p(-q0))):
-        ll0 += matched[:, g] * log_q + (sizes[g] - matched[:, g]) * log_miss
+        ll0 += matched[:, g] * log_q + (sizes[..., g] - matched[:, g]) * log_miss
 
     total_matched = matched.sum(axis=1)
     none = total_matched == 0
-    full = total_matched == sizes.sum()
+    full = total_matched == sizes.sum(axis=-1)
     # ll at xi=1 is 0 for fully matched patterns (every q_i = 1)
-    full_stat = (matched[full] * np.log((2.0 - pg) / pg)).sum(axis=1)
+    full_stat = _row_sums(matched[full] * np.log((2.0 - pg) / pg), _rows_of(sizes, full, 1))
 
     mixed = ~(none | full)
     grid_ll = None
     if mixed.any():
         m_mixed = matched[mixed]
-        rem = sizes[None, :] - m_mixed
+        rem = _rows_of(sizes, mixed, 1) - m_mixed
         with np.errstate(divide="ignore"):
             q_grid = match_probabilities(pg[None, :], _GRID[:, None])
             log_q = np.log(q_grid)
@@ -239,7 +270,9 @@ def fit_conditional_batch(
 
     Arguments:
         pg: distinct marker probabilities, shape (G,).
-        sizes: markers of each probability present in E, shape (G,).
+        sizes: markers of each probability present in E, shape (G,), or
+            per pattern, shape (K, G), where a zero-size column leaves a
+            pattern's fit as it is without that column.
         matched: matched counts per pattern, shape (K, G).
 
     Returns ``(xi_hat, statistic, ll_at_mle)``, each shape (K,). Patterns
@@ -257,10 +290,10 @@ def fit_conditional_batch(
     stat[full] = full_stat
 
     if grid_ll is not None:
-        m_mixed = matched[mixed]
+        m_mixed, s_mixed = matched[mixed], _rows_of(sizes, mixed, 1)
 
         def rows(xi, sel=slice(None)):
-            return _cond_loglik_rows(pg, sizes, m_mixed[sel], xi)
+            return _cond_loglik_rows(pg, _rows_of(s_mixed, sel, 1), m_mixed[sel], xi)
 
         xi_m, ll_m = _fit_rows(rows, grid_ll)
         xi_hat[mixed] = xi_m
@@ -271,49 +304,55 @@ def fit_conditional_batch(
 
 
 def conditional_exceeds(
-    pg: np.ndarray, sizes: np.ndarray, matched: np.ndarray, threshold: float
+    pg: np.ndarray, sizes: np.ndarray, matched: np.ndarray, threshold
 ) -> np.ndarray:
     """Whether each pattern's statistic reaches ``threshold``, shape (K,).
 
-    Row for row equal to ``fit_conditional_batch(pg, sizes, matched)[1] >=
-    threshold``, but a row is refined only until its answer is proven. The
-    fitted log-likelihood of a mixed row is the larger of its values at the
-    grid argmax (``c0``) and at the golden-section result, so ``c0`` alone
-    can prove a row extreme; the grid value, which differs from ``c0`` only
-    by summation rounding, does so for most rows with a ``_BOUND_SLACK``
-    margin. The other rows take the fit's own golden-section steps, and a
-    row is dropped once its log-likelihood bound over the current bracket
-    falls short of the threshold by more than ``_BOUND_SLACK``. Rows refined
-    to the end are decided by the fit's final comparison.
+    ``sizes`` is shared (G,) or per pattern (K, G), as in
+    :func:`fit_conditional_batch`, and ``threshold`` a scalar or one per
+    pattern (K,). Row for row equal to ``fit_conditional_batch(pg, sizes,
+    matched)[1] >= threshold``, but a row is refined only until its answer
+    is proven. The fitted log-likelihood of a mixed row is the larger of
+    its values at the grid argmax (``c0``) and at the golden-section
+    result, so ``c0`` alone can prove a row extreme; the grid value, which
+    differs from ``c0`` only by summation rounding, does so for most rows
+    with a ``_BOUND_SLACK`` margin. The other rows take the fit's own
+    golden-section steps, and a row is dropped once its log-likelihood
+    bound over the current bracket falls short of the threshold by more
+    than ``_BOUND_SLACK``. Rows refined to the end are decided by the fit's
+    final comparison.
     """
     pg, sizes, matched, ll0, full, full_stat, mixed, grid_ll = _conditional_stage(
         pg, sizes, matched)
     exceeds = np.full(matched.shape[0], 0.0 >= threshold)  # no match: statistic 0
-    exceeds[full] = full_stat >= threshold
+    exceeds[full] = full_stat >= _rows_of(threshold, full, 0)
     if grid_ll is None:
         return exceeds
 
     m_mixed, ll0_mixed = matched[mixed], ll0[mixed]
+    s_mixed, t_mixed = _rows_of(sizes, mixed, 1), _rows_of(threshold, mixed, 0)
     best, lo, hi = _grid_bracket(grid_ll)
     grid_max = grid_ll[np.arange(best.size), best]
-    decided = grid_max - ll0_mixed >= threshold + _BOUND_SLACK
+    decided = grid_max - ll0_mixed >= t_mixed + _BOUND_SLACK
     open_rows = np.flatnonzero(~decided)
-    c0 = _cond_loglik_rows(pg, sizes, m_mixed[open_rows], _GRID[best[open_rows]])
-    proven = np.maximum(c0 - ll0_mixed[open_rows], 0.0) >= threshold
+    c0 = _cond_loglik_rows(pg, _rows_of(s_mixed, open_rows, 1), m_mixed[open_rows],
+                           _GRID[best[open_rows]])
+    proven = np.maximum(c0 - ll0_mixed[open_rows], 0.0) >= _rows_of(t_mixed, open_rows, 0)
     decided[open_rows[proven]] = True
     open_rows, c0_open = open_rows[~proven], c0[~proven]
     m_open, ll0_open = m_mixed[open_rows], ll0_mixed[open_rows]
+    s_open, t_open = _rows_of(s_mixed, open_rows, 1), _rows_of(t_mixed, open_rows, 0)
 
     def rows(xi, sel=slice(None)):
-        return _cond_loglik_rows(pg, sizes, m_open[sel], xi)
+        return _cond_loglik_rows(pg, _rows_of(s_open, sel, 1), m_open[sel], xi)
 
     def keep(sel, lo, hi):
-        bound = _cond_loglik_rows(pg, sizes, m_open[sel], hi, lo)
-        return bound - ll0_open[sel] >= threshold - _BOUND_SLACK
+        bound = _cond_loglik_rows(pg, _rows_of(s_open, sel, 1), m_open[sel], hi, lo)
+        return bound - ll0_open[sel] >= _rows_of(t_open, sel, 0) - _BOUND_SLACK
 
     left, refined = _golden_max(rows, lo[open_rows], hi[open_rows], keep)
     ll_left = np.maximum(c0_open[left], rows(refined, left))
-    decided[open_rows[left]] = np.maximum(ll_left - ll0_open[left], 0.0) >= threshold
+    decided[open_rows[left]] = np.maximum(ll_left - ll0_open[left], 0.0) >= _rows_of(t_open, left, 0)
     exceeds[mixed] = decided
     return exceeds
 

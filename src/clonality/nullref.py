@@ -22,12 +22,16 @@ pattern once its answer is proven. It returns the same float as
 full (:func:`exact_conditional_null`, :func:`sample_conditional_null`),
 which tests use as the reference.
 
-:func:`counts_test` is the one test core: it takes a pair's match counts
-already grouped by probability, fits the observed statistic, chooses the
-exact or the Monte Carlo source and builds the :class:`TestResult`.
+:func:`counts_test` is the one test core: it takes the match counts of one
+pair, or of K pairs sharing one set of probabilities, already grouped by
+probability; it fits every observed statistic at once, chooses each pair's
+exact or Monte Carlo source and builds one :class:`TestResult` per pair.
+The decide-and-sum takes the drawn patterns of all Monte Carlo pairs in
+one pass, each pair against its own statistic, and sums each pair's
+extreme mass apart, so each p-value is that of the pair tested alone.
 :func:`conditional_data_test` groups a pair's markers once and calls it,
 :func:`conditional_test` first reduces an observation to markers, and the
-simulation harness calls it on the counts it draws.
+simulation harness calls it once per run on the counts it draws.
 
 The unconditional null simulates whole tumor pairs over ``(p, n_markers)``
 groups under zero clonality signal; it does not depend on the observed
@@ -154,27 +158,35 @@ def _distinct_rows(matched: np.ndarray, sizes: np.ndarray):
     return matched[first], counts
 
 
-def _drawn_patterns(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
-    """Distinct count patterns of ``n_sims`` null draws from stream ``rng``.
+def _drawn_rows(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
+    """``(patterns, draws)``: the distinct count patterns of ``n_sims`` null draws.
 
-    Draws one binomial column per group of ``(pg, sizes)``, in order, and
-    yields ``(patterns, ones, draws, None)`` per ``_FIT_CHUNK`` patterns.
-    Bound-table sums would leave about half of the drawn patterns open and
-    cost more time than they save.
+    Draws one binomial column per group of ``(pg, sizes)``, in order, from
+    stream ``rng``. A zero-size group draws no random numbers and adds a
+    zero column, so the other columns are those of the draws without it.
     """
     if n_sims < 1:
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
     q0 = pg / (2.0 - pg)
     gen = rng.generator()
     matched = np.column_stack([gen.binomial(int(size), q, size=n_sims) for size, q in zip(sizes, q0)])
-    patterns, counts = _distinct_rows(matched, sizes)
+    return _distinct_rows(matched, sizes)
 
-    def chunks():
-        for start in range(0, patterns.shape[0], _FIT_CHUNK):
-            rows = slice(start, start + _FIT_CHUNK)
-            yield patterns[rows], np.ones(counts[rows].size), counts[rows], None
 
-    return chunks()
+def _drawn_chunks(patterns: np.ndarray, draws: np.ndarray):
+    """Drawn patterns as ``(patterns, ones, draws, None)`` per ``_FIT_CHUNK`` patterns.
+
+    Bound-table sums would leave about half of the drawn patterns open and
+    cost more time than they save.
+    """
+    for start in range(0, patterns.shape[0], _FIT_CHUNK):
+        rows = slice(start, start + _FIT_CHUNK)
+        yield patterns[rows], np.ones(draws[rows].size), draws[rows], None
+
+
+def _drawn_patterns(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
+    """Chunks of the distinct count patterns of ``n_sims`` null draws from stream ``rng``."""
+    return _drawn_chunks(*_drawn_rows(pg, sizes, n_sims, rng))
 
 
 def _split_patterns(counts: Sequence[int]) -> list[np.ndarray]:
@@ -262,28 +274,50 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
     return chunks()
 
 
-def _extreme_share(pg, sizes, chunks, threshold: float, total: float = 1.0) -> float:
-    """Mass over ``total`` of the ``chunks``' patterns with statistic >= ``threshold``.
+def _extreme_share(pg, sizes, chunks, thresholds, total: float = 1.0, row_of=None) -> np.ndarray:
+    """Per row, the mass over ``total`` of its patterns with statistic >= its threshold.
 
+    ``chunks`` yield the patterns of K rows stacked in row order, pattern
+    j belonging to row ``row_of[j]``; ``sizes`` (K, G) and ``thresholds``
+    (K,) hold each row's own. One row needs no ``row_of``, and its sizes
+    and threshold are passed on whole, not expanded to its patterns.
     Each pattern is decided as the full fit would decide it: by its
-    bound-table sums where its chunk has them, else by
-    :func:`conditional_exceeds`. The extreme weights are summed per atom as
-    :func:`p_value` sums them, so the result is the same float.
+    bound-table sums where its chunk has them (one-row sources only), else
+    by :func:`conditional_exceeds`. A row's extreme weights are summed per
+    atom as :func:`p_value` sums them, so each of the K results is the same
+    float as :func:`p_value` on that row's null alone.
     """
+    k_rows = len(thresholds)
     weights, reps = [], []
-    every = True
+    n_extreme, n_seen = np.zeros(k_rows, dtype=np.int64), np.zeros(k_rows, dtype=np.int64)
+    start = 0
     for patterns, weight, rep, sums in chunks:
+        if k_rows == 1:
+            owner, row_sizes, threshold = None, sizes[0], thresholds[0]
+        else:
+            owner = row_of[start:start + rep.size]
+            row_sizes, threshold = sizes[owner], thresholds[owner]
+        start += rep.size
         if sums is None:
-            extreme, open_rows = np.zeros(rep.size, dtype=bool), slice(None)
+            extreme = conditional_exceeds(pg, row_sizes, patterns, threshold)
         else:
             extreme, open_rows = settle_by_bounds(sums, threshold)
-        extreme[open_rows] = conditional_exceeds(pg, sizes, patterns[open_rows], threshold)
-        every = every and bool(extreme.all())
+            extreme[open_rows] = conditional_exceeds(pg, row_sizes, patterns[open_rows], threshold)
+        if owner is None:
+            n_extreme[0] += np.count_nonzero(extreme)
+            n_seen[0] += rep.size
+        else:
+            n_extreme += np.bincount(owner[extreme], minlength=k_rows)
+            n_seen += np.bincount(owner, minlength=k_rows)
         weights.append(weight[extreme])
         reps.append(rep[extreme])
-    if every:
-        return 1.0
-    return float(min(np.repeat(np.concatenate(weights), np.concatenate(reps)).sum() / total, 1.0))
+    weights, reps = np.concatenate(weights), np.concatenate(reps)
+    ends = np.cumsum(n_extreme)
+    shares = np.ones(k_rows)
+    for k in np.flatnonzero(n_extreme < n_seen):  # a row with every pattern extreme has 1
+        atoms = slice(ends[k] - n_extreme[k], ends[k])
+        shares[k] = min(np.repeat(weights[atoms], reps[atoms]).sum() / total, 1.0)
+    return shares
 
 
 def _fitted_null(pg, sizes, chunks, total: float = 1.0) -> NullDistribution:
@@ -343,7 +377,8 @@ def p_value(observed: float, null: NullDistribution) -> float:
 def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> float:
     """``p_value(observed, exact_conditional_null(ps, exact_max))``, deciding, not fitting."""
     pg, sizes = _grouped(ps)
-    return _extreme_share(pg, sizes, _exact_patterns(pg, sizes, exact_max), observed - TIE_TOLERANCE)
+    return float(_extreme_share(pg, sizes[None, :], _exact_patterns(pg, sizes, exact_max),
+                                [observed - TIE_TOLERANCE])[0])
 
 
 def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: RngStream) -> float:
@@ -353,8 +388,8 @@ def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: 
     ``n_sims`` draws reached the observed statistic, i.e. p < 1/n_sims.
     """
     pg, sizes = _grouped(ps)
-    return _extreme_share(pg, sizes, _drawn_patterns(pg, sizes, n_sims, rng),
-                          observed - TIE_TOLERANCE, n_sims)
+    return float(_extreme_share(pg, sizes[None, :], _drawn_patterns(pg, sizes, n_sims, rng),
+                                [observed - TIE_TOLERANCE], n_sims)[0])
 
 
 def critical_value(null: NullDistribution, alpha: float) -> float:
@@ -384,28 +419,54 @@ def counts_test(
     sims: int = SIMS_DEFAULT,
     exact_max: int = EXACT_MAX_DEFAULT,
     seed: int = DEFAULT_SEED,
-    stream_index: int = 0,
-) -> TestResult:
-    """Conditional test of one pair from its match counts grouped by probability.
+    stream_index=0,
+):
+    """Conditional tests of K pairs from their match counts grouped by probability.
 
-    ``pg``, ``sizes`` and ``matched`` (each shape (G,)) are the distinct
-    probabilities of the mutated set E, its markers per probability and the
-    matched ones among them, as :func:`~clonality.inference.group_by_probability`
-    returns them. Uses exact enumeration when ``|E| = sizes.sum() <=
-    exact_max`` (set ``exact_max=0`` to force Monte Carlo with ``sims``
-    draws from stream ``(seed, stream_index)``).
+    ``pg`` (G,) holds distinct probabilities, and each row of ``sizes`` and
+    ``matched`` (K, G) a pair's mutated markers E per probability and the
+    matched ones among them, as
+    :func:`~clonality.inference.group_by_probability` returns them; a
+    zero-size column is a probability the pair does not have. Returns one
+    :class:`TestResult` per row, or one result for a single pair given as
+    (G,) rows and one ``stream_index``.
+
+    A row with ``|E| <= exact_max`` is tested by exact enumeration over its
+    own nonzero-size columns, one row at a time (``exact_max=0`` forces
+    Monte Carlo). Every other row draws ``sims`` null patterns from its own
+    stream ``(seed, stream_index[k])``, and one decision pass over all
+    rows' patterns gives each row's p-value. The observed statistics come
+    from one fit of every row. Each result equals that of the row tested
+    alone.
     """
-    xi_hat, stat, _ = fit_conditional_batch(pg, sizes, matched[None, :])
-    statistic, n_union = float(stat[0]), int(sizes.sum())
-    if n_union <= exact_max:
-        method, n_sims, used_seed = "exact", 0, None
-        chunks, total = _exact_patterns(pg, sizes, exact_max), 1.0
-    else:
-        method, n_sims, used_seed = "monte-carlo", sims, seed
-        chunks, total = _drawn_patterns(pg, sizes, sims, RngStream(seed, stream_index)), sims
-    p = _extreme_share(pg, sizes, chunks, statistic - TIE_TOLERANCE, total)
-    return TestResult(statistic=statistic, xi_hat=float(xi_hat[0]), p_value=p, method=method,
-                      n_sims=n_sims, seed=used_seed, n_matches=int(matched.sum()), n_union=n_union)
+    one = np.ndim(matched) == 1
+    sizes, matched = np.atleast_2d(sizes), np.atleast_2d(matched)
+    streams = [stream_index] if one else list(stream_index)
+    if len(streams) != matched.shape[0]:
+        raise ValueError(f"{matched.shape[0]} rows need as many stream indices, got {len(streams)}")
+    xi_hat, stat, _ = fit_conditional_batch(pg, sizes[0] if one else sizes, matched)
+    thresholds = stat - TIE_TOLERANCE
+    n_union = sizes.sum(axis=1)
+    exact = n_union <= exact_max
+    p = np.empty(len(streams))
+    for k in np.flatnonzero(exact):
+        present = sizes[k] > 0
+        pg_k, sizes_k = pg[present], sizes[k, present]
+        p[k] = _extreme_share(pg_k, sizes_k[None, :], _exact_patterns(pg_k, sizes_k, exact_max),
+                              thresholds[k:k + 1])[0]
+    drawn = np.flatnonzero(~exact)
+    if drawn.size:
+        rows = [_drawn_rows(pg, sizes[k], sims, RngStream(seed, streams[k])) for k in drawn]
+        patterns, draws = rows[0] if len(rows) == 1 else map(np.concatenate, zip(*rows))
+        row_of = np.repeat(np.arange(len(rows)), [row_draws.size for _, row_draws in rows])
+        p[drawn] = _extreme_share(pg, sizes[drawn], _drawn_chunks(patterns, draws),
+                                  thresholds[drawn], sims, row_of)
+    results = [TestResult(statistic=float(stat[k]), xi_hat=float(xi_hat[k]), p_value=float(p[k]),
+                          method="exact" if exact[k] else "monte-carlo",
+                          n_sims=0 if exact[k] else sims, seed=None if exact[k] else seed,
+                          n_matches=int(matched[k].sum()), n_union=int(n_union[k]))
+               for k in range(len(streams))]
+    return results[0] if one else results
 
 
 def conditional_data_test(data: ConditionalData, **options) -> TestResult:

@@ -10,10 +10,11 @@ distribution), and reports rejection rates, randomization-calibrated
 rejection rates, and matching-mutation summaries. It works on per-group
 counts of the markers mutated in both tumors, in A only and in B only;
 marker labels exist only in :func:`sample_tumor_pair`, which draws the same
-pair from the same stream. Each pair's mutated markers, grouped by their
-analysis probabilities, go to :func:`~clonality.nullref.counts_test`; the
-unconditional statistics of a whole run, which shares one universe, come
-from one batched fit.
+pair from the same stream. The pairs' mutated markers, grouped by their
+analysis probabilities, go to :func:`~clonality.nullref.counts_test`, one
+call per run unless logit noise gives every replicate its own
+probabilities; the unconditional statistics of a whole run, which shares
+one universe, come from one batched fit.
 
 Block generators honor per-block clonality: when a block's clonality draw
 comes up clonal the whole block outcome is copied to both tumors, otherwise
@@ -450,50 +451,59 @@ def _replicate_arrays(
 ):
     """Per-replicate p-values and summaries; thread-count invariant.
 
-    Each pair is reduced to per-group (matched, single) counts. The groups
+    Each pair is drawn from its own stream and reduced to per-group
+    (matched, single) counts; ``threads`` draw pairs in parallel. The groups
     are taken in the sort order of their marker labels, which is the order
     in which per-marker analysis probabilities meet the perturbation noise.
-    A replicate groups its mutated markers' analysis probabilities and
-    passes the counts to :func:`~clonality.nullref.counts_test`. Every
-    replicate of a run shares the universe ``(p, n_markers)``, so once all
-    are drawn one :func:`~clonality.inference.fit_unconditional_batch`
-    gives the run's unconditional statistics, whose p-values are taken
-    against ``uncond_null`` when given; they are 1 otherwise.
+    Without noise a group's analysis probability is a function of the
+    group, so once all pairs are drawn the run is grouped once by analysis
+    probability, each replicate one row of counts with zero-size columns
+    for the probabilities it lacks, and one
+    :func:`~clonality.nullref.counts_test` call tests every replicate with
+    a mutated marker, each drawing its null from its own stream. Logit
+    noise gives every marker of every replicate its own probability, so
+    each replicate is grouped and tested alone. Every replicate of a run
+    shares the universe ``(p, n_markers)``, so one
+    :func:`~clonality.inference.fit_unconditional_batch` gives the run's
+    unconditional statistics, whose p-values are taken against
+    ``uncond_null`` when given; they are 1 otherwise.
     """
     order = sorted(range(len(spec.groups)), key=lambda g: f"g{g}:")
     p = np.array([clamp_probability(spec.groups[g].p) for g in order])
     n_markers = np.array([spec.groups[g].n_markers for g in order])
     pert = spec.perturbation
+    bases = [rng.stream_index + run_offset + i * _STRIDE for i in range(spec.replicates)]
 
-    def one(i: int):
-        base = rng.stream_index + run_offset + i * _STRIDE
+    def draw(base: int):
         drawn = _pair_markers(spec, RngStream(rng.seed, base + _ROLE_DATA))
         counts = np.array([[len(ids) for ids in drawn[g]] for g in order])
-        matched, single = counts[:, 0], counts[:, 1] + counts[:, 2]
-        n_matches, n = int(matched.sum()), int(counts.sum())
-        if n == 0:
-            # conditional test undefined on an empty mutated set: never rejects
-            return matched, single, 1.0
-        ps = np.concatenate([np.repeat(p, matched), np.repeat(p, single)]).tolist()
-        if pert.kind == "logit-noise":
-            ps = perturb_probabilities_logit(ps, pert.sigma, RngStream(rng.seed, base + _ROLE_NOISE))
-        elif pert.kind == "rare-inflation":
-            ps = inflate_rare(ps, pert.factor, pert.threshold)
-        result = counts_test(
-            *group_by_probability(ps, np.ones(n), np.arange(n) < n_matches),
-            sims=spec.sims,
-            exact_max=0,
-            seed=rng.seed,
-            stream_index=base + _ROLE_NULL_SAMPLER,
-        )
-        return matched, single, result.p_value
+        return counts[:, 0], counts[:, 1] + counts[:, 2]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(spec.replicates)))
+            results = list(pool.map(draw, bases))
     else:
-        results = [one(i) for i in range(spec.replicates)]
-    matched, single, pvals = (np.array(column, dtype=float) for column in zip(*results))
+        results = [draw(base) for base in bases]
+    matched, single = (np.array(column) for column in zip(*results))
+    sizes = matched + single
+    # the conditional test is undefined on an empty mutated set: such a pair never rejects
+    tested = np.flatnonzero(sizes.sum(axis=1) > 0)
+    pvals = np.ones(spec.replicates)
+    options = dict(sims=spec.sims, exact_max=0, seed=rng.seed)
+    if pert.kind == "logit-noise":
+        for i in tested:
+            n, n_matches = int(sizes[i].sum()), int(matched[i].sum())
+            ps = np.concatenate([np.repeat(p, matched[i]), np.repeat(p, single[i])]).tolist()
+            ps = perturb_probabilities_logit(ps, pert.sigma, RngStream(rng.seed, bases[i] + _ROLE_NOISE))
+            pvals[i] = counts_test(*group_by_probability(ps, np.ones(n), np.arange(n) < n_matches),
+                                   stream_index=bases[i] + _ROLE_NULL_SAMPLER, **options).p_value
+    elif tested.size:
+        analysis = inflate_rare(p, pert.factor, pert.threshold) if pert.kind == "rare-inflation" else p
+        pg, *grouped = group_by_probability(analysis, *sizes[tested], *matched[tested])
+        results = counts_test(pg, np.array(grouped[:tested.size]), np.array(grouped[tested.size:]),
+                              stream_index=[bases[i] + _ROLE_NULL_SAMPLER for i in tested], **options)
+        pvals[tested] = [result.p_value for result in results]
+    matched, single = matched.astype(float), single.astype(float)
     pu = np.ones(spec.replicates)
     if uncond_null is not None:
         # defined for every pair; it does not condition on the mutated set

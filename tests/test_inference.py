@@ -377,6 +377,44 @@ def test_conditional_exceeds_does_not_depend_on_its_batch(batch, pick):
         assert conditional_exceeds(pg, sizes, patterns[row], threshold)[0] == decided[row]
 
 
+@st.composite
+def padded_batches(draw):
+    """Rows over their own probabilities, padded to up to 30 columns with zero sizes.
+
+    Some rows have no match and some are fully matched. Each row's
+    threshold sits at, just around or far from its own statistic.
+    """
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_groups = int(gen.integers(1, 31))
+    pg = np.sort(gen.uniform(1e-4, 0.6, n_groups))
+    n_rows = int(gen.integers(1, 80))
+    sizes = gen.integers(1, 5, (n_rows, n_groups)) * (gen.random((n_rows, n_groups)) < gen.uniform(0.1, 1.0))
+    sizes[np.arange(n_rows), gen.integers(0, n_groups, n_rows)] += 1  # no empty row
+    sizes = sizes.astype(float)
+    patterns = np.floor(gen.random(sizes.shape) * (sizes + 1))
+    patterns[gen.random(n_rows) < 0.1] = 0.0
+    full = gen.random(n_rows) < 0.1
+    patterns[full] = sizes[full]
+    return pg, sizes, patterns, gen
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(batch=padded_batches())
+def test_rows_with_zero_size_columns_equal_their_own_one_row_calls(batch):
+    pg, sizes, patterns, gen = batch
+    xi, stat, ll = fit_conditional_batch(pg, sizes, patterns)
+    offsets = gen.choice([0.0, -1e-9, 1e-9, 0.5, -0.5], patterns.shape[0])
+    thresholds = stat + offsets
+    thresholds[offsets == 0.5] = np.nextafter(stat[offsets == 0.5], np.inf)
+    decided = conditional_exceeds(pg, sizes, patterns, thresholds)
+    for row in range(patterns.shape[0]):
+        own = sizes[row] > 0
+        args = pg[own], sizes[row, own], patterns[row, own]
+        xi_one, stat_one, ll_one = fit_conditional_batch(*args)
+        assert (xi_one[0], stat_one[0], ll_one[0]) == (xi[row], stat[row], ll[row])
+        assert conditional_exceeds(*args, thresholds[row])[0] == decided[row]
+
+
 def table_sums(pg, sizes, patterns):
     """Each pattern's sums of its groups' bound-table columns, gathered group by group."""
     tables = bound_tables(pg, sizes)

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonality import nullref
 from clonality.errors import ClonalityError
@@ -13,7 +16,7 @@ from clonality.inference import (
     group_by_probability,
     settle_by_bounds,
 )
-from clonality.model import PairObservation
+from clonality.model import PROB_CEIL, PROB_FLOOR, PairObservation
 from clonality.nullref import (
     EXACT_ATOM_LIMIT,
     NullDistribution,
@@ -301,6 +304,79 @@ def test_sampled_null_holds_the_fit_of_every_draw():
         null = sample_conditional_null(ps, n_sims, RngStream(trial, 5))
         want = fit_conditional_batch(pg, sizes, matched)[1]
         assert np.array_equal(np.sort(null.statistics), np.sort(want))
+
+
+# --- the test core against the oracle nulls -------------------------------------
+
+@st.composite
+def grouped_pairs(draw):
+    """``(pg, sizes, matched, exact_max)`` of a random pair, grouped by probability.
+
+    Up to 30 groups, shared probabilities (tied null outcomes) or distinct
+    ones, some at the clamps; no, some or every marker matched; |E| at,
+    below or above ``exact_max``, the exact side kept to at most 12 markers.
+    """
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exact = draw(st.booleans())
+    levels = gen.uniform(0.002, 0.6, int(gen.integers(1, 9 if exact else 31)))
+    clamp = gen.random(levels.size)
+    levels[clamp < 0.1], levels[clamp > 0.9] = PROB_FLOOR, PROB_CEIL
+    pg = np.unique(levels)
+    sizes = gen.integers(1, 4 if draw(st.booleans()) else 2, pg.size).astype(float)
+    while exact and sizes.sum() > 12:
+        sizes[np.argmax(sizes)] -= 1
+    share = draw(st.sampled_from(["none", "some", "all"]))
+    matched = {"none": 0.0 * sizes, "some": np.floor(gen.random(pg.size) * (sizes + 1)),
+               "all": sizes}[share]
+    n = int(sizes.sum())
+    exact_max = int(gen.integers(n, n + 3)) if exact else int(gen.integers(0, n))
+    return pg, sizes, matched, exact_max
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=grouped_pairs(), sims=st.sampled_from([1, 200, 2000]),
+       stream=st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 40)))
+def test_counts_test_equals_p_value_of_oracle_null(case, sims, stream):
+    pg, sizes, matched, exact_max = case
+    result = nullref.counts_test(pg, sizes, matched, sims=sims, exact_max=exact_max,
+                                 seed=stream[0], stream_index=stream[1])
+    ps = list(np.repeat(pg, sizes.astype(int)))
+    if sizes.sum() <= exact_max:
+        assert (result.method, result.n_sims, result.seed) == ("exact", 0, None)
+        null = exact_conditional_null(ps, exact_max)
+    else:
+        assert (result.method, result.n_sims, result.seed) == ("monte-carlo", sims, stream[0])
+        null = sample_conditional_null(ps, sims, RngStream(*stream))
+    assert result.statistic == fit_conditional_batch(pg, sizes, matched[None, :])[1][0]
+    assert result.p_value == p_value(result.statistic, null)
+
+
+def test_counts_test_over_rows_equals_one_row_calls(monkeypatch):
+    # a small chunk, so that the rows' stacked drawn patterns straddle chunk boundaries
+    monkeypatch.setattr(nullref, "_FIT_CHUNK", 50)
+    gen = np.random.default_rng(1602)
+    pg = np.sort(gen.uniform(0.002, 0.6, 12))
+    sizes = (gen.integers(1, 5, (30, 12)) * (gen.random((30, 12)) < 0.4)).astype(float)
+    sizes[:, 0] += 1
+    matched = np.floor(gen.random(sizes.shape) * (sizes + 1))
+    matched[:3], matched[3:6] = 0.0, sizes[3:6]
+    streams = [int(s) for s in gen.integers(0, 2 ** 40, 30)]
+    options = dict(sims=400, exact_max=8, seed=77)
+    results = nullref.counts_test(pg, sizes, matched, stream_index=streams, **options)
+    drawn = [nullref._drawn_rows(pg, sizes[k], 400, RngStream(77, streams[k]))[0].shape[0]
+             for k in range(30) if sizes[k].sum() > 8]
+    starts = np.cumsum([0, *drawn[:-1]])
+    assert sum(drawn) > 3 * nullref._FIT_CHUNK and (starts % nullref._FIT_CHUNK).any()
+    assert {r.method for r in results} == {"exact", "monte-carlo"}
+    for k, result in enumerate(results):
+        own = sizes[k] > 0
+        alone = nullref.counts_test(pg[own], sizes[k, own], matched[k, own],
+                                    stream_index=streams[k], **options)
+        assert dataclasses.asdict(result) == dataclasses.asdict(alone)
+    [one] = nullref.counts_test(pg, sizes[7:8], matched[7:8], stream_index=streams[7:8], **options)
+    assert one == results[7]
+    with pytest.raises(ValueError, match="30 rows need as many stream indices, got 29"):
+        nullref.counts_test(pg, sizes, matched, stream_index=streams[1:], **options)
 
 
 # --- p-values and critical values ----------------------------------------------

@@ -445,10 +445,16 @@ def test_harness_counts_equal_labelled_pairs(monkeypatch, perturbation):
     # the harness works on per-group counts; the labelled profiles of
     # sample_tumor_pair on the same streams must give the same analysis inputs
     spec = mixed_spec(perturbation)
-    seen_counts, seen_batches = {}, []
+    seen_counts, seen_calls, seen_batches = {}, [], []
 
     def conditional(pg, sizes, matched, **kwargs):
-        seen_counts[kwargs["stream_index"]] = (pg, sizes, matched)
+        # each row's nonzero-size columns, by its null stream
+        streams = kwargs["stream_index"]
+        seen_calls.append(streams)
+        rows = zip(np.atleast_1d(streams), np.atleast_2d(sizes), np.atleast_2d(matched), strict=True)
+        for stream, row_sizes, row_matched in rows:
+            present = row_sizes > 0
+            seen_counts[int(stream)] = (pg[present], row_sizes[present], row_matched[present])
         return nullref.counts_test(pg, sizes, matched, **kwargs)
 
     def unconditional(pg, n_markers, matched, single):
@@ -462,6 +468,10 @@ def test_harness_counts_equal_labelled_pairs(monkeypatch, perturbation):
         spec, rng, 0, 1, nullref.sample_unconditional_null([(0.1, 1)], 10, RngStream(0)))
     assert matches.sum() > 0
     [(pg, n_markers, uncond_matched, uncond_single)] = seen_batches  # one batch per run
+    if perturbation.kind == "logit-noise":  # no probabilities shared by the run
+        assert len(seen_calls) == len(seen_counts) > 1
+    else:
+        assert len(seen_calls) == 1  # one conditional batch per run
 
     catalog = scenario_catalog(spec)
     for i in range(spec.replicates):

@@ -16,6 +16,8 @@ Table 5 files, exact and Monte Carlo, at 1 and 3 threads; ``test`` and
 probability file per reader check, in probability mode under ``test`` and in
 counts mode under ``test`` and ``estimate-probs``; ``run_size_power`` for
 every preset kind at xi 0 and 0.25 over three seeds, and once at 3 threads;
+the per-replicate p-values of ``_replicate_arrays`` for the same runs and
+their calibration-run offset, and for a run over ten distinct probabilities;
 ``run_calibrated_comparison`` at 1 and 3 threads; 64 ``conditional_data_test``
 results by field name, exact and Monte Carlo, on distinct and shared
 probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
@@ -45,6 +47,10 @@ from clonality.inference import ConditionalData, conditional_statistic  # noqa: 
 from clonality.nullref import conditional_data_test, exact_p_value, monte_carlo_p_value  # noqa: E402
 from clonality.rng import RngStream  # noqa: E402
 from clonality.simulation import (  # noqa: E402
+    _NULL_RUN_OFFSET,
+    MarkerGroup,
+    ScenarioSpec,
+    _replicate_arrays,
     preset_scenario,
     run_calibrated_comparison,
     run_size_power,
@@ -144,6 +150,20 @@ def harness_values():
              run_calibrated_comparison(spec, RngStream(5), threads=threads))
 
 
+def replicate_values():
+    wide = ScenarioSpec(groups=tuple(MarkerGroup("independent", 60, p)
+                                     for p in (0.002, 0.004, 0.006, 0.01, 0.015, 0.02,
+                                               0.03, 0.05, 0.08, 0.1)),
+                        xi=0.25, replicates=20, sims=200)
+    specs = [(f"{name} xi={xi}", dataclasses.replace(preset_scenario(name, xi), replicates=20, sims=200))
+             for name in PRESETS for xi in (0.0, 0.25)]
+    for label, spec in [*specs, ("ten distinct p xi=0.25", wide)]:
+        for seed in (1, 2, 3):
+            for offset in (0, _NULL_RUN_OFFSET):
+                pvals = _replicate_arrays(spec, RngStream(seed), offset, 1)[0]
+                emit(f"_replicate_arrays {label} seed={seed} offset={offset}", pvals.tolist())
+
+
 def scenario_values():
     for name in PRESETS:
         spec = preset_scenario(name, 0.25)
@@ -190,6 +210,7 @@ def exact_pool_values():
 if __name__ == "__main__":
     cli_values()
     harness_values()
+    replicate_values()
     conditional_values()
     exact_pool_values()
     scenario_values()
