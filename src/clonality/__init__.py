@@ -15,8 +15,6 @@ from .inference import (
     UnconditionalSummary,
     conditional_log_likelihood,
     conditional_statistic,
-    match_weight,
-    mle_xi_conditional,
     unconditional_log_likelihood,
     unconditional_statistic,
     weight_form_statistic,
@@ -36,7 +34,6 @@ from .nullref import (
     TestResult,
     calibrated_rejection,
     conditional_test,
-    critical_value,
     exact_conditional_null,
     p_value,
     sample_conditional_null,

@@ -32,7 +32,7 @@ from .model import MarkerCatalog, MutationProfile, derive_pair_observation
 from .nullref import EXACT_MAX_DEFAULT, SIMS_DEFAULT, conditional_test
 from .priors import FrequencyRecord, estimate_marginal_probability
 from .rng import DEFAULT_SEED, UINT64_MAX, RngStream
-from .simulation import PRESET_NAMES, preset_scenario, run_size_power
+from .simulation import PRESET_NAMES, ScenarioSpec, preset_scenario, run_size_power
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -343,9 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--preset", required=True,
                        help="one of: " + ", ".join(PRESET_NAMES))
     p_sim.add_argument("--xi", required=True, type=float, help="clonality signal in [0, 1]")
-    p_sim.add_argument("--replicates", type=int_range(1), default=1000)
-    p_sim.add_argument("--sims", type=int_range(1), default=5000,
-                       help="null-distribution samples per replicate (default 5000)")
+    p_sim.add_argument("--replicates", type=int_range(1), default=ScenarioSpec.replicates,
+                       help="simulated tumor pairs (default %(default)s)")
+    p_sim.add_argument("--sims", type=int_range(1), default=ScenarioSpec.sims,
+                       help="null-distribution samples per replicate (default %(default)s)")
     p_sim.add_argument("--seed", type=int_range(0, UINT64_MAX), default=DEFAULT_SEED)
     p_sim.add_argument("--out", help="write the TSV report here instead of stdout")
     p_sim.set_defaults(func=_cmd_simulate)

@@ -24,7 +24,8 @@ patterns at once because the null-distribution builders need to fit
 thousands of simulated patterns. Markers are grouped by distinct ``p`` in
 one function, :func:`group_by_probability`, which the observed fits, both
 nulls and the simulation harness share, so each likelihood evaluation is
-O(#groups).
+O(#groups). The batch kernels take their arrays as given: a test's counts
+are checked once, by :func:`~clonality.nullref.counts_test`, before any fit.
 
 An exact p-value only needs to know, for each null pattern, whether its
 statistic reaches the observed one. :func:`conditional_exceeds` answers that
@@ -46,7 +47,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import PairObservation, match_probabilities, outcome_cells, validate_probability, validate_xi
+from .model import match_probabilities, outcome_cells, validate_probability, validate_xi
 
 _COARSE_POINTS = 101
 _XI_TOL = 1e-6
@@ -75,12 +76,6 @@ class ConditionalData:
     def __post_init__(self):
         clean = tuple((validate_probability(p), bool(x)) for p, x in self.markers)
         object.__setattr__(self, "markers", clean)
-
-    @classmethod
-    def from_observation(cls, obs: PairObservation) -> "ConditionalData":
-        markers = [(p, True) for _, p in obs.shared]
-        markers += [(p, False) for _, p in obs.unshared]
-        return cls(tuple(markers))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, bool]]) -> "ConditionalData":
@@ -488,15 +483,6 @@ def conditional_log_likelihood(data: ConditionalData, xi: float) -> float:
     return value
 
 
-def mle_xi_conditional(data: ConditionalData) -> float:
-    """Constrained MLE of the clonality signal on [0, 1].
-
-    Exactly 0 when no marker is matched and exactly 1 when every observed
-    mutation is matched; otherwise found numerically to 1e-6.
-    """
-    return conditional_statistic(data).xi_hat
-
-
 def conditional_statistic(data: ConditionalData) -> FitResult:
     """Conditional LR statistic ``l(xi_hat) - l(0)`` and its MLE."""
     _require_nonempty(data)
@@ -504,14 +490,6 @@ def conditional_statistic(data: ConditionalData) -> FitResult:
     xi_hat, stat, ll_mle = fit_conditional_batch(pg, sizes, matched)
     return FitResult(xi_hat=float(xi_hat[0]), statistic=float(stat[0]),
                      log_likelihood_at_mle=float(ll_mle[0]))
-
-
-def match_weight(p: float, xi: float) -> float:
-    """Evidence weight of one matched marker, ``log[(xi/(1-xi))/p + 1]``."""
-    p = validate_probability(p)
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"weight form requires xi strictly inside (0, 1), got {xi}")
-    return math.log(xi / (1.0 - xi) / p + 1.0)
 
 
 def weight_form_statistic(data: ConditionalData, xi: float) -> float:

@@ -29,9 +29,10 @@ exact or Monte Carlo source and builds one :class:`TestResult` per pair.
 The decide-and-sum takes the drawn patterns of all Monte Carlo pairs in
 one pass, each pair against its own statistic, and sums each pair's
 extreme mass apart, so each p-value is that of the pair tested alone.
-:func:`conditional_data_test` groups a pair's markers once and calls it,
-:func:`conditional_test` first reduces an observation to markers, and the
-simulation harness calls it once per run on the counts it draws.
+It checks its own arrays, so it is the one place where a test's input is
+validated. :func:`conditional_test` groups an observed pair's markers
+straight into it, and the simulation harness calls it once per run on the
+counts it draws.
 
 The unconditional null simulates whole tumor pairs over ``(p, n_markers)``
 groups under zero clonality signal; it does not depend on the observed
@@ -39,8 +40,7 @@ data, so a caller builds it once and passes it to every p-value.
 
 Every null is a :class:`NullDistribution` of weighted atoms: an exact null
 weights each outcome vector by its probability, a Monte Carlo null each
-draw by 1, and :func:`p_value` and :func:`critical_value` read the same
-mass over total from both.
+draw by 1, and :func:`p_value` reads the same mass over total from both.
 
 P-values count null statistics greater than or equal to the observed one
 (ties are extreme): the published single-locus p-value equals the
@@ -58,7 +58,6 @@ import numpy as np
 
 from .errors import ClonalityError
 from .inference import (
-    ConditionalData,
     bound_tables,
     conditional_exceeds,
     fit_conditional_batch,
@@ -392,25 +391,6 @@ def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: 
                                 [observed - TIE_TOLERANCE], n_sims)[0])
 
 
-def critical_value(null: NullDistribution, alpha: float) -> float:
-    """Smallest null value whose strict-exceedance share of the mass is below alpha.
-
-    The share is taken from the summed weights before dividing by the
-    total, so on a Monte Carlo null it is an exact count over n, and
-    exactly alpha*n draws above a value do not count as below alpha.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    order = np.argsort(null.statistics)
-    vals = null.statistics[order]
-    distinct, start = np.unique(vals, return_index=True)
-    # weight at or below each distinct value = cumsum just before the next block
-    upto = np.append(start[1:], vals.size) - 1
-    exceed = (null.total - np.cumsum(null.weights[order])[upto]) / null.total
-    idx = int(np.argmax(exceed < alpha))
-    return float(distinct[idx])
-
-
 def counts_test(
     pg: np.ndarray,
     sizes: np.ndarray,
@@ -438,10 +418,27 @@ def counts_test(
     rows' patterns gives each row's p-value. The observed statistics come
     from one fit of every row. Each result equals that of the row tested
     alone.
+
+    Raises ``ValueError`` before any fit unless ``pg`` is 1-D and strictly
+    inside (0, 1), ``sizes`` and ``matched`` share one shape, (G,) or
+    (K, G), of whole numbers with ``0 <= matched <= sizes``, and every row
+    has a mutated marker.
     """
-    one = np.ndim(matched) == 1
+    pg, sizes, matched = (np.asarray(a, dtype=float) for a in (pg, sizes, matched))
+    if pg.ndim != 1 or not np.all((pg > 0.0) & (pg < 1.0)):
+        raise ValueError(f"pg must be 1-D and strictly inside (0, 1), got {pg}")
+    if sizes.shape != matched.shape or sizes.shape[-1:] != pg.shape or sizes.ndim > 2:
+        raise ValueError(f"sizes {sizes.shape} and matched {matched.shape} must both be "
+                         f"(G,) or (K, G) with G = {pg.size}")
+    if not np.all(np.isfinite(sizes) & (sizes == np.round(sizes)) & (matched == np.round(matched))
+                  & (0.0 <= matched) & (matched <= sizes)):
+        raise ValueError("sizes and matched must be whole numbers with 0 <= matched <= sizes")
+    one = matched.ndim == 1
     sizes, matched = np.atleast_2d(sizes), np.atleast_2d(matched)
-    streams = [stream_index] if one else list(stream_index)
+    empty = np.flatnonzero(sizes.sum(axis=1) == 0)
+    if empty.size:
+        raise ValueError(("" if one else f"row {empty[0]}: ") + "no mutations observed; test undefined")
+    streams = [stream_index] if one or np.ndim(stream_index) == 0 else list(stream_index)
     if len(streams) != matched.shape[0]:
         raise ValueError(f"{matched.shape[0]} rows need as many stream indices, got {len(streams)}")
     xi_hat, stat, _ = fit_conditional_batch(pg, sizes[0] if one else sizes, matched)
@@ -469,20 +466,16 @@ def counts_test(
     return results[0] if one else results
 
 
-def conditional_data_test(data: ConditionalData, **options) -> TestResult:
-    """:func:`counts_test` of one pair's mutated markers and match indicators.
+def conditional_test(obs: PairObservation, **options) -> TestResult:
+    """:func:`counts_test` of one tumor pair's matched and unmatched markers.
 
     ``options`` are the keyword options of :func:`counts_test`.
     """
-    if len(data) == 0:
+    if obs.union_size == 0:
         raise ValueError("no mutations observed; test undefined")
-    return counts_test(*group_by_probability([p for p, _ in data.markers], np.ones(len(data)),
-                                             [x for _, x in data.markers]), **options)
-
-
-def conditional_test(obs: PairObservation, **options) -> TestResult:
-    """End-to-end conditional test of one tumor pair, by :func:`conditional_data_test`."""
-    return conditional_data_test(ConditionalData.from_observation(obs), **options)
+    ps = [p for _, p in obs.shared + obs.unshared]
+    return counts_test(*group_by_probability(ps, np.ones(len(ps)), np.arange(len(ps)) < obs.n_matches),
+                       **options)
 
 
 def sample_unconditional_null(

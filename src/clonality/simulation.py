@@ -383,7 +383,8 @@ PRESET_NAMES = (
     "table4-corr(RHO)",
 )
 
-_CORR_RE = re.compile(r"^table4-corr\((?P<rho>[0-9.]+)\)$")
+# every match of the group is a float literal
+_CORR_RE = re.compile(r"^table4-corr\((?P<rho>[0-9]+\.?[0-9]*|\.[0-9]+)\)$")
 
 
 def _table2_groups(layout: str) -> tuple[MarkerGroup, ...]:
@@ -407,34 +408,32 @@ def preset_scenario(name: str, xi: float) -> ScenarioSpec:
 
     The misspecification and correlation presets are built on the mean-10
     universe; ``table4-corr(0.3)`` / ``table4-corr(0.9)`` select the latent
-    pairwise correlation.
+    pairwise correlation. Replicates, sims and alpha are the
+    :class:`ScenarioSpec` defaults.
     """
     validate_xi(xi)
-    base = dict(xi=xi, replicates=1000, sims=5000, alpha=0.05)
     if name in ("table2-m5", "table2-m10", "table2-m20"):
-        return ScenarioSpec(groups=_table2_groups(name.split("-")[1]), **base)
+        return ScenarioSpec(groups=_table2_groups(name.split("-")[1]), xi=xi)
     if name == "table3-noise":
         return ScenarioSpec(
             groups=_table2_groups("m10"),
             perturbation=Perturbation(kind="logit-noise", sigma=0.5),
-            **base,
+            xi=xi,
         )
     if name == "table3-inflate":
         return ScenarioSpec(
             groups=_table2_groups("m10"),
             perturbation=Perturbation(kind="rare-inflation", factor=10.0, threshold=0.01),
-            **base,
+            xi=xi,
         )
     if name == "table4-exclusive":
-        return ScenarioSpec(groups=_block_groups("m10", "exclusive-block"), **base)
+        return ScenarioSpec(groups=_block_groups("m10", "exclusive-block"), xi=xi)
     corr = _CORR_RE.match(name)
     if corr:
         rho = float(corr.group("rho"))
         if not (0.0 <= rho < 1.0):
             raise ValueError(f"correlation must lie in [0, 1), got {rho}")
-        return ScenarioSpec(
-            groups=_block_groups("m10", "equicorrelated-block", rho=rho), **base
-        )
+        return ScenarioSpec(groups=_block_groups("m10", "equicorrelated-block", rho=rho), xi=xi)
     raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
 
 

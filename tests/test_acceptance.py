@@ -302,9 +302,7 @@ def test_criterion_8_property_suites():
         data = ConditionalData.from_pairs(
             zip(gen.uniform(0.01, 0.5, m), np.append(gen.random(m - 2) < 0.4, [True, False]))
         )
-        from clonality.inference import mle_xi_conditional
-
-        assert mle_xi_conditional(data) == pytest.approx(oracle(data.markers), abs=1e-4)
+        assert conditional_statistic(data).xi_hat == pytest.approx(oracle(data.markers), abs=1e-4)
 
     # normal quantile accuracy
     def cdf(x):

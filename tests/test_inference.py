@@ -15,8 +15,6 @@ from clonality.inference import (
     fit_conditional_batch,
     fit_unconditional_batch,
     group_by_probability,
-    match_weight,
-    mle_xi_conditional,
     settle_by_bounds,
     unconditional_log_likelihood,
     unconditional_statistic,
@@ -112,13 +110,13 @@ def test_conditional_log_likelihood_empty():
 
 def test_mle_boundary_short_circuits():
     no_match = ConditionalData.from_pairs([(0.1, False), (0.02, False)])
-    assert mle_xi_conditional(no_match) == 0.0
+    assert conditional_statistic(no_match).xi_hat == 0.0
     all_match = ConditionalData.from_pairs([(0.1, True), (0.02, True)])
-    assert mle_xi_conditional(all_match) == 1.0
+    assert conditional_statistic(all_match).xi_hat == 1.0
 
 
 def test_mle_agrees_with_grid_oracle_on_case_data():
-    xi_hat = mle_xi_conditional(TABLE1_MUCINOUS)
+    xi_hat = conditional_statistic(TABLE1_MUCINOUS).xi_hat
     oracle_xi, oracle_ll = oracle_grid_mle(TABLE1_MUCINOUS.markers)
     assert xi_hat == pytest.approx(oracle_xi, abs=1e-4)
     # the fitted likelihood dominates every grid point
@@ -129,7 +127,7 @@ def test_mle_agrees_with_grid_oracle_randomized():
     gen = np.random.default_rng(20240817)
     for _ in range(40):
         data = random_mixed_data(gen)
-        xi_hat = mle_xi_conditional(data)
+        xi_hat = conditional_statistic(data).xi_hat
         oracle_xi, oracle_ll = oracle_grid_mle(data.markers)
         assert xi_hat == pytest.approx(oracle_xi, abs=1e-4)
         assert oracle_cond_loglik(data.markers, xi_hat) >= oracle_ll - 1e-10
@@ -183,11 +181,13 @@ def test_qform_matches_weight_form():
 
 
 def test_match_weight_decreasing_in_p():
+    # the weight-form statistic of one matched marker: its match weight less its union term
     for xi in (0.05, 0.3, 0.7, 0.95):
-        weights = [match_weight(p, xi) for p in np.linspace(0.005, 0.95, 40)]
+        weights = [weight_form_statistic(ConditionalData.from_pairs([(p, True)]), xi)
+                   for p in np.linspace(0.005, 0.95, 40)]
         assert all(b < a for a, b in zip(weights, weights[1:]))
     with pytest.raises(ValueError):
-        match_weight(0.1, 1.0)
+        weight_form_statistic(ConditionalData.from_pairs([(0.1, True)]), 1.0)
 
 
 def test_permutation_invariance():

@@ -22,7 +22,6 @@ from clonality.nullref import (
     NullDistribution,
     calibrated_rejection,
     conditional_test,
-    critical_value,
     exact_conditional_null,
     exact_p_value,
     monte_carlo_p_value,
@@ -377,9 +376,25 @@ def test_counts_test_over_rows_equals_one_row_calls(monkeypatch):
     assert one == results[7]
     with pytest.raises(ValueError, match="30 rows need as many stream indices, got 29"):
         nullref.counts_test(pg, sizes, matched, stream_index=streams[1:], **options)
+    with pytest.raises(ValueError, match="30 rows need as many stream indices, got 1"):
+        nullref.counts_test(pg, sizes, matched, **options)
 
 
-# --- p-values and critical values ----------------------------------------------
+@pytest.mark.parametrize("pg, sizes, matched, message", [
+    ([0.0, 1.2], [1, 1], [1, 0], r"strictly inside \(0, 1\)"),
+    ([0.1, 0.2], [1, 1], [-1, 1], "0 <= matched <= sizes"),
+    ([0.1, 0.2], [1.5, 1], [1, 0], "whole numbers"),
+    ([0.1, 0.2], [0, 0], [0, 0], "^no mutations observed; test undefined$"),
+    ([0.1, 0.2], [1, 1, 1], [1, 0, 0], r"\(G,\) or \(K, G\) with G = 2"),
+    ([0.1, 0.2], [[1, 1], [0, 0]], [[1, 0], [0, 0]], "^row 1: no mutations observed"),
+], ids=["pg-outside", "negative-matched", "fractional-size", "empty-row", "column-mismatch",
+        "empty-kth-row"])
+def test_counts_test_refuses_malformed_counts(pg, sizes, matched, message):
+    with pytest.raises(ValueError, match=message):
+        nullref.counts_test(np.array(pg), np.array(sizes), np.array(matched), stream_index=[0, 1])
+
+
+# --- p-values ------------------------------------------------------------------
 
 def test_p_value_examples():
     null = exact_conditional_null([0.081])
@@ -398,47 +413,6 @@ def test_p_value_is_one_without_matches():
     result = conditional_test(obs)
     assert result.p_value == 1.0
     assert result.statistic == 0.0
-
-
-def test_critical_value_two_atom_example():
-    null = NullDistribution(np.array([0.0, 3.17]), np.array([0.96, 0.04]))
-    assert critical_value(null, 0.05) == 0.0
-    # mass above 0 is 0.04 >= 0.03, so the next atom is needed at alpha=0.03
-    assert critical_value(null, 0.03) == 3.17
-
-
-def test_critical_value_near_one_returns_minimum():
-    gen = np.random.default_rng(5)
-    samples = gen.uniform(0, 10, size=101)
-    null = NullDistribution(samples, np.ones(101), 101)
-    assert critical_value(null, 0.999) == samples.min()
-
-
-def test_critical_value_order_statistic_oracle():
-    gen = np.random.default_rng(11)
-    samples = gen.uniform(0, 1, size=999)  # all distinct almost surely
-    null = NullDistribution(samples, np.ones(999), 999)
-    alpha = 0.05
-    k = critical_value(null, alpha)
-    # direct-scan definition
-    expected = min(v for v in samples if np.mean(samples > v) < alpha)
-    assert k == expected
-    # order-statistic form for distinct samples
-    assert k == np.sort(samples)[math.ceil(0.95 * 999) - 1]
-
-
-def test_critical_value_counts_draws_exactly_at_ties():
-    # 1 of 20 draws lies above 0.0: a share of exactly alpha, which is not below it
-    null = NullDistribution(np.array([0.0] * 19 + [1.0]), np.ones(20), 20)
-    assert critical_value(null, 0.05) == 1.0
-    assert critical_value(null, 0.0501) == 0.0
-    gen = np.random.default_rng(12)
-    for n in (20, 100, 500, 999):
-        samples = gen.integers(0, 8, size=n).astype(float)
-        null = NullDistribution(samples, np.ones(n), n)
-        for alpha in (0.05, 0.1, 0.25, 3 / n):
-            expected = min(v for v in samples if np.sum(samples > v) < alpha * n)
-            assert critical_value(null, alpha) == expected
 
 
 # --- end-to-end conditional test -------------------------------------------------

@@ -170,8 +170,10 @@ def test_preset_perturbations():
 
 
 def test_preset_unknown_name():
-    with pytest.raises(ValueError, match="table2-m5"):
-        preset_scenario("table9-m5", 0.0)
+    # a malformed correlation is an unknown name too, not a float parse error
+    for name in ("table9-m5", "table4-corr(.)", "table4-corr(0.3.3)"):
+        with pytest.raises(ValueError, match=r"unknown preset .*table2-m5"):
+            preset_scenario(name, 0.0)
 
 
 PRESET_KINDS = ("table2-m5", "table2-m10", "table2-m20", "table3-noise", "table3-inflate",

@@ -18,9 +18,10 @@ counts mode under ``test`` and ``estimate-probs``; ``run_size_power`` for
 every preset kind at xi 0 and 0.25 over three seeds, and once at 3 threads;
 the per-replicate p-values of ``_replicate_arrays`` for the same runs and
 their calibration-run offset, and for a run over ten distinct probabilities;
-``run_calibrated_comparison`` at 1 and 3 threads; 64 ``conditional_data_test``
-results by field name, exact and Monte Carlo, on distinct and shared
-probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
+``run_calibrated_comparison`` at 1 and 3 threads; 64 ``counts_test``
+results of grouped markers by field name (labelled ``conditional_data_test``,
+the adapter they once went through), exact and Monte Carlo, on distinct and
+shared probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
 observed statistic s, at s/2 and at one ulp above s; ``exact_p_value`` at
 the observed statistic of each of the 112 ``case-exact`` pool cases of
 ``bench/workloads.py`` (distinct probabilities at |E| 8-16, shared ones at
@@ -43,8 +44,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from clonality import cli  # noqa: E402
-from clonality.inference import ConditionalData, conditional_statistic  # noqa: E402
-from clonality.nullref import conditional_data_test, exact_p_value, monte_carlo_p_value  # noqa: E402
+from clonality.inference import ConditionalData, conditional_statistic, group_by_probability  # noqa: E402
+from clonality.nullref import counts_test, exact_p_value, monte_carlo_p_value  # noqa: E402
 from clonality.rng import RngStream  # noqa: E402
 from clonality.simulation import (  # noqa: E402
     _NULL_RUN_OFFSET,
@@ -188,7 +189,8 @@ def conditional_values():
         size = int(gen.integers(1, 17) if k % 2 == 0 else gen.integers(21, 36))
         ps, matched = random_case(gen, size, shared=k % 4 >= 2)
         data = ConditionalData.from_pairs(zip(ps, matched))
-        result = conditional_data_test(data, sims=(1, 500, 4000)[k % 3], seed=k)
+        result = counts_test(*group_by_probability(ps, np.ones(size), matched),
+                             sims=(1, 500, 4000)[k % 3], seed=k)
         emit(f"conditional_data_test case={k}", sorted(dataclasses.asdict(result).items()))
         s = conditional_statistic(data).statistic
         for label, threshold in (("s", s), ("s/2", s / 2), ("s+ulp", float(np.nextafter(s, np.inf)))):
