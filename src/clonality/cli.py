@@ -275,7 +275,7 @@ _SIMULATE_HEADER = (
 def _cmd_simulate(args) -> int:
     spec = preset_scenario(args.preset, args.xi)
     spec = dataclasses.replace(spec, replicates=args.replicates, sims=args.sims)
-    report = run_size_power(spec, RngStream(args.seed), threads=args.threads)
+    report = run_size_power(spec, RngStream(args.seed))
     row = "\t".join(
         str(v) for v in (
             args.preset, args.xi, report.replicates, spec.sims,
@@ -337,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pairs = sub.add_parser("pairs", help="p-value matrix over all tumor pairs (TSV)")
     _add_test_options(p_pairs)
+    p_pairs.add_argument("--threads", type=int_range(1), default=1,
+                         help="worker threads (at least 1); results do not depend on the value")
     p_pairs.set_defaults(func=_cmd_pairs)
 
     p_sim = sub.add_parser("simulate", help="run a simulation preset, report as TSV")
@@ -349,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="null-distribution samples per replicate (default %(default)s)")
     p_sim.add_argument("--seed", type=int_range(0, UINT64_MAX), default=DEFAULT_SEED)
     p_sim.add_argument("--out", help="write the TSV report here instead of stdout")
+    p_sim.add_argument("--threads", type=int_range(1), default=1,
+                       help="accepted (at least 1) and ignored: the simulation runs on one "
+                            "thread, and the value changes neither the results nor the work")
     p_sim.set_defaults(func=_cmd_simulate)
-    for threaded in (p_pairs, p_sim):
-        threaded.add_argument("--threads", type=int_range(1), default=1,
-                              help="worker threads (at least 1); results do not depend on the value")
 
     p_est = sub.add_parser("estimate-probs",
                            help="pool cohort counts into marginal probabilities")

@@ -21,6 +21,7 @@ set mutated in exactly one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -47,6 +48,12 @@ def validate_probability(p: float, name: str = "p") -> float:
     if not (0.0 < p < 1.0):
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {p}")
     return float(p)
+
+
+def validate_count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def validate_xi(xi: float) -> float:

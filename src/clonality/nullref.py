@@ -29,8 +29,8 @@ exact or Monte Carlo source and builds one :class:`TestResult` per pair.
 The decide-and-sum takes the drawn patterns of all Monte Carlo pairs in
 one pass, each pair against its own statistic, and sums each pair's
 extreme mass apart, so each p-value is that of the pair tested alone.
-It checks its own arrays, so it is the one place where a test's input is
-validated. :func:`conditional_test` groups an observed pair's markers
+It checks its own arrays and options, so it is the one place where a
+test's input is validated. :func:`conditional_test` groups an observed pair's markers
 straight into it, and the simulation harness calls it once per run on the
 counts it draws.
 
@@ -65,7 +65,7 @@ from .inference import (
     group_by_probability,
     settle_by_bounds,
 )
-from .model import PairObservation, pair_outcome_probabilities, validate_probability
+from .model import PairObservation, pair_outcome_probabilities, validate_count, validate_probability
 from .rng import DEFAULT_SEED, RngStream
 
 TIE_TOLERANCE = 1e-9
@@ -419,11 +419,14 @@ def counts_test(
     from one fit of every row. Each result equals that of the row tested
     alone.
 
-    Raises ``ValueError`` before any fit unless ``pg`` is 1-D and strictly
-    inside (0, 1), ``sizes`` and ``matched`` share one shape, (G,) or
-    (K, G), of whole numbers with ``0 <= matched <= sizes``, and every row
-    has a mutated marker.
+    Raises ``ValueError`` before any fit unless ``sims`` is an integer
+    >= 1, ``exact_max`` an integer >= 0 (booleans are neither), ``pg`` is
+    1-D and strictly inside (0, 1), ``sizes`` and ``matched`` share one
+    shape, (G,) or (K, G), of whole numbers with ``0 <= matched <= sizes``,
+    and every row has a mutated marker.
     """
+    validate_count("sims", sims, 1)
+    validate_count("exact_max", exact_max, 0)
     pg, sizes, matched = (np.asarray(a, dtype=float) for a in (pg, sizes, matched))
     if pg.ndim != 1 or not np.all((pg > 0.0) & (pg < 1.0)):
         raise ValueError(f"pg must be 1-D and strictly inside (0, 1), got {pg}")

@@ -8,9 +8,13 @@ universe, runs the conditional test on each pair (with the possibly
 perturbed probabilities used both for the statistic and for its reference
 distribution), and reports rejection rates, randomization-calibrated
 rejection rates, and matching-mutation summaries. It works on per-group
-counts of the markers mutated in both tumors, in A only and in B only;
-marker labels exist only in :func:`sample_tumor_pair`, which draws the same
-pair from the same stream. The pairs' mutated markers, grouped by their
+counts of the markers mutated in both tumors, in A only and in B only.
+Every replicate draws from its own stream, and the harness draws a run
+group by group: one group kernel makes each pair's random calls on its
+stream, in the order a lone pair makes them, then turns the whole group's
+draws into counts at once. :func:`sample_tumor_pair` runs the same kernel
+on one stream and labels the markers, so it draws the harness's pair on
+that stream. The pairs' mutated markers, grouped by their
 analysis probabilities, go to :func:`~clonality.nullref.counts_test`, one
 call per run unless logit noise gives every replicate its own
 probabilities; the unconditional statistics of a whole run, which shares
@@ -30,7 +34,6 @@ import math
 import numbers
 import re
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -42,6 +45,7 @@ from .model import (
     MarkerCatalog,
     MutationProfile,
     clamp_probability,
+    validate_count,
     validate_probability,
     validate_xi,
 )
@@ -54,21 +58,15 @@ from .nullref import (
 )
 from .rng import RngStream
 
-# Stream-index layout: each replicate owns a stride of role slots so that
-# parallel scheduling cannot reorder draws, and the matching null-signal run
-# lives at a disjoint offset under the same root seed.
+# Stream-index layout: each replicate owns a stride of role slots, so that its
+# draws do not depend on how the run is split into calls or ordered, and the
+# matching null-signal run lives at a disjoint offset under the same root seed.
 _STRIDE = 4
 _ROLE_DATA = 0
 _ROLE_NOISE = 1
 _ROLE_NULL_SAMPLER = 2
 _NULL_RUN_OFFSET = 1 << 40
 _UNCOND_NULL_STREAM = (1 << 41) + 1
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_real(name: str, value) -> None:
@@ -91,7 +89,7 @@ class MarkerGroup:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}; expected one of {self._KINDS}")
-        _check_count("n_markers", self.n_markers)
+        validate_count("n_markers", self.n_markers, 1)
         _check_real("p", self.p)
         _check_real("rho", self.rho)
         validate_probability(self.p, "p")
@@ -150,8 +148,8 @@ class ScenarioSpec:
         _check_real("xi", self.xi)
         _check_real("alpha", self.alpha)
         validate_xi(self.xi)
-        _check_count("replicates", self.replicates)
-        _check_count("sims", self.sims)
+        validate_count("replicates", self.replicates, 1)
+        validate_count("sims", self.sims, 1)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
@@ -248,19 +246,25 @@ def inflate_rare(ps: Sequence[float], factor: float, threshold: float) -> list[f
 # Pair generators.
 # ---------------------------------------------------------------------------
 
-def _independent_pair_counts(gen: np.random.Generator, n: int, p: float, xi: float, size: int):
-    """(matched, a_only, b_only) counts for an independent group, vectorized.
+def _independent_pair_counts(gen: np.random.Generator, n: int, p: float, xi: float,
+                             size: Optional[int] = None):
+    """(matched, a_only, b_only) counts for an independent group.
 
     Per-marker clonality indicators are collapsed to a Binomial clonal count;
     chance overlaps between the two tumors' independent-phase draws follow
     the hypergeometric law of two uniform subsets. Distributionally identical
-    to per-marker sampling.
+    to per-marker sampling. ``size`` pairs come as arrays; ``size=None``
+    draws one pair by scalar calls, which give the numbers of ``size=1`` at
+    a fraction of its call cost, and returns integers.
     """
     n_clonal = gen.binomial(n, xi, size=size)
     shared = gen.binomial(n_clonal, p)
     pool = n - n_clonal
     k_a = gen.binomial(pool, p)
     k_b = gen.binomial(pool, p)
+    if size is None:
+        overlap = gen.hypergeometric(k_a, pool - k_a, k_b) if k_a and k_b else 0
+        return shared + overlap, k_a - overlap, k_b - overlap
     overlap = np.zeros(size, dtype=np.int64)
     drawable = (k_a > 0) & (k_b > 0)
     if drawable.any():
@@ -286,25 +290,61 @@ def _exclusive_pair_cells(gen: np.random.Generator, n: int, p: float, xi: float,
     )
 
 
-def _latent_block(gen: np.random.Generator, n: int, rho: float, size: int) -> np.ndarray:
-    """One-factor equicorrelated Gaussian vectors, shape (size, n)."""
-    factor = gen.normal(size=(size, 1))
-    noise = gen.normal(size=(size, n))
+def _latent_block(factor: np.ndarray, noise: np.ndarray, rho: float) -> np.ndarray:
+    """One-factor equicorrelated Gaussian vectors from standard normal draws.
+
+    ``factor`` (..., 1) holds each vector's common factor and ``noise``
+    (..., n) its own terms.
+    """
     return math.sqrt(rho) * factor + math.sqrt(1.0 - rho) * noise
 
 
 def _equicorrelated_pair_mutations(
-    gen: np.random.Generator, n: int, p: float, rho: float, xi: float, size: int
+    uniform: np.ndarray, normals: np.ndarray, p: float, rho: float, xi: float
 ):
-    """(mut_a, mut_b) boolean matrices (size, n) for one latent-Gaussian block."""
+    """(mut_a, mut_b) boolean matrices (size, n) for one latent-Gaussian block.
+
+    A pair is clonal when its ``uniform`` (size,) falls below ``xi``.
+    ``normals`` (size, 3, n + 1) holds per pair the standard normals of the
+    shared, A's and B's latent vector, each a factor then n noise terms.
+    """
     threshold = normal_quantile(1.0 - p)
-    clonal = gen.random(size) < xi
-    latent_shared = _latent_block(gen, n, rho, size)
-    latent_a = _latent_block(gen, n, rho, size)
-    latent_b = _latent_block(gen, n, rho, size)
-    x_a = np.where(clonal[:, None], latent_shared, latent_a)
-    x_b = np.where(clonal[:, None], latent_shared, latent_b)
+    latent = _latent_block(normals[..., :1], normals[..., 1:], rho)
+    clonal = (uniform < xi)[:, None]
+    x_a = np.where(clonal, latent[:, 0], latent[:, 1])
+    x_b = np.where(clonal, latent[:, 0], latent[:, 2])
     return x_a > threshold, x_b > threshold
+
+
+def _draw_group(group: MarkerGroup, xi: float, gens: Sequence[np.random.Generator]):
+    """One group of K pairs, pair k drawn on ``gens[k]`` by the calls of a lone pair.
+
+    Only the random calls run per pair; the transform to mutations and the
+    reduction to (both, A only, B only) counts, shape (K, 3), run once over
+    the group. Also returns what labels the pairs: for an independent group
+    each pair's drawn marker indices, both then A only then B only; for a
+    block the (K, n) mutation masks of A and of B.
+    """
+    n, p = group.n_markers, group.p
+    if group.kind == "independent":
+        counts, ids = [], []
+        for gen in gens:
+            pair = _independent_pair_counts(gen, n, p, xi)
+            total = sum(pair)
+            counts.append(pair)
+            ids.append(gen.choice(n, size=total, replace=False) if total else np.zeros(0, dtype=int))
+        return np.array(counts, dtype=np.int64), ids
+    if group.kind == "exclusive-block":
+        cells = np.array([_exclusive_pair_cells(gen, n, p, xi, 1) for gen in gens])
+        mut_a, mut_b = np.arange(n) == cells[:, 0], np.arange(n) == cells[:, 1]
+    else:
+        uniform, normals = np.empty(len(gens)), np.empty((len(gens), 3, n + 1))
+        for k, gen in enumerate(gens):
+            uniform[k] = gen.random()
+            gen.standard_normal(out=normals[k])
+        mut_a, mut_b = _equicorrelated_pair_mutations(uniform, normals, p, group.rho, xi)
+    counts = [(mut_a & mut_b).sum(axis=1), (mut_a & ~mut_b).sum(axis=1), (mut_b & ~mut_a).sum(axis=1)]
+    return np.stack(counts, axis=1), (mut_a, mut_b)
 
 
 def _marker_label(group_index: int, marker_index: int) -> str:
@@ -320,39 +360,26 @@ def scenario_catalog(spec: ScenarioSpec) -> MarkerCatalog:
     return MarkerCatalog(entries)
 
 
-def _pair_markers(spec: ScenarioSpec, rng: RngStream) -> list[tuple[np.ndarray, ...]]:
-    """Draw one tumor pair: per group, the marker indices (both, A only, B only)."""
-    gen = rng.generator()
-    drawn = []
-    for group in spec.groups:
-        n = group.n_markers
-        if group.kind == "independent":
-            counts = [int(v[0]) for v in _independent_pair_counts(gen, n, group.p, spec.xi, 1)]
-            total = sum(counts)
-            ids = gen.choice(n, size=total, replace=False) if total else np.zeros(0, dtype=int)
-            drawn.append(tuple(np.split(ids, np.cumsum(counts[:2]))))
-            continue
-        if group.kind == "exclusive-block":
-            cell_a, cell_b = _exclusive_pair_cells(gen, n, group.p, spec.xi, 1)
-            mut_a, mut_b = np.arange(n) == cell_a[0], np.arange(n) == cell_b[0]
-        else:
-            mut_a, mut_b = (m[0] for m in _equicorrelated_pair_mutations(
-                gen, n, group.p, group.rho, spec.xi, 1))
-        drawn.append((np.flatnonzero(mut_a & mut_b), np.flatnonzero(mut_a & ~mut_b),
-                      np.flatnonzero(mut_b & ~mut_a)))
-    return drawn
-
-
 def sample_tumor_pair(
     spec: ScenarioSpec, rng: RngStream
 ) -> tuple[MutationProfile, MutationProfile]:
-    """Draw one tumor pair from the scenario's generative model."""
+    """Draw one tumor pair from the scenario's generative model.
+
+    The pair is the harness's replicate on the same stream: :func:`_draw_group`
+    draws each group with the stream's one generator.
+    """
+    gen = rng.generator()
     a_mut: list[str] = []
     b_mut: list[str] = []
-    for gi, (both, a_only, b_only) in enumerate(_pair_markers(spec, rng)):
-        shared = [_marker_label(gi, int(i)) for i in both]
-        a_mut += shared + [_marker_label(gi, int(i)) for i in a_only]
-        b_mut += shared + [_marker_label(gi, int(i)) for i in b_only]
+    for gi, group in enumerate(spec.groups):
+        counts, marks = _draw_group(group, spec.xi, [gen])
+        if group.kind == "independent":
+            both, a_only, b_only = np.split(marks[0], np.cumsum(counts[0, :2]))
+            in_a, in_b = np.concatenate([both, a_only]), np.concatenate([both, b_only])
+        else:
+            in_a, in_b = (np.flatnonzero(mask[0]) for mask in marks)
+        a_mut += [_marker_label(gi, int(i)) for i in in_a]
+        b_mut += [_marker_label(gi, int(i)) for i in in_b]
     return (
         MutationProfile("A", frozenset(a_mut)),
         MutationProfile("B", frozenset(b_mut)),
@@ -445,13 +472,14 @@ def _replicate_arrays(
     spec: ScenarioSpec,
     rng: RngStream,
     run_offset: int,
-    threads: int,
     uncond_null: Optional[NullDistribution] = None,
 ):
-    """Per-replicate p-values and summaries; thread-count invariant.
+    """Per-replicate p-values and summaries.
 
-    Each pair is drawn from its own stream and reduced to per-group
-    (matched, single) counts; ``threads`` draw pairs in parallel. The groups
+    Each pair is drawn from its own stream, and :func:`_draw_group` draws
+    the run group by group over the replicates' generators, so each stream
+    meets the calls of a lone pair in its order and only the counts of a
+    group's pairs stay: per group (matched, single). The groups
     are taken in the sort order of their marker labels, which is the order
     in which per-marker analysis probabilities meet the perturbation noise.
     Without noise a group's analysis probability is a function of the
@@ -472,18 +500,11 @@ def _replicate_arrays(
     n_markers = np.array([spec.groups[g].n_markers for g in order])
     pert = spec.perturbation
     bases = [rng.stream_index + run_offset + i * _STRIDE for i in range(spec.replicates)]
-
-    def draw(base: int):
-        drawn = _pair_markers(spec, RngStream(rng.seed, base + _ROLE_DATA))
-        counts = np.array([[len(ids) for ids in drawn[g]] for g in order])
-        return counts[:, 0], counts[:, 1] + counts[:, 2]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(draw, bases))
-    else:
-        results = [draw(base) for base in bases]
-    matched, single = (np.array(column) for column in zip(*results))
+    gens = [RngStream(rng.seed, base + _ROLE_DATA).generator() for base in bases]
+    # every stream draws its groups in spec order; a group's marks go once it is counted
+    drawn = [_draw_group(group, spec.xi, gens)[0] for group in spec.groups]
+    counts = np.stack([drawn[g] for g in order], axis=1)
+    matched, single = counts[..., 0], counts[..., 1] + counts[..., 2]
     sizes = matched + single
     # the conditional test is undefined on an empty mutated set: such a pair never rejects
     tested = np.flatnonzero(sizes.sum(axis=1) > 0)
@@ -514,7 +535,7 @@ def _replicate_arrays(
     return pvals, pu, n_matches, 0.5 * (2 * n_matches + single.sum(axis=1))
 
 
-def _paired_runs(spec: ScenarioSpec, rng: RngStream, threads: int,
+def _paired_runs(spec: ScenarioSpec, rng: RngStream,
                  uncond_null: Optional[NullDistribution] = None):
     """A run of ``spec`` and its calibration run, as two ``_replicate_arrays`` results.
 
@@ -522,10 +543,10 @@ def _paired_runs(spec: ScenarioSpec, rng: RngStream, threads: int,
     seed at streams offset by ``_NULL_RUN_OFFSET``; a zero-signal scenario is
     its own calibration run.
     """
-    run = _replicate_arrays(spec, rng, 0, threads, uncond_null)
+    run = _replicate_arrays(spec, rng, 0, uncond_null)
     if spec.xi == 0.0:
         return run, run
-    return run, _replicate_arrays(replace(spec, xi=0.0), rng, _NULL_RUN_OFFSET, threads, uncond_null)
+    return run, _replicate_arrays(replace(spec, xi=0.0), rng, _NULL_RUN_OFFSET, uncond_null)
 
 
 def run_size_power(spec: ScenarioSpec, rng: RngStream, threads: int = 1) -> PowerReport:
@@ -534,10 +555,12 @@ def run_size_power(spec: ScenarioSpec, rng: RngStream, threads: int = 1) -> Powe
     The calibrated rate re-thresholds the observed p-values against the
     calibration run of :func:`_paired_runs`, so that the null rejection rate
     is exactly ``alpha``. Numpy's OpenBLAS runs on one thread meanwhile
-    (:func:`~clonality._blas.one_blas_thread`).
+    (:func:`~clonality._blas.one_blas_thread`). ``threads`` is accepted for
+    existing callers and ignored: the run is drawn on one thread, and the
+    value changes neither the results nor the work.
     """
     with one_blas_thread():
-        (pvals, _, matches, mutations), (null_pvals, *_) = _paired_runs(spec, rng, threads)
+        (pvals, _, matches, mutations), (null_pvals, *_) = _paired_runs(spec, rng)
     rule = calibrated_rejection(null_pvals, pvals, spec.alpha)
     return PowerReport(
         rejection_rate=float(np.mean(pvals <= spec.alpha)),
@@ -559,6 +582,8 @@ def run_calibrated_comparison(
     over the scenario's universe and shared by every replicate of both
     runs. Defined for correctly specified scenarios only. Numpy's OpenBLAS
     runs on one thread meanwhile (:func:`~clonality._blas.one_blas_thread`).
+    ``threads`` is accepted for existing callers and ignored, as in
+    :func:`run_size_power`.
     """
     if spec.perturbation.kind != "none":
         raise ValueError("the conditional/unconditional comparison requires unperturbed probabilities")
@@ -567,7 +592,7 @@ def run_calibrated_comparison(
     with one_blas_thread():
         uncond_null = sample_unconditional_null(
             universe, spec.sims, RngStream(rng.seed, rng.stream_index + _UNCOND_NULL_STREAM))
-        (alt_c, alt_u, _, _), (null_c, null_u, _, _) = _paired_runs(spec, rng, threads, uncond_null)
+        (alt_c, alt_u, _, _), (null_c, null_u, _, _) = _paired_runs(spec, rng, uncond_null)
     rule_c = calibrated_rejection(null_c, alt_c, spec.alpha)
     rule_u = calibrated_rejection(null_u, alt_u, spec.alpha)
     return CalibratedComparison(

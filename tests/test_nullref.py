@@ -380,18 +380,23 @@ def test_counts_test_over_rows_equals_one_row_calls(monkeypatch):
         nullref.counts_test(pg, sizes, matched, **options)
 
 
-@pytest.mark.parametrize("pg, sizes, matched, message", [
-    ([0.0, 1.2], [1, 1], [1, 0], r"strictly inside \(0, 1\)"),
-    ([0.1, 0.2], [1, 1], [-1, 1], "0 <= matched <= sizes"),
-    ([0.1, 0.2], [1.5, 1], [1, 0], "whole numbers"),
-    ([0.1, 0.2], [0, 0], [0, 0], "^no mutations observed; test undefined$"),
-    ([0.1, 0.2], [1, 1, 1], [1, 0, 0], r"\(G,\) or \(K, G\) with G = 2"),
-    ([0.1, 0.2], [[1, 1], [0, 0]], [[1, 0], [0, 0]], "^row 1: no mutations observed"),
+@pytest.mark.parametrize("pg, sizes, matched, options, message", [
+    ([0.0, 1.2], [1, 1], [1, 0], {}, r"strictly inside \(0, 1\)"),
+    ([0.1, 0.2], [1, 1], [-1, 1], {}, "0 <= matched <= sizes"),
+    ([0.1, 0.2], [1.5, 1], [1, 0], {}, "whole numbers"),
+    ([0.1, 0.2], [0, 0], [0, 0], {}, "^no mutations observed; test undefined$"),
+    ([0.1, 0.2], [1, 1, 1], [1, 0, 0], {}, r"\(G,\) or \(K, G\) with G = 2"),
+    ([0.1, 0.2], [[1, 1], [0, 0]], [[1, 0], [0, 0]], {}, "^row 1: no mutations observed"),
+    ([0.1, 0.2], [10, 12], [1, 2], dict(sims=2.5, exact_max=0), "^sims must be an integer >= 1, got 2.5$"),
+    ([0.1, 0.2], [10, 12], [1, 2], dict(sims=0), "^sims must be an integer >= 1, got 0$"),
+    ([0.1, 0.2], [10, 12], [1, 2], dict(exact_max=-3), "^exact_max must be an integer >= 0, got -3$"),
+    ([0.1, 0.2], [10, 12], [1, 2], dict(exact_max=True), "^exact_max must be an integer >= 0, got True$"),
 ], ids=["pg-outside", "negative-matched", "fractional-size", "empty-row", "column-mismatch",
-        "empty-kth-row"])
-def test_counts_test_refuses_malformed_counts(pg, sizes, matched, message):
+        "empty-kth-row", "fractional-sims", "zero-sims-exact", "negative-exact-max", "boolean-exact-max"])
+def test_counts_test_refuses_malformed_counts(pg, sizes, matched, options, message):
     with pytest.raises(ValueError, match=message):
-        nullref.counts_test(np.array(pg), np.array(sizes), np.array(matched), stream_index=[0, 1])
+        nullref.counts_test(np.array(pg), np.array(sizes), np.array(matched), stream_index=[0, 1],
+                            **options)
 
 
 # --- p-values ------------------------------------------------------------------

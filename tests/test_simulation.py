@@ -19,6 +19,7 @@ from clonality.simulation import (
     MarkerGroup,
     Perturbation,
     ScenarioSpec,
+    _draw_group,
     _equicorrelated_pair_mutations,
     _exclusive_pair_cells,
     _independent_pair_counts,
@@ -309,9 +310,17 @@ def test_exclusive_cells_share_outcome_when_clonal():
     assert np.array_equal(ca, cb)
 
 
+def block_draws(gen, n, size):
+    """A latent block's draws for ``size`` pairs: uniforms, then per role
+    (shared, A, B) a (size, 1) factor and a (size, n) noise draw."""
+    uniform = gen.random(size)
+    normals = [np.hstack([gen.normal(size=(size, 1)), gen.normal(size=(size, n))]) for _ in range(3)]
+    return uniform, np.stack(normals, axis=1)
+
+
 def test_equicorrelated_blocks_share_outcome_when_clonal():
     gen = RngStream(13).generator()
-    a, b = _equicorrelated_pair_mutations(gen, 20, 0.1, 0.9, 1.0, 500)
+    a, b = _equicorrelated_pair_mutations(*block_draws(gen, 20, 500), 0.1, 0.9, 1.0)
     assert np.array_equal(a, b)
 
 
@@ -359,7 +368,7 @@ def test_equicorrelated_marginal_preservation():
     n, p, rho, size = 10, 0.1, 0.9, 100_000
     for xi in (0.0, 0.25, 1.0):
         gen = RngStream(25).generator()
-        a, b = _equicorrelated_pair_mutations(gen, n, p, rho, xi, size)
+        a, b = _equicorrelated_pair_mutations(*block_draws(gen, n, size), p, rho, xi)
         for mat in (a, b):
             freq = mat.mean()
             # block correlation inflates the variance of the per-draw count
@@ -370,13 +379,70 @@ def test_equicorrelated_marginal_preservation():
 def test_latent_block_pairwise_correlation():
     size, n = 40_000, 8
     for rho in (0.3, 0.9):
-        x = _latent_block(RngStream(26).generator(), n, rho, size)
+        gen = RngStream(26).generator()
+        x = _latent_block(gen.normal(size=(size, 1)), gen.normal(size=(size, n)), rho)
         corr = np.corrcoef(x.T)
         off_diagonal = corr[~np.eye(n, dtype=bool)]
         # Fisher-z standard error for each pairwise estimate
         tol = 4.0 * (1 - rho ** 2) / math.sqrt(size)
         assert abs(off_diagonal.mean() - rho) <= tol
         assert np.allclose(np.diag(corr), 1.0)
+
+
+def lone_pair_draw(gen, group, xi):
+    """Counts (both, A only, B only) and marks of one pair, by the per-pair calls
+    the harness has always made on the pair's stream."""
+    n, p = group.n_markers, group.p
+    if group.kind == "independent":
+        n_clonal = gen.binomial(n, xi, size=1)
+        shared = gen.binomial(n_clonal, p)
+        pool = n - n_clonal
+        k_a = gen.binomial(pool, p)
+        k_b = gen.binomial(pool, p)
+        overlap = gen.hypergeometric(k_a, pool - k_a, k_b) if k_a[0] and k_b[0] else np.zeros(1, int)
+        counts = [int(v[0]) for v in (shared + overlap, k_a - overlap, k_b - overlap)]
+        ids = gen.choice(n, size=sum(counts), replace=False) if sum(counts) else np.zeros(0, int)
+        return counts, ids
+    clonal = gen.random(1) < xi
+    if group.kind == "exclusive-block":
+        probs = np.append(np.full(n, p), 1.0 - n * p).clip(0.0)
+        shared, a, b = (gen.choice(n + 1, size=1, p=probs / probs.sum()) for _ in range(3))
+        mut_a = np.arange(n) == np.where(clonal, shared, a)
+        mut_b = np.arange(n) == np.where(clonal, shared, b)
+    else:
+        shared, a, b = (math.sqrt(group.rho) * gen.normal(size=(1, 1))
+                        + math.sqrt(1.0 - group.rho) * gen.normal(size=(1, n)) for _ in range(3))
+        threshold = normal_quantile(1.0 - p)
+        mut_a = np.where(clonal, shared[0], a[0]) > threshold
+        mut_b = np.where(clonal, shared[0], b[0]) > threshold
+    counts = [int(m.sum()) for m in (mut_a & mut_b, mut_a & ~mut_b, mut_b & ~mut_a)]
+    return counts, (mut_a, mut_b)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("group", [
+    MarkerGroup("independent", 40, 0.05),
+    MarkerGroup("exclusive-block", 10, 0.05),
+    MarkerGroup("equicorrelated-block", 12, 0.3, rho=0.5),
+], ids=lambda group: group.kind)
+def test_group_kernel_draws_each_stream_as_lone_pairs(group, xi):
+    # K pairs over K generators: each stream meets a lone pair's calls in
+    # their order, twice running, and is left where two lone pairs leave it
+    streams = [RngStream(61, k) for k in range(12)]
+    gens = [stream.generator() for stream in streams]
+    lones = [stream.generator() for stream in streams]
+    for _ in range(2):
+        counts, marks = _draw_group(group, xi, gens)
+        assert counts.shape == (len(gens), 3) and counts.dtype == np.int64
+        assert counts.sum() > 0
+        for k, lone in enumerate(lones):
+            want_counts, want_marks = lone_pair_draw(lone, group, xi)
+            assert counts[k].tolist() == want_counts
+            if group.kind == "independent":
+                assert np.array_equal(marks[k], want_marks)
+            else:
+                assert all(np.array_equal(mask[k], want) for mask, want in zip(marks, want_marks))
+    assert [gen.random() for gen in gens] == [lone.random() for lone in lones]
 
 
 def test_scenario_catalog_covers_universe():
@@ -467,7 +533,7 @@ def test_harness_counts_equal_labelled_pairs(monkeypatch, perturbation):
     monkeypatch.setattr(simulation, "fit_unconditional_batch", unconditional)
     rng = RngStream(57, 3)
     _, _, matches, _ = simulation._replicate_arrays(
-        spec, rng, 0, 1, nullref.sample_unconditional_null([(0.1, 1)], 10, RngStream(0)))
+        spec, rng, 0, nullref.sample_unconditional_null([(0.1, 1)], 10, RngStream(0)))
     assert matches.sum() > 0
     [(pg, n_markers, uncond_matched, uncond_single)] = seen_batches  # one batch per run
     if perturbation.kind == "logit-noise":  # no probabilities shared by the run

@@ -18,6 +18,9 @@ counts mode under ``test`` and ``estimate-probs``; ``run_size_power`` for
 every preset kind at xi 0 and 0.25 over three seeds, and once at 3 threads;
 the per-replicate p-values of ``_replicate_arrays`` for the same runs and
 their calibration-run offset, and for a run over ten distinct probabilities;
+the sorted A and B profiles of ``sample_tumor_pair`` on a few streams for
+every preset kind at xi 0.25 and for a universe of all three group kinds at
+xi 0, 0.3 and 1;
 ``run_calibrated_comparison`` at 1 and 3 threads; 64 ``counts_test``
 results of grouped markers by field name (labelled ``conditional_data_test``,
 the adapter they once went through), exact and Monte Carlo, on distinct and
@@ -32,6 +35,7 @@ at xi 0.25, the ``json.dumps`` of ``scenario_to_json_dict`` and whether
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import sys
@@ -55,6 +59,7 @@ from clonality.simulation import (  # noqa: E402
     preset_scenario,
     run_calibrated_comparison,
     run_size_power,
+    sample_tumor_pair,
     scenario_from_json_dict,
     scenario_to_json_dict,
 )
@@ -152,6 +157,8 @@ def harness_values():
 
 
 def replicate_values():
+    # a tree whose harness still has a thread pool takes its thread count after the offset
+    threads = (1,) if "threads" in inspect.signature(_replicate_arrays).parameters else ()
     wide = ScenarioSpec(groups=tuple(MarkerGroup("independent", 60, p)
                                      for p in (0.002, 0.004, 0.006, 0.01, 0.015, 0.02,
                                                0.03, 0.05, 0.08, 0.1)),
@@ -161,8 +168,28 @@ def replicate_values():
     for label, spec in [*specs, ("ten distinct p xi=0.25", wide)]:
         for seed in (1, 2, 3):
             for offset in (0, _NULL_RUN_OFFSET):
-                pvals = _replicate_arrays(spec, RngStream(seed), offset, 1)[0]
+                pvals = _replicate_arrays(spec, RngStream(seed), offset, *threads)[0]
                 emit(f"_replicate_arrays {label} seed={seed} offset={offset}", pvals.tolist())
+
+
+MIXED_GROUPS = (
+    MarkerGroup("independent", 40, 0.05),
+    MarkerGroup("exclusive-block", 10, 0.05),
+    MarkerGroup("equicorrelated-block", 12, 0.08, rho=0.5),
+    MarkerGroup("independent", 300, 0.004),
+    MarkerGroup("exclusive-block", 5, 0.1),
+    MarkerGroup("equicorrelated-block", 8, 0.004, rho=0.9),
+    MarkerGroup("independent", 60, 0.015),
+)
+
+
+def sampled_pair_values():
+    specs = [(f"{name} xi=0.25", preset_scenario(name, 0.25)) for name in PRESETS]
+    specs += [(f"mixed xi={xi}", ScenarioSpec(groups=MIXED_GROUPS, xi=xi)) for xi in (0.0, 0.3, 1.0)]
+    for label, spec in specs:
+        for stream in range(3):
+            a, b = sample_tumor_pair(spec, RngStream(6, stream))
+            emit(f"sample_tumor_pair {label} stream={stream}", (sorted(a.mutations), sorted(b.mutations)))
 
 
 def scenario_values():
@@ -213,6 +240,7 @@ if __name__ == "__main__":
     cli_values()
     harness_values()
     replicate_values()
+    sampled_pair_values()
     conditional_values()
     exact_pool_values()
     scenario_values()
