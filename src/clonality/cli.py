@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
@@ -231,36 +233,25 @@ def _cmd_pairs(args) -> int:
     if len(ids) < 2:
         raise FileFormatError(args.mutations, 0, "need at least 2 tumors for pairwise tests")
     _require_cataloged(args, tumors, ids, catalog)
-    jobs = []
-    counter = 0
-    for i, ta in enumerate(ids):
-        for tb in ids[i + 1:]:
-            jobs.append((ta, tb, counter))
-            counter += 1
+    pairs = list(itertools.combinations(ids, 2))
 
-    def one(job):
-        ta, tb, stream_index = job
+    def p_value_text(stream_index, pair):
+        ta, tb = pair
         if not tumors[ta] or not tumors[tb]:
             # a tumor with no observed mutations is untestable, not p = 1
-            return ta, tb, "NA"
+            return "NA"
         obs = derive_pair_observation(_profile(tumors, ta), _profile(tumors, tb), catalog)
-        result = conditional_test(
-            obs, sims=args.sims, exact_max=args.exact_max,
-            seed=args.seed, stream_index=stream_index,
-        )
-        return ta, tb, str(result.p_value)
+        result = conditional_test(obs, sims=args.sims, exact_max=args.exact_max,
+                                  seed=args.seed, stream_index=stream_index)
+        return str(result.p_value)
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(one, jobs))
-    else:
-        outcomes = [one(job) for job in jobs]
-    cells: dict[tuple[str, str], str] = {}
-    for ta, tb, text in outcomes:
-        cells[ta, tb] = cells[tb, ta] = text
+    # pair k draws on stream k, so the pool's width moves no result
+    with ThreadPoolExecutor(max_workers=min(len(pairs), os.cpu_count() or 1)) as pool:
+        cells = dict(zip(pairs, pool.map(p_value_text, range(len(pairs)), pairs)))
+    cells.update({(tb, ta): text for (ta, tb), text in cells.items()})
     lines = ["\t".join(["tumor"] + ids)]
     for ta in ids:
-        row = [ta] + [("NA" if ta == tb else cells[ta, tb]) for tb in ids]
+        row = [ta] + [cells.get((ta, tb), "NA") for tb in ids]  # NA on the diagonal
         lines.append("\t".join(row))
     print("\n".join(lines))
     return EXIT_OK
@@ -338,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pairs = sub.add_parser("pairs", help="p-value matrix over all tumor pairs (TSV)")
     _add_test_options(p_pairs)
     p_pairs.add_argument("--threads", type=int_range(1), default=1,
-                         help="worker threads (at least 1); results do not depend on the value")
+                         help="accepted (at least 1) and ignored: pairs run on one thread per CPU, "
+                              "up to one per pair")
     p_pairs.set_defaults(func=_cmd_pairs)
 
     p_sim = sub.add_parser("simulate", help="run a simulation preset, report as TSV")

@@ -229,7 +229,7 @@ def _conditional_stage(pg, sizes, matched):
     sizes = np.asarray(sizes, dtype=float)
     matched = np.atleast_2d(np.asarray(matched, dtype=float))
 
-    q0 = pg / (2.0 - pg)
+    q0 = match_probabilities(pg, 0.0)
     # summed per row, not by a matrix product: BLAS rounds a row differently
     # in batches of different sizes, and a pattern's statistic must not
     # depend on which other patterns share its batch. Column by column, no

@@ -65,7 +65,8 @@ from .inference import (
     group_by_probability,
     settle_by_bounds,
 )
-from .model import PairObservation, pair_outcome_probabilities, validate_count, validate_probability
+from .model import (PairObservation, match_probabilities, pair_outcome_probabilities, validate_count,
+                    validate_probability)
 from .rng import DEFAULT_SEED, RngStream
 
 TIE_TOLERANCE = 1e-9
@@ -166,7 +167,7 @@ def _drawn_rows(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
     """
     if n_sims < 1:
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
-    q0 = pg / (2.0 - pg)
+    q0 = match_probabilities(pg, 0.0)
     gen = rng.generator()
     matched = np.column_stack([gen.binomial(int(size), q, size=n_sims) for size, q in zip(sizes, q0)])
     return _distinct_rows(matched, sizes)
@@ -235,7 +236,7 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
             f"--exact-max (exact_max) to {EXACT_ATOM_LIMIT.bit_length() - 1} or less "
             "so that larger sets use Monte Carlo sampling"
         )
-    q0 = pg / (2.0 - pg)
+    q0 = match_probabilities(pg, 0.0)
     counts = sizes.astype(int)
     choose = [np.array([math.comb(c, k) for k in range(c + 1)], dtype=np.int64) for c in counts]
     tables = bound_tables(pg, sizes)

@@ -274,16 +274,21 @@ def _independent_pair_counts(gen: np.random.Generator, n: int, p: float, xi: flo
     return shared + overlap, k_a - overlap, k_b - overlap
 
 
-def _exclusive_pair_cells(gen: np.random.Generator, n: int, p: float, xi: float, size: int):
-    """(cell_a, cell_b) multinomial outcomes; cell == n means no mutation."""
+def _exclusive_pair_cells(uniform: np.ndarray, n: int, p: float, xi: float):
+    """(cell_a, cell_b) multinomial outcomes of K pairs; cell == n means no mutation.
+
+    ``uniform`` (K, 4) holds per pair the clonality uniform, then those of
+    the shared, A's and B's cell, each mapped to its cell as numpy's
+    ``Generator.choice(n + 1, p=probs)`` maps its one draw.
+    """
     probs = np.full(n + 1, p)
     probs[n] = 1.0 - n * p
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
-    clonal = gen.random(size) < xi
-    cell_shared = gen.choice(n + 1, size=size, p=probs)
-    cell_a = gen.choice(n + 1, size=size, p=probs)
-    cell_b = gen.choice(n + 1, size=size, p=probs)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cell_shared, cell_a, cell_b = cdf.searchsorted(uniform[:, 1:], side="right").T
+    clonal = uniform[:, 0] < xi
     return (
         np.where(clonal, cell_shared, cell_a),
         np.where(clonal, cell_shared, cell_b),
@@ -335,8 +340,8 @@ def _draw_group(group: MarkerGroup, xi: float, gens: Sequence[np.random.Generato
             ids.append(gen.choice(n, size=total, replace=False) if total else np.zeros(0, dtype=int))
         return np.array(counts, dtype=np.int64), ids
     if group.kind == "exclusive-block":
-        cells = np.array([_exclusive_pair_cells(gen, n, p, xi, 1) for gen in gens])
-        mut_a, mut_b = np.arange(n) == cells[:, 0], np.arange(n) == cells[:, 1]
+        cell_a, cell_b = _exclusive_pair_cells(np.array([gen.random(4) for gen in gens]), n, p, xi)
+        mut_a, mut_b = np.arange(n) == cell_a[:, None], np.arange(n) == cell_b[:, None]
     else:
         uniform, normals = np.empty(len(gens)), np.empty((len(gens), 3, n + 1))
         for k, gen in enumerate(gens):

@@ -1,14 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clonality import cli
 from clonality.cli import main, read_mutations_file, read_probability_file
 from clonality.model import MutationProfile, derive_pair_observation
 
@@ -185,11 +188,33 @@ def test_cmd_pairs_prostate_case(capsys):
 
 
 def test_cmd_pairs_monte_carlo_thread_count_invariance(capsys):
+    """``pairs --threads`` parses and is ignored."""
     argv = ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB, "--exact-max", "0", "--sims", "3000")
     code, out, err = run(capsys, *argv, "--threads", "1")
     assert (code, err) == (0, "")
     assert any(cell != "NA" for row in parse_matrix(out)[1].values() for cell in row.values())
     assert run(capsys, *argv, "--threads", "3") == (0, out, "")
+
+
+def test_cmd_pairs_output_does_not_depend_on_pool_width(capsys, monkeypatch):
+    argv = ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB, "--exact-max", "0", "--sims", "3000")
+    widths = []
+
+    def spy(max_workers):
+        widths.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", spy)
+    outputs = set()
+    for cpus in (1, 3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        outputs.add(out)
+    n_tumors = len(parse_matrix(out)[0])
+    assert n_tumors * (n_tumors - 1) // 2 > 3
+    assert widths == [1, 3, 1]
+    assert len(outputs) == 1
 
 
 def usage_error(capsys, *argv):

@@ -306,7 +306,7 @@ def test_exclusive_block_at_most_one_mutation():
 
 def test_exclusive_cells_share_outcome_when_clonal():
     gen = RngStream(12).generator()
-    ca, cb = _exclusive_pair_cells(gen, 10, 0.1, 1.0, 2000)
+    ca, cb = _exclusive_pair_cells(np.stack([gen.random(2000) for _ in range(4)], axis=1), 10, 0.1, 1.0)
     assert np.array_equal(ca, cb)
 
 
@@ -358,7 +358,7 @@ def test_exclusive_cells_marginal_preservation():
     n, p, size = 10, 0.1, 100_000
     for xi in (0.0, 0.25, 1.0):
         gen = RngStream(24).generator()
-        ca, cb = _exclusive_pair_cells(gen, n, p, xi, size)
+        ca, cb = _exclusive_pair_cells(np.stack([gen.random(size) for _ in range(4)], axis=1), n, p, xi)
         for cells in (ca, cb):
             freq = np.mean(cells == 3)  # any single cell stands in for all
             assert abs(freq - p) <= 4.0 * math.sqrt(p * (1 - p) / size)
