@@ -43,6 +43,7 @@ EXIT_UNKNOWN_TUMOR = 3
 _MUTATION_HEADER = ["tumor", "marker"]
 _PROB_HEADER = ["marker", "probability"]
 _COUNT_HEADER = ["marker", "ref_mutated", "ref_total", "study_mutated", "study_total"]
+_PAIRS_POOL_MAX = 2  # widest `pairs` pool measured to pay; an exact pair in flight holds 2^|E| atoms
 
 
 def _read_rows(path: str):
@@ -246,7 +247,8 @@ def _cmd_pairs(args) -> int:
         return str(result.p_value)
 
     # pair k draws on stream k, so the pool's width moves no result
-    with ThreadPoolExecutor(max_workers=min(len(pairs), os.cpu_count() or 1)) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(len(pairs), _PAIRS_POOL_MAX, cpus)) as pool:
         cells = dict(zip(pairs, pool.map(p_value_text, range(len(pairs)), pairs)))
     cells.update({(tb, ta): text for (ta, tb), text in cells.items()})
     lines = ["\t".join(["tumor"] + ids)]
@@ -329,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pairs = sub.add_parser("pairs", help="p-value matrix over all tumor pairs (TSV)")
     _add_test_options(p_pairs)
     p_pairs.add_argument("--threads", type=int_range(1), default=1,
-                         help="accepted (at least 1) and ignored: pairs run on one thread per CPU, "
-                              "up to one per pair")
+                         help="accepted (at least 1) and ignored: pairs run on a pool of up to 2 "
+                              "threads, one per usable CPU and pair")
     p_pairs.set_defaults(func=_cmd_pairs)
 
     p_sim = sub.add_parser("simulate", help="run a simulation preset, report as TSV")

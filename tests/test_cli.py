@@ -197,6 +197,7 @@ def test_cmd_pairs_monte_carlo_thread_count_invariance(capsys):
 
 
 def test_cmd_pairs_output_does_not_depend_on_pool_width(capsys, monkeypatch):
+    """The pool has a thread per usable CPU, at most 2, and its width moves no result."""
     argv = ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB, "--exact-max", "0", "--sims", "3000")
     widths = []
 
@@ -206,15 +207,24 @@ def test_cmd_pairs_output_does_not_depend_on_pool_width(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", spy)
     outputs = set()
-    for cpus in (1, 3, None):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    def run_pairs():
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         outputs.add(out)
-    n_tumors = len(parse_matrix(out)[0])
+
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        run_pairs()
+    # without an affinity mask the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus in (None, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        run_pairs()
+    n_tumors = len(parse_matrix(outputs.pop())[0])
     assert n_tumors * (n_tumors - 1) // 2 > 3
-    assert widths == [1, 3, 1]
-    assert len(outputs) == 1
+    assert widths == [1, 2, 1, 2]
+    assert not outputs
 
 
 def usage_error(capsys, *argv):

@@ -10,8 +10,8 @@ minute on a 2-vCPU machine.
 
 Covered: the CLI ``test`` bytes of the Table 1 pair; ``pairs`` on the
 Table 5 files, exact and Monte Carlo, with ``--threads`` 1 and 3, which
-``pairs`` ignores: both runs use the same pool, one thread per CPU up to one
-per pair (the ``threads=`` labels stay, so outputs from before and after the
+``pairs`` ignores: both runs use the same pool, up to 2 threads, one per
+usable CPU and pair (the ``threads=`` labels stay, so outputs from before and after the
 option lost its effect diff empty); ``test`` and
 ``pairs`` on a counts-mode copy of the Table 1 probabilities;
 ``estimate-probs`` on ``tests/fixtures/counts_example.tsv`` at
