@@ -12,21 +12,15 @@ from .errors import CatalogMissError, ClonalityError, FileFormatError, UnknownTu
 from .inference import (
     ConditionalData,
     FitResult,
-    UnconditionalSummary,
     conditional_log_likelihood,
     conditional_statistic,
-    unconditional_log_likelihood,
-    unconditional_statistic,
     weight_form_statistic,
 )
 from .model import (
     MarkerCatalog,
     MutationProfile,
     PairObservation,
-    PairOutcomeDistribution,
     derive_pair_observation,
-    match_probability,
-    pair_outcome_probabilities,
 )
 from .nullref import (
     CalibratedRule,
@@ -39,7 +33,7 @@ from .nullref import (
     sample_conditional_null,
     sample_unconditional_null,
 )
-from .priors import FrequencyRecord, build_catalog, estimate_marginal_probability
+from .priors import FrequencyRecord, estimate_marginal_probability
 from .rng import DEFAULT_SEED, RngStream
 from .simulation import (
     CalibratedComparison,

@@ -371,6 +371,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FileFormatError, CatalogMissError, ClonalityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory; lower --exact-max so that large mutated sets use Monte Carlo "
+              "sampling", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

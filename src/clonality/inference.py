@@ -2,7 +2,7 @@
 
 Two statistics are provided. The conditional statistic restricts attention
 to the markers mutated in at least one tumor (set E) and models each match
-indicator as Bernoulli with probability ``q_i(xi) = match_probability(p_i,
+indicator as Bernoulli with probability ``q_i(xi) = match_probabilities(p_i,
 xi)``; the statistic is the log-likelihood ratio ``l(xi_hat) - l(0)``. The
 unconditional statistic uses the full marker universe, scoring every marker
 by its matched / singly-mutated / unmutated outcome probability.
@@ -86,32 +86,11 @@ class ConditionalData:
 
 
 @dataclass(frozen=True)
-class UnconditionalSummary:
-    """Marker universe aggregated by identical probability.
-
-    Each group is ``(p, n_markers, n_matched, n_single)``; unmutated markers
-    are the remainder ``n_markers - n_matched - n_single``.
-    """
-
-    groups: tuple[tuple[float, int, int, int], ...]
-
-    def __post_init__(self):
-        clean = []
-        for p, n, matched, single in self.groups:
-            p = validate_probability(p)
-            if min(n, matched, single) < 0 or matched + single > n:
-                raise ValueError(f"inconsistent group counts: {(p, n, matched, single)}")
-            clean.append((p, int(n), int(matched), int(single)))
-        object.__setattr__(self, "groups", tuple(clean))
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Constrained MLE of the clonality signal and its LR statistic."""
 
     xi_hat: float
     statistic: float
-    log_likelihood_at_mle: float
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +239,7 @@ def _conditional_stage(pg, sizes, matched):
 
 def fit_conditional_batch(
     pg: np.ndarray, sizes: np.ndarray, matched: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fit the clonality signal for many match-count patterns at once.
 
     Arguments:
@@ -270,7 +249,7 @@ def fit_conditional_batch(
             pattern's fit as it is without that column.
         matched: matched counts per pattern, shape (K, G).
 
-    Returns ``(xi_hat, statistic, ll_at_mle)``, each shape (K,). Patterns
+    Returns ``(xi_hat, statistic)``, each shape (K,). Patterns
     with no matches pin ``xi_hat = 0``; fully matched patterns pin
     ``xi_hat = 1`` with the finite q-form limit statistic.
     """
@@ -280,7 +259,6 @@ def fit_conditional_batch(
 
     xi_hat = np.zeros(K)
     stat = np.zeros(K)
-    ll_mle = np.where(mixed | full, 0.0, ll0)  # rows with no match stay at xi = 0
     xi_hat[full] = 1.0
     stat[full] = full_stat
 
@@ -292,10 +270,9 @@ def fit_conditional_batch(
 
         xi_m, ll_m = _fit_rows(rows, grid_ll)
         xi_hat[mixed] = xi_m
-        ll_mle[mixed] = ll_m
         stat[mixed] = np.maximum(ll_m - ll0[mixed], 0.0)
 
-    return xi_hat, stat, ll_mle
+    return xi_hat, stat
 
 
 def conditional_exceeds(
@@ -411,11 +388,11 @@ def _uncond_loglik_rows(pg, n_markers, matched, single, xi_rows):
 
 def fit_unconditional_batch(
     pg: np.ndarray, n_markers: np.ndarray, matched: np.ndarray, single: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fit the unconditional likelihood for many outcome-count patterns.
 
     pg, n_markers: (G,); matched, single: (K, G).
-    Returns ``(xi_hat, statistic, ll_at_mle)``.
+    Returns ``(xi_hat, statistic)``.
     """
     pg = np.asarray(pg, dtype=float)
     n_markers = np.asarray(n_markers, dtype=float)
@@ -434,8 +411,7 @@ def fit_unconditional_batch(
 
     xi_hat, ll_mle = _fit_rows(rows, grid_ll)
     ll0 = rows(np.zeros(matched.shape[0]))
-    stat = np.maximum(ll_mle - ll0, 0.0)
-    return xi_hat, stat, ll_mle
+    return xi_hat, np.maximum(ll_mle - ll0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +463,8 @@ def conditional_statistic(data: ConditionalData) -> FitResult:
     """Conditional LR statistic ``l(xi_hat) - l(0)`` and its MLE."""
     _require_nonempty(data)
     pg, sizes, matched = _grouped(data)
-    xi_hat, stat, ll_mle = fit_conditional_batch(pg, sizes, matched)
-    return FitResult(xi_hat=float(xi_hat[0]), statistic=float(stat[0]),
-                     log_likelihood_at_mle=float(ll_mle[0]))
+    xi_hat, stat = fit_conditional_batch(pg, sizes, matched)
+    return FitResult(xi_hat=float(xi_hat[0]), statistic=float(stat[0]))
 
 
 def weight_form_statistic(data: ConditionalData, xi: float) -> float:
@@ -506,22 +481,3 @@ def weight_form_statistic(data: ConditionalData, xi: float) -> float:
     matched_term = sum(math.log(odds / p + 1.0) for p, x in data.markers if x)
     union_term = sum(math.log(odds / (2.0 - p) + 1.0) for p, _ in data.markers)
     return matched_term - union_term
-
-
-def _summary_arrays(summary: UnconditionalSummary):
-    """(pg, n_markers, matched[1, G], single[1, G]) as float arrays."""
-    pg, n, matched, single = (np.array(col, dtype=float) for col in zip(*summary.groups))
-    return pg, n, matched[None, :], single[None, :]
-
-
-def unconditional_log_likelihood(summary: UnconditionalSummary, xi: float) -> float:
-    """Full-universe log-likelihood at signal ``xi`` (grouped by p)."""
-    xi = validate_xi(xi)
-    return float(_uncond_loglik_rows(*_summary_arrays(summary), np.array([xi]))[0])
-
-
-def unconditional_statistic(summary: UnconditionalSummary) -> FitResult:
-    """Unconditional LR statistic ``l_u(xi_hat) - l_u(0)`` and its MLE."""
-    xi_hat, stat, ll_mle = fit_unconditional_batch(*_summary_arrays(summary))
-    return FitResult(xi_hat=float(xi_hat[0]), statistic=float(stat[0]),
-                     log_likelihood_at_mle=float(ll_mle[0]))

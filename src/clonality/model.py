@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -81,16 +81,6 @@ class MarkerCatalog:
             clean[str(marker)] = clamp_probability(p)
         object.__setattr__(self, "probabilities", clean)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> "MarkerCatalog":
-        """Build from (marker, probability) pairs, rejecting duplicates."""
-        entries: dict[str, float] = {}
-        for marker, p in pairs:
-            if marker in entries:
-                raise ValueError(f"duplicate marker in catalog: {marker!r}")
-            entries[marker] = p
-        return cls(entries)
-
     def probability(self, marker: str) -> float:
         try:
             return self.probabilities[marker]
@@ -142,15 +132,6 @@ class PairObservation:
         return len(self.shared) + len(self.unshared)
 
 
-@dataclass(frozen=True)
-class PairOutcomeDistribution:
-    """Outcome probabilities for one marker on one tumor pair."""
-
-    both: float
-    exactly_one: float
-    neither: float
-
-
 def derive_pair_observation(
     a: MutationProfile, b: MutationProfile, catalog: MarkerCatalog
 ) -> PairObservation:
@@ -183,19 +164,3 @@ def match_probabilities(p, xi):
     """
     q = (p + xi * (1.0 - p)) / ((2.0 - p) - xi * (1.0 - p))
     return np.minimum(q, 1.0)
-
-
-def pair_outcome_probabilities(p: float, xi: float) -> PairOutcomeDistribution:
-    """Closed-form outcome distribution for one marker at signal ``xi``."""
-    both, exactly_one, neither = outcome_cells(validate_probability(p), validate_xi(xi))
-    return PairOutcomeDistribution(both=both, exactly_one=exactly_one, neither=neither)
-
-
-def match_probability(p: float, xi: float) -> float:
-    """Probability a marker is matched given it is mutated in >= 1 tumor.
-
-    Equals ``[xi + (1-xi)p] / [xi + (1-xi)(2-p)]``; at ``xi = 0`` this is the
-    null match probability ``p / (2 - p)``, and it increases to 1 at
-    ``xi = 1``.
-    """
-    return float(match_probabilities(validate_probability(p), validate_xi(xi)))

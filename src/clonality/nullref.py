@@ -65,8 +65,7 @@ from .inference import (
     group_by_probability,
     settle_by_bounds,
 )
-from .model import (PairObservation, match_probabilities, pair_outcome_probabilities, validate_count,
-                    validate_probability)
+from .model import PairObservation, match_probabilities, outcome_cells, validate_count, validate_probability
 from .rng import DEFAULT_SEED, RngStream
 
 TIE_TOLERANCE = 1e-9
@@ -165,8 +164,7 @@ def _drawn_rows(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
     stream ``rng``. A zero-size group draws no random numbers and adds a
     zero column, so the other columns are those of the draws without it.
     """
-    if n_sims < 1:
-        raise ValueError(f"n_sims must be >= 1, got {n_sims}")
+    validate_count("n_sims", n_sims, 1)
     q0 = match_probabilities(pg, 0.0)
     gen = rng.generator()
     matched = np.column_stack([gen.binomial(int(size), q, size=n_sims) for size, q in zip(sizes, q0)])
@@ -445,7 +443,7 @@ def counts_test(
     streams = [stream_index] if one or np.ndim(stream_index) == 0 else list(stream_index)
     if len(streams) != matched.shape[0]:
         raise ValueError(f"{matched.shape[0]} rows need as many stream indices, got {len(streams)}")
-    xi_hat, stat, _ = fit_conditional_batch(pg, sizes[0] if one else sizes, matched)
+    xi_hat, stat = fit_conditional_batch(pg, sizes[0] if one else sizes, matched)
     thresholds = stat - TIE_TOLERANCE
     n_union = sizes.sum(axis=1)
     exact = n_union <= exact_max
@@ -491,20 +489,18 @@ def sample_unconditional_null(
     zero signal; per-group outcome counts are multinomial, which is all the
     grouped likelihood needs.
     """
-    if n_sims < 1:
-        raise ValueError(f"n_sims must be >= 1, got {n_sims}")
+    validate_count("n_sims", n_sims, 1)
     gen = rng.generator()
     pg = np.array([validate_probability(p) for p, _ in universe])
     ng = np.array([int(n) for _, n in universe], dtype=float)
     matched_cols, single_cols = [], []
-    for (p, n) in universe:
-        cells = pair_outcome_probabilities(p, 0.0)
-        draws = gen.multinomial(int(n), [cells.both, cells.exactly_one, cells.neither], size=n_sims)
+    for p, n in zip(pg, ng):
+        draws = gen.multinomial(int(n), outcome_cells(p, 0.0), size=n_sims)
         matched_cols.append(draws[:, 0])
         single_cols.append(draws[:, 1])
     matched = np.column_stack(matched_cols).astype(float)
     single = np.column_stack(single_cols).astype(float)
-    _, stats, _ = fit_unconditional_batch(pg, ng, matched, single)
+    stats = fit_unconditional_batch(pg, ng, matched, single)[1]
     return NullDistribution(stats, np.ones(n_sims), n_sims)
 
 

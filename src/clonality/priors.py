@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .model import MarkerCatalog, clamp_probability
+from .model import clamp_probability
 
 
 @dataclass(frozen=True)
@@ -59,34 +58,3 @@ def estimate_marginal_probability(record: FrequencyRecord) -> float:
             stacklevel=2,
         )
     return clamp_probability(numerator / denominator)
-
-
-def build_catalog(
-    records: Sequence[FrequencyRecord],
-    observed: Iterable[str] = (),
-    default_cohort: tuple[int, int] | None = None,
-) -> MarkerCatalog:
-    """Build a catalog from count records, optionally defaulting new markers.
-
-    Observed markers without a record get ``1 / (ref_total + study_total)``
-    of ``default_cohort`` when it is given; otherwise they are an error.
-    """
-    entries: dict[str, float] = {}
-    for record in records:
-        if record.marker in entries:
-            raise ValueError(f"duplicate frequency record for marker {record.marker!r}")
-        entries[record.marker] = estimate_marginal_probability(record)
-
-    missing = sorted(set(observed) - set(entries))
-    if missing:
-        if default_cohort is None:
-            raise ValueError(
-                "no frequency record for observed markers "
-                f"{missing} and default assignment is disabled"
-            )
-        ref_total, study_total = default_cohort
-        if ref_total + study_total < 1:
-            raise ValueError("default cohort must contain at least one case")
-        for marker in missing:
-            entries[marker] = clamp_probability(1.0 / (ref_total + study_total))
-    return MarkerCatalog(entries)

@@ -1,9 +1,12 @@
-"""What the benchmark scripts under ``bench/`` use of the package still exists.
+"""What the scripts under ``bench/`` and ``tools/`` use of the package still exists.
 
-The scripts are not imported here (they set up paths and files at import);
-an ``ast`` walk finds every ``clonality`` name they import or dereference,
-and every keyword they pass to a package function, and checks each against
-the package as it is.
+The benchmark scripts and the tools, the equality script
+``tools/pinned_outputs.py`` among them, are not imported here (they set up
+paths and files at import); an ``ast`` walk finds every ``clonality`` name
+they import or dereference, and every keyword they pass to a package
+function, and checks each against the package as it is. So a change that
+deletes or renames a name a script uses fails here, not in a later run of
+that script.
 """
 
 import ast
@@ -15,8 +18,8 @@ import pytest
 
 from clonality import cli, simulation
 
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
-SCRIPTS = sorted(BENCH.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def _imported(tree):

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -225,6 +226,25 @@ def test_cmd_pairs_output_does_not_depend_on_pool_width(capsys, monkeypatch):
     assert n_tumors * (n_tumors - 1) // 2 > 3
     assert widths == [1, 2, 1, 2]
     assert not outputs
+
+
+@pytest.mark.parametrize("argv", [
+    ("test", "--mutations", T1_MUT, "--probs", T1_PROB, "--tumor-a", "T3", "--tumor-b", "Left/Mucinous"),
+    ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB),
+], ids=["test", "pairs"])
+def test_out_of_memory_is_input_error(capsys, monkeypatch, argv):
+    """A ``MemoryError``, in ``pairs`` raised on a pool thread, exits 2 with one line naming --exact-max."""
+    threads = []
+
+    def out_of_memory(obs, **options):
+        threads.append(threading.current_thread())
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "conditional_test", out_of_memory)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1 and "--exact-max" in err
+    assert threads and (threads[0] is threading.main_thread()) == (argv[0] == "test")
 
 
 def usage_error(capsys, *argv):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clonality import inference
 from clonality.inference import (
     ConditionalData,
-    UnconditionalSummary,
     bound_tables,
     conditional_exceeds,
     conditional_log_likelihood,
@@ -16,8 +16,6 @@ from clonality.inference import (
     fit_unconditional_batch,
     group_by_probability,
     settle_by_bounds,
-    unconditional_log_likelihood,
-    unconditional_statistic,
     weight_form_statistic,
 )
 
@@ -204,7 +202,8 @@ def test_permutation_invariance():
 
 def test_unconditional_loglik_independence_reduction():
     groups = ((0.1, 50, 2, 7), (0.004, 200, 0, 3))
-    value = unconditional_log_likelihood(UnconditionalSummary(groups), 0.0)
+    pg, n_markers, matched, single = np.array(groups, dtype=float).T
+    value = inference._uncond_loglik_rows(pg, n_markers, matched[None], single[None], np.zeros(1))[0]
     expected = 0.0
     for p, n, m, s in groups:
         expected += m * math.log(p * p) + s * math.log(2 * p * (1 - p))
@@ -213,26 +212,23 @@ def test_unconditional_loglik_independence_reduction():
 
 
 def test_unconditional_loglik_single_group_example():
-    summary = UnconditionalSummary(((0.1, 1, 1, 0),))
-    assert unconditional_log_likelihood(summary, 0.25) == pytest.approx(
-        math.log(0.0325), rel=1e-12
-    )
+    value = inference._uncond_loglik_rows(np.array([0.1]), np.array([1.0]), np.array([[1.0]]),
+                                          np.array([[0.0]]), np.array([0.25]))[0]
+    assert value == pytest.approx(math.log(0.0325), rel=1e-12)
 
 
 def test_unconditional_statistic_all_null_matches_grid_oracle():
-    summary = UnconditionalSummary(((0.1, 5, 0, 0),))
-    fit = unconditional_statistic(summary)
-    oracle_xi, oracle_ll = oracle_uncond_grid(summary.groups)
-    assert fit.statistic >= 0.0
-    assert fit.xi_hat == pytest.approx(oracle_xi, abs=1e-4)
-    assert fit.statistic == pytest.approx(
-        oracle_ll - oracle_uncond_loglik(summary.groups, 0.0), abs=1e-4
-    )
+    groups = ((0.1, 5, 0, 0),)
+    (xi_hat,), (stat,) = fit_unconditional_batch(*np.array(groups, dtype=float).T)
+    oracle_xi, oracle_ll = oracle_uncond_grid(groups)
+    assert stat >= 0.0
+    assert xi_hat == pytest.approx(oracle_xi, abs=1e-4)
+    assert stat == pytest.approx(oracle_ll - oracle_uncond_loglik(groups, 0.0), abs=1e-4)
 
 
 def test_unconditional_statistic_all_matched_hits_boundary():
-    summary = UnconditionalSummary(((0.1, 3, 3, 0), (0.02, 4, 4, 0)))
-    assert unconditional_statistic(summary).xi_hat == 1.0
+    groups = ((0.1, 3, 3, 0), (0.02, 4, 4, 0))
+    assert fit_unconditional_batch(*np.array(groups, dtype=float).T)[0][0] == 1.0
 
 
 def test_unconditional_statistic_simulated_pair_vs_oracle():
@@ -244,13 +240,10 @@ def test_unconditional_statistic_simulated_pair_vs_oracle():
         one = 2 * p * (1 - p)
         draws = gen.multinomial(n, [both, one, 1 - both - one])
         groups.append((p, n, int(draws[0]), int(draws[1])))
-    summary = UnconditionalSummary(tuple(groups))
-    fit = unconditional_statistic(summary)
-    oracle_xi, oracle_ll = oracle_uncond_grid(summary.groups)
-    assert fit.statistic == pytest.approx(
-        oracle_ll - oracle_uncond_loglik(summary.groups, 0.0), abs=1e-4
-    )
-    assert fit.xi_hat == pytest.approx(oracle_xi, abs=1e-4)
+    (xi_hat,), (stat,) = fit_unconditional_batch(*np.array(groups, dtype=float).T)
+    oracle_xi, oracle_ll = oracle_uncond_grid(groups)
+    assert stat == pytest.approx(oracle_ll - oracle_uncond_loglik(groups, 0.0), abs=1e-4)
+    assert xi_hat == pytest.approx(oracle_xi, abs=1e-4)
 
 
 def test_group_by_probability_sums_columns():
@@ -261,11 +254,6 @@ def test_group_by_probability_sums_columns():
     for bad in ([], [0.1, 0.0], [1.0], [float("nan")]):
         with pytest.raises(ValueError):
             group_by_probability(bad, [1] * len(bad))
-
-
-def test_unconditional_summary_validation():
-    with pytest.raises(ValueError):
-        UnconditionalSummary(((0.1, 2, 2, 1),))  # matched + single > n
 
 
 # --- decision kernel ------------------------------------------------------
@@ -311,15 +299,15 @@ def fit_batches(draw):
 @given(batch=fit_batches())
 def test_fit_does_not_depend_on_its_batch(batch):
     pg, sizes, patterns, gen = batch
-    xi, stat, _ = fit_conditional_batch(pg, sizes, patterns)
+    xi, stat = fit_conditional_batch(pg, sizes, patterns)
     perm = gen.permutation(patterns.shape[0])
-    xi_perm, stat_perm, _ = fit_conditional_batch(pg, sizes, patterns[perm])
+    xi_perm, stat_perm = fit_conditional_batch(pg, sizes, patterns[perm])
     assert np.array_equal(xi_perm, xi[perm]) and np.array_equal(stat_perm, stat[perm])
     subset = np.flatnonzero(gen.random(patterns.shape[0]) < 0.3)
-    xi_sub, stat_sub, _ = fit_conditional_batch(pg, sizes, patterns[subset])
+    xi_sub, stat_sub = fit_conditional_batch(pg, sizes, patterns[subset])
     assert np.array_equal(xi_sub, xi[subset]) and np.array_equal(stat_sub, stat[subset])
     for row in gen.choice(patterns.shape[0], 5):
-        xi_one, stat_one, _ = fit_conditional_batch(pg, sizes, patterns[row])
+        xi_one, stat_one = fit_conditional_batch(pg, sizes, patterns[row])
         assert xi_one[0] == xi[row] and stat_one[0] == stat[row]
 
 
@@ -343,15 +331,15 @@ def unconditional_batches(draw):
 def test_unconditional_fit_does_not_depend_on_its_batch(batch):
     # the grid product is BLAS and only chooses each row's bracket
     pg, n_markers, matched, single, gen = batch
-    xi, stat, _ = fit_unconditional_batch(pg, n_markers, matched, single)
+    xi, stat = fit_unconditional_batch(pg, n_markers, matched, single)
     perm = gen.permutation(matched.shape[0])
-    xi_perm, stat_perm, _ = fit_unconditional_batch(pg, n_markers, matched[perm], single[perm])
+    xi_perm, stat_perm = fit_unconditional_batch(pg, n_markers, matched[perm], single[perm])
     assert np.array_equal(xi_perm, xi[perm]) and np.array_equal(stat_perm, stat[perm])
     subset = np.flatnonzero(gen.random(matched.shape[0]) < 0.3)
-    xi_sub, stat_sub, _ = fit_unconditional_batch(pg, n_markers, matched[subset], single[subset])
+    xi_sub, stat_sub = fit_unconditional_batch(pg, n_markers, matched[subset], single[subset])
     assert np.array_equal(xi_sub, xi[subset]) and np.array_equal(stat_sub, stat[subset])
     for row in gen.choice(matched.shape[0], 5):
-        xi_one, stat_one, _ = fit_unconditional_batch(pg, n_markers, matched[row], single[row])
+        xi_one, stat_one = fit_unconditional_batch(pg, n_markers, matched[row], single[row])
         assert xi_one[0] == xi[row] and stat_one[0] == stat[row]
 
 
@@ -402,7 +390,7 @@ def padded_batches(draw):
 @given(batch=padded_batches())
 def test_rows_with_zero_size_columns_equal_their_own_one_row_calls(batch):
     pg, sizes, patterns, gen = batch
-    xi, stat, ll = fit_conditional_batch(pg, sizes, patterns)
+    xi, stat = fit_conditional_batch(pg, sizes, patterns)
     offsets = gen.choice([0.0, -1e-9, 1e-9, 0.5, -0.5], patterns.shape[0])
     thresholds = stat + offsets
     thresholds[offsets == 0.5] = np.nextafter(stat[offsets == 0.5], np.inf)
@@ -410,8 +398,8 @@ def test_rows_with_zero_size_columns_equal_their_own_one_row_calls(batch):
     for row in range(patterns.shape[0]):
         own = sizes[row] > 0
         args = pg[own], sizes[row, own], patterns[row, own]
-        xi_one, stat_one, ll_one = fit_conditional_batch(*args)
-        assert (xi_one[0], stat_one[0], ll_one[0]) == (xi[row], stat[row], ll[row])
+        xi_one, stat_one = fit_conditional_batch(*args)
+        assert (xi_one[0], stat_one[0]) == (xi[row], stat[row])
         assert conditional_exceeds(*args, thresholds[row])[0] == decided[row]
 
 

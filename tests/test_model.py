@@ -8,8 +8,8 @@ from clonality.model import (
     PairObservation,
     clamp_probability,
     derive_pair_observation,
-    match_probability,
-    pair_outcome_probabilities,
+    match_probabilities,
+    outcome_cells,
 )
 
 
@@ -25,8 +25,6 @@ def test_catalog_rejects_bad_entries():
         MarkerCatalog({"": 0.1})
     with pytest.raises(ValueError):
         MarkerCatalog({"a": float("nan")})
-    with pytest.raises(ValueError):
-        MarkerCatalog.from_pairs([("a", 0.1), ("a", 0.2)])
 
 
 def test_catalog_miss_names_marker():
@@ -99,60 +97,50 @@ def test_pair_observation_rejects_overlap():
 
 
 def test_pair_outcome_probabilities_examples():
-    independent = pair_outcome_probabilities(0.1, 0.0)
-    assert independent.both == pytest.approx(0.01, rel=1e-12)
-    assert independent.exactly_one == pytest.approx(0.18, rel=1e-12)
-    assert independent.neither == pytest.approx(0.81, rel=1e-12)
+    both, exactly_one, neither = outcome_cells(0.1, 0.0)
+    assert both == pytest.approx(0.01, rel=1e-12)
+    assert exactly_one == pytest.approx(0.18, rel=1e-12)
+    assert neither == pytest.approx(0.81, rel=1e-12)
 
-    clonal = pair_outcome_probabilities(0.1, 1.0)
-    assert clonal.both == pytest.approx(0.1, rel=1e-12)
-    assert clonal.exactly_one == 0.0
-    assert clonal.neither == pytest.approx(0.9, rel=1e-12)
+    both, exactly_one, neither = outcome_cells(0.1, 1.0)
+    assert both == pytest.approx(0.1, rel=1e-12)
+    assert exactly_one == 0.0
+    assert neither == pytest.approx(0.9, rel=1e-12)
 
-    mixed = pair_outcome_probabilities(0.1, 0.25)
-    assert mixed.both == pytest.approx(0.0325, rel=1e-12)
-    assert mixed.exactly_one == pytest.approx(0.135, rel=1e-12)
-    assert mixed.neither == pytest.approx(0.8325, rel=1e-12)
+    both, exactly_one, neither = outcome_cells(0.1, 0.25)
+    assert both == pytest.approx(0.0325, rel=1e-12)
+    assert exactly_one == pytest.approx(0.135, rel=1e-12)
+    assert neither == pytest.approx(0.8325, rel=1e-12)
 
 
 def test_pair_outcome_probabilities_sum_and_marginal():
     for p in np.linspace(0.001, 0.999, 41):
         for xi in np.linspace(0.0, 1.0, 21):
-            d = pair_outcome_probabilities(p, xi)
-            assert min(d.both, d.exactly_one, d.neither) >= 0.0
-            assert d.both + d.exactly_one + d.neither == pytest.approx(1.0, abs=1e-12)
+            both, exactly_one, neither = outcome_cells(p, xi)
+            assert min(both, exactly_one, neither) >= 0.0
+            assert both + exactly_one + neither == pytest.approx(1.0, abs=1e-12)
             # each tumor's marginal mutation probability stays p
-            assert d.both + d.exactly_one / 2.0 == pytest.approx(p, abs=1e-12)
-
-
-def test_pair_outcome_probabilities_domain():
-    for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            pair_outcome_probabilities(bad, 0.5)
-    with pytest.raises(ValueError):
-        pair_outcome_probabilities(0.1, 1.2)
+            assert both + exactly_one / 2.0 == pytest.approx(p, abs=1e-12)
 
 
 def test_match_probability_examples():
-    assert match_probability(0.081, 0.0) == pytest.approx(0.081 / 1.919, rel=1e-12)
-    assert match_probability(0.081, 0.0) == pytest.approx(0.042, abs=5e-4)
+    assert match_probabilities(0.081, 0.0) == pytest.approx(0.081 / 1.919, rel=1e-12)
+    assert match_probabilities(0.081, 0.0) == pytest.approx(0.042, abs=5e-4)
     for p in (0.01, 0.3, 0.9):
-        assert match_probability(p, 1.0) == 1.0
-    assert match_probability(0.1, 0.25) == pytest.approx(0.325 / 1.675, rel=1e-12)
+        assert match_probabilities(p, 1.0) == 1.0
+    assert match_probabilities(0.1, 0.25) == pytest.approx(0.325 / 1.675, rel=1e-12)
 
 
 def test_match_probability_null_form_and_monotonicity():
     xis = np.linspace(0.0, 1.0, 51)
     for p in (0.004, 0.081, 0.3, 0.7):
-        assert match_probability(p, 0.0) == pytest.approx(p / (2.0 - p), abs=1e-12)
-        values = [match_probability(p, xi) for xi in xis]
+        assert match_probabilities(p, 0.0) == pytest.approx(p / (2.0 - p), abs=1e-12)
+        values = [match_probabilities(p, xi) for xi in xis]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_match_probability_consistent_with_outcomes():
     for p in (0.01, 0.1, 0.5):
         for xi in (0.0, 0.3, 0.9):
-            d = pair_outcome_probabilities(p, xi)
-            assert match_probability(p, xi) == pytest.approx(
-                d.both / (d.both + d.exactly_one), rel=1e-12
-            )
+            both, exactly_one, _ = outcome_cells(p, xi)
+            assert match_probabilities(p, xi) == pytest.approx(both / (both + exactly_one), rel=1e-12)

@@ -226,8 +226,14 @@ def test_sampled_null_deterministic_per_stream():
 
 
 def test_sampled_null_requires_positive_sims():
-    with pytest.raises(ValueError):
-        sample_conditional_null([0.1], 0, RngStream(1))
+    for n_sims in (0, 2.5, True):
+        message = rf"n_sims must be an integer >= 1, got {n_sims!r}"
+        with pytest.raises(ValueError, match=message):
+            sample_conditional_null([0.1], n_sims, RngStream(1))
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_p_value(0.5, [0.1], n_sims, RngStream(1))
+        with pytest.raises(ValueError, match=message):
+            sample_unconditional_null([(0.1, 5)], n_sims, RngStream(0))
 
 
 def large_case(gen, shared):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clonality.priors import FrequencyRecord, build_catalog, estimate_marginal_probability
+from clonality.priors import FrequencyRecord, estimate_marginal_probability
 
 
 def test_never_seen_mutation_gets_one_over_cohort():
@@ -69,31 +69,3 @@ def test_estimate_equals_pooled_rational():
         exact = Fraction(ref_mut + study_mut, ref_total + study_total)
         if 1e-6 <= exact <= 1 - Fraction(1, 10**6):
             assert estimate_marginal_probability(record) == float(exact)
-
-
-def test_build_catalog_from_records():
-    records = [
-        FrequencyRecord("KRAS G12D", 20, 248, 0, 1),
-        FrequencyRecord("XPA G74V", 0, 249, 1, 1),
-    ]
-    catalog = build_catalog(records)
-    assert catalog.probability("KRAS G12D") == 20.0 / 249.0
-    assert catalog.probability("XPA G74V") == 0.004
-
-
-def test_build_catalog_defaults_for_new_markers():
-    catalog = build_catalog([], observed={"BRAF V600E", "TP53 R158H"},
-                            default_cohort=(249, 1))
-    assert catalog.probability("BRAF V600E") == 0.004
-    assert catalog.probability("TP53 R158H") == 0.004
-
-
-def test_build_catalog_missing_without_defaults():
-    with pytest.raises(ValueError, match="BRAF V600E"):
-        build_catalog([], observed={"BRAF V600E"})
-
-
-def test_build_catalog_duplicate_records():
-    records = [FrequencyRecord("X", 1, 10), FrequencyRecord("X", 2, 10)]
-    with pytest.raises(ValueError, match="duplicate"):
-        build_catalog(records)

@@ -9,7 +9,6 @@ import pytest
 from clonality import nullref, simulation
 from clonality.inference import (
     ConditionalData,
-    UnconditionalSummary,
     fit_unconditional_batch,
     group_by_probability,
 )
@@ -484,13 +483,13 @@ def mixed_spec(perturbation=Perturbation()):
 
 
 def labelled_summary(a, b, catalog):
-    """Unconditional summary by walking every catalog marker."""
+    """``(p, n_markers, matched, single)`` per probability, by walking every catalog marker."""
     per_p = {}
     for marker, p in catalog.probabilities.items():
         n, m, s = per_p.get(p, (0, 0, 0))
         in_a, in_b = marker in a.mutations, marker in b.mutations
         per_p[p] = (n + 1, m + (in_a and in_b), s + (in_a != in_b))
-    return UnconditionalSummary(tuple((p, *per_p[p]) for p in sorted(per_p)))
+    return tuple((p, *per_p[p]) for p in sorted(per_p))
 
 
 def labelled_data(obs, perturbation, noise):
@@ -546,7 +545,7 @@ def test_harness_counts_equal_labelled_pairs(monkeypatch, perturbation):
         base = rng.stream_index + i * simulation._STRIDE
         a, b = sample_tumor_pair(spec, RngStream(rng.seed, base + simulation._ROLE_DATA))
         rows = tuple(zip(pg, n_markers, uncond_matched[i], uncond_single[i]))
-        assert UnconditionalSummary(rows) == labelled_summary(a, b, catalog)
+        assert rows == labelled_summary(a, b, catalog)
         obs = derive_pair_observation(a, b, catalog)
         counts = seen_counts.pop(base + simulation._ROLE_NULL_SAMPLER, None)
         if obs.union_size == 0:
