@@ -34,15 +34,28 @@ the observed statistic of each of the 112 ``case-exact`` pool cases of
 16-20); for every preset kind
 at xi 0.25, the ``json.dumps`` of ``scenario_to_json_dict`` and whether
 ``scenario_from_json_dict`` gives the scenario back.
+
+The draw and parse cases: Monte Carlo ``counts_test`` results with
+probabilities above 2/3 (null match probability above 1/2), with a shared
+group of n*q > 30 (numpy draws it by BTPE, not by inversion), over 64 and
+70 distinct probabilities (the mixed-radix key leaves int64) and for K rows
+with zero-size columns; ``estimate-probs`` and ``pairs`` on a generated
+3000-row counts file, and on copies of the Table 1 counts file with a
+byte-order mark and CRLF line ends, with the count cells ``' 12'``,
+``'+5'`` and ``'١٢'``, with a zero pooled numerator and with an empty
+``study_total``. CLI runs on counts files record their warnings as
+(category, message, file name).
 """
 
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,6 +124,15 @@ def cli_output(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def cli_warned(tmp, *argv):
+    """``cli_output``, ``tmp`` masked in stderr, and its warnings as (category, message, file name)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = cli_output(*argv)
+    return ((code, out, err.replace(tmp, "<tmp>")),
+            [(w.category.__name__, str(w.message), Path(w.filename).name) for w in caught])
+
+
 def cli_values():
     t1 = ("--mutations", str(FIXTURES / "table1_mutations.tsv"),
           "--probs", str(FIXTURES / "table1_probs.tsv"))
@@ -142,6 +164,62 @@ def cli_values():
                 argv = ("estimate-probs", "--counts", str(table))
             code, out, err = cli_output(*argv)
             emit(f"cli {command} {mode} malformed {name}", (code, out, err.replace(tmp, "<tmp>")))
+
+
+def counts_rows(gen, n_rows):
+    """``n_rows`` counts-file rows of distinct made-up markers."""
+    rows = []
+    for m in range(n_rows):
+        ref_total, study_total = int(gen.integers(2000, 12000)), int(gen.integers(20, 80))
+        p = float(np.exp(gen.uniform(np.log(0.0005), np.log(0.3))))
+        mutated = max(1, round(p * (ref_total + study_total)))
+        study_mutated = min(study_total, mutated, int(gen.integers(0, 4)))
+        rows.append(f"G{m:04d}\t{mutated - study_mutated}\t{ref_total}\t{study_mutated}\t{study_total}")
+    return rows
+
+
+def counts_file_values():
+    gen = np.random.default_rng(3000)
+    t1 = ("--mutations", str(FIXTURES / "table1_mutations.tsv"))
+    table1 = cli.read_probability_file(str(FIXTURES / "table1_probs.tsv")).probabilities
+    base = [f"{m}\t{max(round(1000 * p), 1)}\t1000\t0\t1" for m, p in table1.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        big, mutations = Path(tmp) / "big.tsv", Path(tmp) / "big.mut.tsv"
+        rows = counts_rows(gen, 3000)
+        big.write_text(HEADERS["counts"] + "\n".join(rows) + "\n")
+        picks = [gen.choice(3000, 27, replace=False) for _ in range(3)]
+        picks[1][:6], picks[2][:3], picks[2][3:6] = picks[0][:6], picks[0][:3], picks[1][6:9]
+        mutations.write_text("tumor\tmarker\n" + "".join(
+            f"T{t}\tG{m:04d}\n" for t, pick in enumerate(picks) for m in pick))
+        (code, out, err), caught = cli_warned(tmp, "estimate-probs", "--counts", str(big))
+        emit("cli estimate-probs generated 3000 rows",
+             (code, hashlib.sha256(out.encode()).hexdigest(), out.count("\n"), err, caught))
+        for extra in ((), ("--exact-max", "0", "--sims", "2000")):
+            emit(f"cli pairs generated 3000 rows {' '.join(extra)}".rstrip(),
+                 cli_warned(tmp, "pairs", "--mutations", str(mutations), "--probs", str(big), *extra))
+        variants = {
+            "bom crlf": "\ufeff" + (HEADERS["counts"] + "\n".join(base) + "\n").replace("\n", "\r\n"),
+            "cell space-12": None, "cell +5": None, "cell arabic-indic 12": None,
+            "zero numerator": None, "empty study_total": None,
+        }
+        cells = {"cell space-12": " 12", "cell +5": "+5", "cell arabic-indic 12": "\u0661\u0662"}
+        for name in variants:
+            edited = list(base)
+            marker, *_ = edited[2].split("\t")
+            if name in cells:
+                edited[2] = f"{marker}\t{cells[name]}\t1000\t0\t1"
+            elif name == "zero numerator":
+                edited[2] = f"{marker}\t0\t1000\t0\t1"
+            elif name == "empty study_total":
+                edited[2] = f"{marker}\t12\t1000\t0\t"
+            if variants[name] is None:
+                variants[name] = HEADERS["counts"] + "\n".join(edited) + "\n"
+            table = Path(tmp) / "variant.tsv"
+            table.write_text(variants[name], encoding="utf-8", newline="")
+            for study_size in ((), ("--study-size", "3")):
+                emit(f"cli estimate-probs {name} {' '.join(study_size)}".rstrip(),
+                     cli_warned(tmp, "estimate-probs", "--counts", str(table), *study_size))
+            emit(f"cli pairs table1 counts {name}", cli_warned(tmp, "pairs", *t1, "--probs", str(table)))
 
 
 def harness_values():
@@ -231,6 +309,38 @@ def conditional_values():
                      monte_carlo_p_value(threshold, ps, 2000, RngStream(k, 7)))
 
 
+def draw_values():
+    gen = np.random.default_rng(21)
+    for k in range(8):  # null match probabilities above 1/2: numpy draws n - X
+        ps = list(gen.uniform(0.67, 0.99, int(gen.integers(3, 12)))) + list(gen.uniform(0.01, 0.4, 18))
+        matched = [bool(x) for x in gen.random(len(ps)) < 0.5]
+        result = counts_test(*group_by_probability(ps, np.ones(len(ps)), matched),
+                             sims=2000, exact_max=0, seed=k)
+        emit(f"counts_test q0>1/2 case={k}", sorted(dataclasses.asdict(result).items()))
+    for label, pg, sizes, matched in (
+            ("btpe", [0.05, 0.3, 0.5], [4, 200, 3], [1, 40, 1]),
+            ("btpe flipped", [0.05, 0.9, 0.2], [4, 200, 30], [2, 150, 4]),
+            ("btpe one group", [0.4], [150], [40])):
+        result = counts_test(np.array(pg), np.array(sizes), np.array(matched), sims=1500, exact_max=0, seed=9)
+        emit(f"counts_test {label}", sorted(dataclasses.asdict(result).items()))
+    for n_distinct in (64, 70):
+        pg = np.sort(gen.uniform(0.01, 0.9, n_distinct))
+        sizes = np.ones(n_distinct)
+        matched = (gen.random(n_distinct) < 0.3).astype(float)
+        result = counts_test(pg, sizes, matched, sims=2000, exact_max=0, seed=n_distinct)
+        emit(f"counts_test {n_distinct} distinct", sorted(dataclasses.asdict(result).items()))
+    pg = np.sort(gen.uniform(0.002, 0.8, 10))
+    sizes = (gen.integers(1, 6, (6, 10)) * (gen.random((6, 10)) < 0.5)).astype(float)
+    sizes[:, 0] += 1
+    sizes[2] *= 4
+    matched = np.floor(gen.random(sizes.shape) * (sizes + 1))
+    for exact_max in (0, 8):
+        results = counts_test(pg, sizes, matched, sims=1500, exact_max=exact_max, seed=4,
+                              stream_index=[3, 1, 4, 1, 5, 9])
+        emit(f"counts_test K rows zero-size columns exact_max={exact_max}",
+             [sorted(dataclasses.asdict(r).items()) for r in results])
+
+
 def exact_pool_values():
     for stratum in EXACT_STRATA:
         for variant in range(EXACT_POOL_VARIANTS):
@@ -245,5 +355,7 @@ if __name__ == "__main__":
     replicate_values()
     sampled_pair_values()
     conditional_values()
+    draw_values()
+    counts_file_values()
     exact_pool_values()
     scenario_values()
