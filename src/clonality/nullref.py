@@ -418,11 +418,11 @@ def counts_test(
     from one fit of every row. Each result equals that of the row tested
     alone.
 
-    Raises ``ValueError`` before any fit unless ``sims`` is an integer
-    >= 1, ``exact_max`` an integer >= 0 (booleans are neither), ``pg`` is
-    1-D and strictly inside (0, 1), ``sizes`` and ``matched`` share one
-    shape, (G,) or (K, G), of whole numbers with ``0 <= matched <= sizes``,
-    and every row has a mutated marker.
+    Raises ``ValueError`` before any fit unless ``sims`` is an integer >= 1, ``exact_max``
+    an integer >= 0 (booleans are neither), ``pg`` is 1-D and strictly inside (0, 1),
+    ``sizes`` and ``matched`` share one shape, (G,) or (K, G), of whole numbers with
+    ``0 <= matched <= sizes``, every row has a mutated marker and a stream index, and
+    ``seed`` and each index are integers in 0 ... 2^64 − 1.
     """
     validate_count("sims", sims, 1)
     validate_count("exact_max", exact_max, 0)
@@ -443,6 +443,7 @@ def counts_test(
     streams = [stream_index] if one or np.ndim(stream_index) == 0 else list(stream_index)
     if len(streams) != matched.shape[0]:
         raise ValueError(f"{matched.shape[0]} rows need as many stream indices, got {len(streams)}")
+    streams = [RngStream(seed, index) for index in streams]
     xi_hat, stat = fit_conditional_batch(pg, sizes[0] if one else sizes, matched)
     thresholds = stat - TIE_TOLERANCE
     n_union = sizes.sum(axis=1)
@@ -455,7 +456,7 @@ def counts_test(
                               thresholds[k:k + 1])[0]
     drawn = np.flatnonzero(~exact)
     if drawn.size:
-        rows = [_drawn_rows(pg, sizes[k], sims, RngStream(seed, streams[k])) for k in drawn]
+        rows = [_drawn_rows(pg, sizes[k], sims, streams[k]) for k in drawn]
         patterns, draws = rows[0] if len(rows) == 1 else map(np.concatenate, zip(*rows))
         row_of = np.repeat(np.arange(len(rows)), [row_draws.size for _, row_draws in rows])
         p[drawn] = _extreme_share(pg, sizes[drawn], _drawn_chunks(patterns, draws),

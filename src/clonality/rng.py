@@ -10,6 +10,7 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -32,10 +33,9 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.seed <= UINT64_MAX):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not (0 <= self.stream_index <= UINT64_MAX):
-            raise ValueError(f"stream_index must be a 64-bit unsigned integer, got {self.stream_index}")
+        for name, value in (("seed", self.seed), ("stream_index", self.stream_index)):
+            if isinstance(value, bool) or not isinstance(value, Integral) or not 0 <= value <= UINT64_MAX:
+                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

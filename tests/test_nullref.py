@@ -397,12 +397,17 @@ def test_counts_test_over_rows_equals_one_row_calls(monkeypatch):
     ([0.1, 0.2], [10, 12], [1, 2], dict(sims=0), "^sims must be an integer >= 1, got 0$"),
     ([0.1, 0.2], [10, 12], [1, 2], dict(exact_max=-3), "^exact_max must be an integer >= 0, got -3$"),
     ([0.1, 0.2], [10, 12], [1, 2], dict(exact_max=True), "^exact_max must be an integer >= 0, got True$"),
+    *[([0.1, 0.2], [1, 1], [1, 0], {"stream_index": 0, name: value},
+       f"^{name} must be a 64-bit unsigned integer, got {value}$")
+      for name in ("seed", "stream_index") for value in (True, 2.5, -1)],
 ], ids=["pg-outside", "negative-matched", "fractional-size", "empty-row", "column-mismatch",
-        "empty-kth-row", "fractional-sims", "zero-sims-exact", "negative-exact-max", "boolean-exact-max"])
+        "empty-kth-row", "fractional-sims", "zero-sims-exact", "negative-exact-max", "boolean-exact-max",
+        *[f"{name}-{label}" for name in ("seed", "stream-index") for label in ("boolean", "fractional",
+                                                                                "negative")]])
 def test_counts_test_refuses_malformed_counts(pg, sizes, matched, options, message):
+    options = {"stream_index": [0, 1], **options}
     with pytest.raises(ValueError, match=message):
-        nullref.counts_test(np.array(pg), np.array(sizes), np.array(matched), stream_index=[0, 1],
-                            **options)
+        nullref.counts_test(np.array(pg), np.array(sizes), np.array(matched), **options)
 
 
 # --- p-values ------------------------------------------------------------------
