@@ -1,0 +1,84 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs of runs.
+
+    python3 tools/ab_bench.py PARENT CHANGE --workload cohort-mc --pairs 10 --seconds 25
+
+Each pair runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
+once in each checkout, in its own process, with the order alternating from
+pair to pair (the parent first in pair 0). For every end-to-end metric the
+last stdout line reports, it prints both sides' quartiles, the number of
+pairs the change wins (better in the direction ``BENCHMARK.json`` gives; a
+tie is not a win) and whether the gain rule holds: the change wins at least
+9 pairs in 10 and its median is better than the parent's by more than the
+parent's interquartile range. Standard library only; exit code 2 when a
+run fails.
+"""
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_bench(checkout: Path, args) -> dict:
+    """End-to-end metric values of one untraced run in ``checkout``."""
+    done = subprocess.run(
+        [sys.executable, str(checkout / "bench" / "run.py"), "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+        capture_output=True, text=True, check=False, cwd=checkout,
+    )
+    if done.returncode != 0:
+        print(f"error: {checkout}: exit {done.returncode}: {done.stderr.strip()}", file=sys.stderr)
+        sys.exit(2)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seed", type=int, default=20150836)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    with open(args.change / "BENCHMARK.json", encoding="utf-8") as handle:
+        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+    runs = {"parent": [], "change": []}
+    for k in range(args.pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_bench(getattr(args, side), args))
+        print(f"pair {k + 1}/{args.pairs}: " + ", ".join(
+            f"{side} {runs[side][-1].get('units_per_s', math.nan):.6g}" for side in order)
+            + " units/s", file=sys.stderr)
+    print(f"workload {args.workload}, seed {args.seed}, --seconds {args.seconds:g}, "
+          f"{args.pairs} alternating pairs")
+    print(f"{'metric':<16}{'parent q1 / median / q3':>34}{'change q1 / median / q3':>34}"
+          f"{'wins':>8}  gain")
+    for name in runs["parent"][0]:
+        if name not in better:
+            continue
+        sign = 1.0 if better[name] == "higher" else -1.0
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+        gain = wins >= math.ceil(0.9 * args.pairs) and sign * (cm - pm) > p3 - p1
+        print(f"{name:<16}{f'{p1:.4g} / {pm:.4g} / {p3:.4g}':>34}{f'{c1:.4g} / {cm:.4g} / {c3:.4g}':>34}"
+              f"{f'{wins}/{args.pairs}':>8}  {'yes' if gain else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
