@@ -28,9 +28,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ._blas import one_blas_thread
 from .errors import CatalogMissError, ClonalityError, FileFormatError, UnknownTumorError
-from .model import MarkerCatalog, MutationProfile, derive_pair_observation
+from .model import PROB_CEIL, PROB_FLOOR, MarkerCatalog, MutationProfile, derive_pair_observation
 from .nullref import EXACT_MAX_DEFAULT, SIMS_DEFAULT, conditional_test
 from .priors import FrequencyRecord, estimate_marginal_probability
 from .rng import DEFAULT_SEED, UINT64_MAX, RngStream
@@ -143,6 +145,36 @@ def _marker_rows(path: str, rows, width: int):
         yield lineno, marker, fields
 
 
+def _pooled_columns(path: str) -> Optional[dict[str, float]]:
+    """:func:`read_counts_file` of a well-formed counts file, read in columns; else None.
+
+    Well formed: strict UTF-8, rows of 5 fields, unique markers, counts of 1-18
+    ASCII digits, mutated <= total and a pooled numerator >= 1 over at most
+    2^53, so ``int`` and numpy read the same counts and divide them alike.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = [line for line in handle.read().split("\n")
+                     if line.strip() and not line.lstrip().startswith("#")]
+    except (OSError, ValueError):
+        return None
+    rows = [line.split("\t") for line in lines[1:]]
+    if not rows or lines[0].split("\t") != _COUNT_HEADER or any(len(fields) != 5 for fields in rows):
+        return None
+    markers = [fields[0].strip() for fields in rows]
+    cells = [cell for fields in rows for cell in fields[1:]]
+    digits = "".join(cells)
+    if not (all(markers) and len(set(markers)) == len(markers) and all(cells)
+            and max(map(len, cells)) <= 18 and digits.isascii() and digits.isdigit()):
+        return None
+    ref_mutated, ref_total, study_mutated, study_total = np.array(cells, dtype=np.int64).reshape(-1, 4).T
+    numerator, denominator = ref_mutated + study_mutated, ref_total + study_total
+    if not (np.all(ref_mutated <= ref_total) and np.all(study_mutated <= study_total)
+            and numerator.min() >= 1 and denominator.max() <= 1 << 53):
+        return None
+    return dict(zip(markers, np.clip(numerator / denominator, PROB_FLOOR, PROB_CEIL).tolist()))
+
+
 def read_counts_file(
     path: str,
     default_study_total: Optional[int] = None,
@@ -152,8 +184,12 @@ def read_counts_file(
 
     Each row is pooled by ``estimate_marginal_probability``. Empty
     study_total cells inherit the default; without one, an empty cell raises
-    ``FileFormatError`` with the message ``missing_total``.
+    ``FileFormatError`` with the message ``missing_total``. Files that
+    :func:`_pooled_columns` reads give its floats; others are read by rows.
     """
+    probabilities = _pooled_columns(path)
+    if probabilities is not None:
+        return probabilities
     rows = _read_rows(path)
     _parse_header(path, rows, _COUNT_HEADER)
     probabilities: dict[str, float] = {}

@@ -140,35 +140,88 @@ class CalibratedRule:
     calibrated_power: float
 
 
-def _distinct_rows(matched: np.ndarray, sizes: np.ndarray):
-    """``np.unique(matched, axis=0, return_counts=True)``: ``(patterns, counts)``.
+def _distinct_rows(rows: np.ndarray, sizes: np.ndarray):
+    """``np.unique(rows.T, axis=0, return_counts=True)`` of (G, n) count rows, row g <= ``sizes[g]``.
 
-    Row ``k`` counts at most ``sizes[g]`` in column ``g``, so it is keyed by
-    one int64 in mixed radix (column 0 most significant, radix ``sizes[g] +
-    1``). The keys sort as the rows do, so one 1-D sort gives the same
-    patterns in the same order. When the radices' product leaves int64 the
-    rows are sorted as they are.
+    Patterns sort as their int64 keys in mixed radix (row 0 most significant,
+    radix ``sizes[g] + 1``) do; keys that would leave int64 go to numpy.
     """
     radix = [int(size) + 1 for size in sizes]
     if math.prod(radix) >= 1 << 63:
-        return np.unique(matched, axis=0, return_counts=True)
+        return np.unique(rows.T.astype(np.int64), axis=0, return_counts=True)
     place = np.array([math.prod(radix[g + 1:]) for g in range(len(radix))], dtype=np.int64)
-    _, first, counts = np.unique(matched @ place, return_index=True, return_counts=True)
-    return matched[first], counts
+    keys = np.zeros(rows.shape[1], dtype=np.int64)
+    for step, row in zip(place, rows):
+        keys += step * row
+    keys.sort()
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts, None] // place % radix, np.diff(starts, append=keys.size)
+
+
+def _inverted_rows(gen: np.random.Generator, n: np.ndarray, q: np.ndarray, n_sims: int):
+    """``gen.binomial(n[g], q[g], size=n_sims)`` for g in order, as (G, n_sims) rows; every n >= 1.
+
+    Numpy inverts a binomial with n·p <= 30, p = min(q, 1 − q): X counts the
+    steps while its uniform U > px, from px = (1 − p)^n, each doing U −= px,
+    px = (n − X + 1)·p·px / (X·(1 − p)); for q > 1/2 the draw is n − X. One
+    fill and the same float operations give the same integers and leave
+    ``gen`` where the calls do. The first two steps, which end most draws,
+    run over all draws. None where numpy uses BTPE, or restarts a draw past
+    floor(min(n, np + 10·sqrt(np(1 − p) + 1))) on a fresh uniform.
+    """
+    flip = q > 0.5
+    p = np.where(flip, 1.0 - q, q)
+    if np.any(p * n > 30.0):
+        return None
+    c = 1.0 - p
+    px = np.array([math.exp(m * math.log(x)) for m, x in zip(n.tolist(), c.tolist())])
+    bound = np.minimum(n, n * p + 10.0 * np.sqrt(n * p * c + 1))  # >= 1, so step 1 stays inside
+
+    def next_px(px, x):
+        return ((n - x + 1) * p * px) / (x * c)
+
+    u = gen.random((n.size, n_sims))
+    going = u > px[:, None]
+    steps = going.astype(np.min_scalar_type(int(n.max())))
+    u -= px[:, None]
+    px = next_px(px, 1)
+    going &= u > px[:, None]
+    steps += going
+    x, draw = 2, np.flatnonzero(going)
+    g, left = draw // n_sims, u.ravel()[draw]
+    while draw.size:
+        if np.any(x > bound[g]):
+            return None
+        left -= px[g]
+        px = next_px(px, x)
+        x += 1
+        more = left > px[g]
+        draw, g, left = draw[more], g[more], left[more]
+        steps.ravel()[draw] = x
+    steps[flip] = n[flip, None] - steps[flip]
+    return steps
 
 
 def _drawn_rows(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
     """``(patterns, draws)``: the distinct count patterns of ``n_sims`` null draws.
 
-    Draws one binomial column per group of ``(pg, sizes)``, in order, from
-    stream ``rng``. A zero-size group draws no random numbers and adds a
-    zero column, so the other columns are those of the draws without it.
+    One ``gen.binomial(size, q0, n_sims)`` per group of ``(pg, sizes)`` on stream
+    ``rng``, by :func:`_inverted_rows` or else by the calls on a fresh
+    generator; a zero-size group draws nothing and adds a zero column.
     """
     validate_count("n_sims", n_sims, 1)
-    q0 = match_probabilities(pg, 0.0)
-    gen = rng.generator()
-    matched = np.column_stack([gen.binomial(int(size), q, size=n_sims) for size, q in zip(sizes, q0)])
-    return _distinct_rows(matched, sizes)
+    drawn = sizes > 0
+    n, q0 = sizes[drawn], match_probabilities(pg[drawn], 0.0)
+    rows = _inverted_rows(rng.generator(), n, q0, n_sims)
+    if rows is None:
+        gen = rng.generator()
+        rows = np.empty((n.size, n_sims), dtype=np.min_scalar_type(int(n.max())))
+        for row, size, q in zip(rows, n, q0):
+            row[:] = gen.binomial(int(size), q, size=n_sims)
+    patterns, draws = _distinct_rows(rows, n)
+    full = np.zeros((patterns.shape[0], sizes.size), dtype=np.int64)
+    full[:, drawn] = patterns
+    return full, draws
 
 
 def _drawn_chunks(patterns: np.ndarray, draws: np.ndarray):

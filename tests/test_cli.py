@@ -3,9 +3,11 @@ import io
 import json
 import os
 import pathlib
+import random
 import tempfile
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from clonality import cli
 from clonality.cli import main, read_mutations_file, read_probability_file
+from clonality.errors import FileFormatError
 from clonality.model import MutationProfile, derive_pair_observation
 
 from conftest import FIXTURES
@@ -522,6 +525,61 @@ def test_corrupted_inputs_report_file_and_line(case):
                 code = main(list(argv))
             assert code == 2, (argv, edit, err.getvalue())
             assert err.getvalue().startswith(f"error: {target}:"), (edit, err.getvalue())
+
+
+def _generated_counts(rows: int, seed: int) -> str:
+    """Body of ``rows`` well-formed counts rows, totals up to 2^53, some study counts zero."""
+    rnd = random.Random(seed)
+    lines = []
+    for m in range(rows):
+        ref_total = rnd.choice([rnd.randint(1, 50), rnd.randint(2000, 12000), 2 ** 53 - rnd.randint(80, 99)])
+        study_total = rnd.choice([0, rnd.randint(1, 80)])
+        ref_mutated, study_mutated = rnd.randint(0, ref_total), rnd.randint(0, study_total)
+        if ref_mutated + study_mutated == 0:
+            ref_mutated = 1
+        lines.append(f"M{m}\t{ref_mutated}\t{ref_total}\t{study_mutated}\t{study_total}\n")
+    return "".join(lines)
+
+
+_PLAIN_COUNTS = "X\t1\t10\t0\t1\nY\t12\t1000\t3\t40\n"
+COLUMN_CASES = [
+    ("generated", _generated_counts(400, 1), True),
+    ("comments blank lines crlf bom", "# note\n\n" + _PLAIN_COUNTS + " \n", True),
+    ("denominator 2^53", f"X\t1\t{2 ** 53 - 1}\t0\t1\n", True),
+    ("denominator above 2^53", f"X\t1\t{2 ** 53}\t0\t1\n", False),
+    ("sum past int64", f"X\t1\t{2 ** 63 - 1}\t0\t1\n", False),
+    ("cell past int64", f"X\t1\t{10 ** 20}\t0\t1\n", False),
+    ("cell space-12", "X\t 12\t1000\t0\t1\n", False),
+    ("cell +5", "X\t+5\t1000\t0\t1\n", False),
+    ("cell arabic-indic 12", "X\t\u0661\u0662\t1000\t0\t1\n", False),
+    ("zero numerator", _PLAIN_COUNTS + "Z\t0\t1000\t0\t1\n", False),
+    ("empty study_total", _PLAIN_COUNTS + "Z\t3\t1000\t0\t\n", False),
+    *[(name, body, False) for name, body, *_ in _COUNT_CHECKS],
+    ("undecodable byte", _PLAIN_COUNTS + "Z\t3\t1000\t0\t1 \udcff\n", False),
+]
+
+
+@pytest.mark.parametrize("name, body, columns", COLUMN_CASES, ids=[case[0] for case in COLUMN_CASES])
+def test_counts_columns_equal_the_row_loop(tmp_path, monkeypatch, name, body, columns):
+    """A well-formed counts file read in columns gives the row loop's floats in file order; others go to the loop."""
+    table = tmp_path / "counts.tsv"
+    text = _TABLE_HEADERS["counts"] + body
+    if "crlf bom" in name:
+        text = "\ufeff" + text.replace("\n", "\r\n")
+    table.write_bytes(text.encode("utf-8", "surrogateescape"))
+    pooled = cli._pooled_columns(str(table))
+    assert (pooled is not None) == columns
+    monkeypatch.setattr(cli, "_pooled_columns", lambda path: None)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        try:
+            by_rows = cli.read_counts_file(str(table), default_study_total=3)
+        except FileFormatError:
+            assert not columns
+            return
+    if columns:
+        assert list(pooled.items()) == list(by_rows.items())
+        assert all(type(p) is float for p in pooled.values())
 
 
 # --- estimate-probs -------------------------------------------------------------------

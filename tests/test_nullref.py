@@ -290,7 +290,7 @@ def test_distinct_rows_equal_numpy_unique(n_distinct):
         pg, sizes, matched = raw_draws(ps, 1000, RngStream(n_distinct))
         if not shared:  # from 63 distinct probabilities on, the mixed-radix key leaves int64
             assert (math.prod(int(n) + 1 for n in sizes) >= 2 ** 63) == (n_distinct >= 63)
-        patterns, counts = nullref._distinct_rows(matched, sizes)
+        patterns, counts = nullref._distinct_rows(matched.T, sizes)
         want_patterns, want_counts = np.unique(matched, axis=0, return_counts=True)
         assert np.array_equal(patterns, want_patterns)
         assert np.array_equal(counts, want_counts)
@@ -298,6 +298,58 @@ def test_distinct_rows_equal_numpy_unique(n_distinct):
         null = sample_conditional_null(ps, 1000, RngStream(n_distinct))
         s = float(np.quantile(null.statistics, 0.8))
         assert monte_carlo_p_value(s, ps, 1000, RngStream(n_distinct)) == p_value(s, null)
+
+
+def binomial_calls(pg, sizes, n_sims, gen):
+    """(n_sims, G) counts of one ``gen.binomial`` call per group, as the draws were first made."""
+    q0 = pg / (2.0 - pg)
+    return np.column_stack([gen.binomial(int(sizes[g]), q0[g], size=n_sims) for g in range(len(pg))])
+
+
+def test_one_fill_draws_equal_numpy_binomial_calls():
+    """The inversion kernel gives each call's integers and leaves the stream where the calls do.
+
+    Random groups with null match probabilities above and below 1/2, zero
+    sizes, a group numpy draws by BTPE (the kernel refuses it) and 64
+    distinct probabilities (the patterns' key leaves int64). A numpy whose
+    binomial draws differently fails here.
+    """
+    gen = np.random.default_rng(2121)
+    inverted = 0
+    for trial in range(80):
+        n_groups = 64 if trial % 10 == 9 else int(gen.integers(1, 16))
+        pg = np.sort(gen.uniform(0.002, 0.98, n_groups))
+        sizes = (1.0 if n_groups == 64 else gen.integers(0, 9, n_groups) * (gen.random(n_groups) < 0.8))
+        sizes = np.broadcast_to(sizes, pg.shape).astype(float)
+        sizes[int(gen.integers(n_groups))] += 1
+        if trial % 10 == 4:
+            pg[0], sizes[0] = 0.3, 200.0  # n q0 = 35 > 30
+        n_sims = int(gen.integers(1, 4000))
+        rng = RngStream(trial, 3)
+        calls = rng.generator()
+        matched = binomial_calls(pg, sizes, n_sims, calls)
+        patterns, draws = nullref._drawn_rows(pg, sizes, n_sims, rng)
+        want_patterns, want_draws = np.unique(matched, axis=0, return_counts=True)
+        assert np.array_equal(patterns, want_patterns) and np.array_equal(draws, want_draws)
+        present = sizes > 0
+        fill = rng.generator()
+        rows = nullref._inverted_rows(fill, sizes[present], pg[present] / (2.0 - pg[present]), n_sims)
+        if trial % 10 == 4:
+            assert rows is None
+            continue
+        inverted += 1
+        assert np.array_equal(rows, matched.T[present])
+        assert fill.random() == calls.random()
+    assert inverted == 72
+
+
+def test_inversion_past_its_bound_takes_the_calls():
+    """A draw that numpy would restart on a fresh uniform makes the kernel give up."""
+    class Stub:
+        def random(self, shape):
+            return np.full(shape, 1.0 - 2.0 ** -53)
+
+    assert nullref._inverted_rows(Stub(), np.array([200.0]), np.array([0.001]), 5) is None
 
 
 def test_sampled_null_holds_the_fit_of_every_draw():
