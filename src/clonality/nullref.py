@@ -154,24 +154,23 @@ def _distinct_rows(rows: np.ndarray, sizes: np.ndarray):
     for step, row in zip(place, rows):
         keys += step * row
     keys.sort()
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[starts, None] // place % radix, np.diff(starts, append=keys.size)
+    edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+    return keys[edges[:-1], None] // place % radix, np.diff(edges)
 
 
 def _inverted_rows(gen: np.random.Generator, n: np.ndarray, q: np.ndarray, n_sims: int):
     """``gen.binomial(n[g], q[g], size=n_sims)`` for g in order, as (G, n_sims) rows; every n >= 1.
 
-    Numpy inverts a binomial with n·p <= 30, p = min(q, 1 − q): X counts the
-    steps while its uniform U > px, from px = (1 − p)^n, each doing U −= px,
-    px = (n − X + 1)·p·px / (X·(1 − p)); for q > 1/2 the draw is n − X. One
-    fill and the same float operations give the same integers and leave
-    ``gen`` where the calls do. The first two steps, which end most draws,
-    run over all draws. None where numpy uses BTPE, or restarts a draw past
-    floor(min(n, np + 10·sqrt(np(1 − p) + 1))) on a fresh uniform.
+    Numpy inverts a binomial with n·p <= 30, p = min(q, 1 − q): X counts the steps while
+    its uniform U > px, from px = (1 − p)^n, each doing U −= px, px = (n − X + 1)·p·px /
+    (X·(1 − p)); for q > 1/2 the draw is n − X. One fill and the same float operations
+    give the same integers and leave ``gen`` where the calls do. The first two steps,
+    which end most draws, run over all draws. None where numpy uses BTPE, or restarts a
+    draw past floor(min(n, np + 10·sqrt(np(1 − p) + 1))) on a fresh uniform.
     """
     flip = q > 0.5
     p = np.where(flip, 1.0 - q, q)
-    if np.any(p * n > 30.0):
+    if (p * n > 30.0).any():
         return None
     c = 1.0 - p
     px = np.array([math.exp(m * math.log(x)) for m, x in zip(n.tolist(), c.tolist())])
@@ -187,17 +186,17 @@ def _inverted_rows(gen: np.random.Generator, n: np.ndarray, q: np.ndarray, n_sim
     px = next_px(px, 1)
     going &= u > px[:, None]
     steps += going
-    x, draw = 2, np.flatnonzero(going)
+    x, draw, flat = 2, np.flatnonzero(going), steps.reshape(-1)
     g, left = draw // n_sims, u.ravel()[draw]
     while draw.size:
-        if np.any(x > bound[g]):
+        if (bound[g] < x).any():
             return None
         left -= px[g]
         px = next_px(px, x)
         x += 1
         more = left > px[g]
         draw, g, left = draw[more], g[more], left[more]
-        steps.ravel()[draw] = x
+        flat[draw] = x
     steps[flip] = n[flip, None] - steps[flip]
     return steps
 
@@ -206,13 +205,14 @@ def _drawn_rows(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
     """``(patterns, draws)``: the distinct count patterns of ``n_sims`` null draws.
 
     One ``gen.binomial(size, q0, n_sims)`` per group of ``(pg, sizes)`` on stream
-    ``rng``, by :func:`_inverted_rows` or else by the calls on a fresh
-    generator; a zero-size group draws nothing and adds a zero column.
+    ``rng``: by :func:`_inverted_rows` from 10^4 draws on, else (or where it
+    gives up) by the calls, which cost less below that; a zero-size group adds
+    a zero column.
     """
     validate_count("n_sims", n_sims, 1)
     drawn = sizes > 0
     n, q0 = sizes[drawn], match_probabilities(pg[drawn], 0.0)
-    rows = _inverted_rows(rng.generator(), n, q0, n_sims)
+    rows = _inverted_rows(rng.generator(), n, q0, n_sims) if n.size * n_sims >= 10_000 else None
     if rows is None:
         gen = rng.generator()
         rows = np.empty((n.size, n_sims), dtype=np.min_scalar_type(int(n.max())))
