@@ -271,13 +271,16 @@ def test_monte_carlo_p_value_over_several_chunks(monkeypatch):
         assert monte_carlo_p_value(s, ps, 20_000, RngStream(8)) == p_value(s, null)
 
 
+def binomial_calls(pg, sizes, n_sims, gen):
+    """(n_sims, G) counts of one ``gen.binomial`` call per group, as the draws were first made."""
+    q0 = pg / (2.0 - pg)
+    return np.column_stack([gen.binomial(int(sizes[g]), q0[g], size=n_sims) for g in range(len(pg))])
+
+
 def raw_draws(ps, n_sims, rng):
     """Grouped probabilities, sizes and the ``n_sims`` drawn count rows, in draw order."""
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
-    gen = rng.generator()
-    q0 = pg / (2.0 - pg)
-    return pg, sizes, np.column_stack(
-        [gen.binomial(int(sizes[g]), q0[g], size=n_sims) for g in range(len(pg))])
+    return pg, sizes, binomial_calls(pg, sizes, n_sims, rng.generator())
 
 
 @pytest.mark.parametrize("n_distinct", [1, 5, 62, 63, 64])
@@ -298,12 +301,6 @@ def test_distinct_rows_equal_numpy_unique(n_distinct):
         null = sample_conditional_null(ps, 1000, RngStream(n_distinct))
         s = float(np.quantile(null.statistics, 0.8))
         assert monte_carlo_p_value(s, ps, 1000, RngStream(n_distinct)) == p_value(s, null)
-
-
-def binomial_calls(pg, sizes, n_sims, gen):
-    """(n_sims, G) counts of one ``gen.binomial`` call per group, as the draws were first made."""
-    q0 = pg / (2.0 - pg)
-    return np.column_stack([gen.binomial(int(sizes[g]), q0[g], size=n_sims) for g in range(len(pg))])
 
 
 def test_one_fill_draws_equal_numpy_binomial_calls():
