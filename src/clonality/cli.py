@@ -45,6 +45,9 @@ EXIT_UNKNOWN_TUMOR = 3
 _MUTATION_HEADER = ["tumor", "marker"]
 _PROB_HEADER = ["marker", "probability"]
 _COUNT_HEADER = ["marker", "ref_mutated", "ref_total", "study_mutated", "study_total"]
+# the options of each command that bound its memory, named when it runs out
+_LOWER_EXACT = "--exact-max, so that large mutated sets use Monte Carlo sampling, or --sims"
+_MEMORY_OPTIONS = {"test": _LOWER_EXACT, "pairs": _LOWER_EXACT, "simulate": "--sims or --replicates"}
 _PAIRS_POOL_MAX = 2  # widest `pairs` pool measured to pay; an exact pair in flight holds 2^|E| atoms
 
 
@@ -408,8 +411,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:
-        print("error: out of memory; lower --exact-max so that large mutated sets use Monte Carlo "
-              "sampling", file=sys.stderr)
+        lower = _MEMORY_OPTIONS.get(args.command)
+        print("error: out of memory" + (f"; lower {lower}" if lower else ""), file=sys.stderr)
         return EXIT_INPUT
 
 

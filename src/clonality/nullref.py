@@ -6,15 +6,15 @@ only the match indicators, each Bernoulli with the null match probability
 so the null works on per-probability match counts, over the groups that
 :func:`~clonality.inference.group_by_probability` makes once per pair and
 the observed fit shares. Two sources yield count patterns in chunks of up to
-``_FIT_CHUNK`` rows, ``(patterns, weights, reps, sums)``, a pattern
-standing for ``reps`` atoms of weight ``weights``. For small E,
+``_FIT_CHUNK`` rows, ``(patterns, weights, reps, sums)``, a pattern standing
+for ``reps`` atoms of weight ``weights``. For small E,
 :func:`_exact_patterns` enumerates all 2^|E| match vectors (up to
-``EXACT_ATOM_LIMIT``) as patterns weighted by one vector's mass, with
-their sums of per-group bound tables; otherwise :func:`_drawn_patterns`
-yields the distinct patterns of Monte Carlo draws, weight 1, their draw
-counts and no sums. A p-value needs only whether each pattern's statistic
-reaches the observed one, so the one decide-and-sum,
-:func:`_extreme_share`, settles what the bound tables prove
+``EXACT_ATOM_LIMIT``) as patterns weighted by one vector's mass, with their
+sums of per-group bound tables; otherwise :func:`_drawn_rows` deduplicates
+one table of Monte Carlo draws and :func:`_drawn_chunks` yields its distinct
+patterns, weight 1, their draw counts and no sums. A p-value needs only
+whether each pattern's statistic reaches the observed one, so the one
+decide-and-sum, :func:`_extreme_share`, settles what the bound tables prove
 (:func:`~clonality.inference.settle_by_bounds`) and passes the rest to
 :func:`~clonality.inference.conditional_exceeds`, which stops refining a
 pattern once its answer is proven. It returns the same float as
@@ -144,7 +144,9 @@ def _distinct_rows(rows: np.ndarray, sizes: np.ndarray):
     """``np.unique(rows.T, axis=0, return_counts=True)`` of (G, n) count rows, row g <= ``sizes[g]``.
 
     Patterns sort as their int64 keys in mixed radix (row 0 most significant,
-    radix ``sizes[g] + 1``) do; keys that would leave int64 go to numpy.
+    radix ``sizes[g] + 1``) do, so a zero-size group's zero row adds nothing
+    to a key and decodes to a zero column; keys that would leave int64 go to
+    numpy.
     """
     radix = [int(size) + 1 for size in sizes]
     if math.prod(radix) >= 1 << 63:
@@ -204,24 +206,25 @@ def _inverted_rows(gen: np.random.Generator, n: np.ndarray, q: np.ndarray, n_sim
 def _drawn_rows(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
     """``(patterns, draws)``: the distinct count patterns of ``n_sims`` null draws.
 
-    One ``gen.binomial(size, q0, n_sims)`` per group of ``(pg, sizes)`` on stream
-    ``rng``: by :func:`_inverted_rows` from 10^4 draws on, else (or where it
-    gives up) by the calls, which cost less below that; a zero-size group adds
-    a zero column.
+    Draws one (G, n_sims) table over the groups of ``(pg, sizes)`` on stream
+    ``rng``, one ``gen.binomial(size, q0, n_sims)`` per nonzero-size group,
+    and deduplicates it whole; a zero-size group's row stays zero, so its
+    column of every pattern is 0. The draws come from :func:`_inverted_rows`
+    from 10^4 draws on, else (or where it gives up) from the calls, which
+    cost less below that.
     """
     validate_count("n_sims", n_sims, 1)
     drawn = sizes > 0
     n, q0 = sizes[drawn], match_probabilities(pg[drawn], 0.0)
-    rows = _inverted_rows(rng.generator(), n, q0, n_sims) if n.size * n_sims >= 10_000 else None
-    if rows is None:
+    rows = np.zeros((sizes.size, n_sims), dtype=np.min_scalar_type(int(n.max())))
+    inverted = _inverted_rows(rng.generator(), n, q0, n_sims) if n.size * n_sims >= 10_000 else None
+    if inverted is None:
         gen = rng.generator()
-        rows = np.empty((n.size, n_sims), dtype=np.min_scalar_type(int(n.max())))
-        for row, size, q in zip(rows, n, q0):
-            row[:] = gen.binomial(int(size), q, size=n_sims)
-    patterns, draws = _distinct_rows(rows, n)
-    full = np.zeros((patterns.shape[0], sizes.size), dtype=np.int64)
-    full[:, drawn] = patterns
-    return full, draws
+        for g, q in zip(np.flatnonzero(drawn), q0):
+            rows[g] = gen.binomial(int(sizes[g]), q, size=n_sims)
+    else:
+        rows[drawn] = inverted
+    return _distinct_rows(rows, sizes)
 
 
 def _drawn_chunks(patterns: np.ndarray, draws: np.ndarray):
@@ -233,11 +236,6 @@ def _drawn_chunks(patterns: np.ndarray, draws: np.ndarray):
     for start in range(0, patterns.shape[0], _FIT_CHUNK):
         rows = slice(start, start + _FIT_CHUNK)
         yield patterns[rows], np.ones(draws[rows].size), draws[rows], None
-
-
-def _drawn_patterns(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
-    """Chunks of the distinct count patterns of ``n_sims`` null draws from stream ``rng``."""
-    return _drawn_chunks(*_drawn_rows(pg, sizes, n_sims, rng))
 
 
 def _split_patterns(counts: Sequence[int]) -> list[np.ndarray]:
@@ -383,11 +381,6 @@ def _fitted_null(pg, sizes, chunks, total: float = 1.0) -> NullDistribution:
                             np.repeat(np.concatenate(weights), reps), total)
 
 
-def _grouped(ps: Sequence[float]):
-    """``(pg, sizes)``: the distinct probabilities of ``ps`` and their marker counts."""
-    return group_by_probability(ps, np.ones(len(ps)))
-
-
 def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> NullDistribution:
     """Exact null: every match vector over E with its product-Bernoulli mass.
 
@@ -395,7 +388,7 @@ def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAU
     per-probability match counts share a statistic, so the fit cost is one
     per distinct count pattern.
     """
-    pg, sizes = _grouped(ps)
+    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     return _fitted_null(pg, sizes, _exact_patterns(pg, sizes, exact_max))
 
 
@@ -408,8 +401,8 @@ def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) ->
     are fitted (one fit per distinct pattern). The atoms, one per draw, come
     grouped by pattern in the patterns' sorted order, not in draw order.
     """
-    pg, sizes = _grouped(ps)
-    return _fitted_null(pg, sizes, _drawn_patterns(pg, sizes, n_sims, rng), n_sims)
+    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
+    return _fitted_null(pg, sizes, _drawn_chunks(*_drawn_rows(pg, sizes, n_sims, rng)), n_sims)
 
 
 def p_value(observed: float, null: NullDistribution) -> float:
@@ -427,7 +420,7 @@ def p_value(observed: float, null: NullDistribution) -> float:
 
 def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> float:
     """``p_value(observed, exact_conditional_null(ps, exact_max))``, deciding, not fitting."""
-    pg, sizes = _grouped(ps)
+    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     return float(_extreme_share(pg, sizes[None, :], _exact_patterns(pg, sizes, exact_max),
                                 [observed - TIE_TOLERANCE])[0])
 
@@ -438,9 +431,9 @@ def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: 
     Like :func:`p_value`, this is the paper's b/n: 0 means that none of the
     ``n_sims`` draws reached the observed statistic, i.e. p < 1/n_sims.
     """
-    pg, sizes = _grouped(ps)
-    return float(_extreme_share(pg, sizes[None, :], _drawn_patterns(pg, sizes, n_sims, rng),
-                                [observed - TIE_TOLERANCE], n_sims)[0])
+    pg, sizes = group_by_probability(ps, np.ones(len(ps)))
+    chunks = _drawn_chunks(*_drawn_rows(pg, sizes, n_sims, rng))
+    return float(_extreme_share(pg, sizes[None, :], chunks, [observed - TIE_TOLERANCE], n_sims)[0])
 
 
 def counts_test(
@@ -516,7 +509,7 @@ def counts_test(
                                   thresholds[drawn], sims, row_of)
     results = [TestResult(statistic=float(stat[k]), xi_hat=float(xi_hat[k]), p_value=float(p[k]),
                           method="exact" if exact[k] else "monte-carlo",
-                          n_sims=0 if exact[k] else sims, seed=None if exact[k] else seed,
+                          n_sims=0 if exact[k] else int(sims), seed=None if exact[k] else int(seed),
                           n_matches=int(matched[k].sum()), n_union=int(n_union[k]))
                for k in range(len(streams))]
     return results[0] if one else results

@@ -187,14 +187,14 @@ def scenario_to_json_dict(spec: ScenarioSpec) -> dict:
 def scenario_from_json_dict(doc: dict) -> ScenarioSpec:
     """Scenario from its JSON image.
 
-    An omitted field takes its dataclass default; an unknown key raises the
-    constructor's ``TypeError``, which names it.
+    An omitted field takes its dataclass default. An unknown key, or a
+    missing ``groups`` or ``xi``, raises the constructor's ``TypeError``,
+    which names it.
     """
-    return ScenarioSpec(**{
-        **doc,
-        "groups": [MarkerGroup(**g) for g in doc["groups"]],
-        "perturbation": Perturbation(**doc.get("perturbation", {})),
-    })
+    fields = {**doc, "perturbation": Perturbation(**doc.get("perturbation", {}))}
+    if "groups" in doc:
+        fields["groups"] = [MarkerGroup(**g) for g in doc["groups"]]
+    return ScenarioSpec(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -246,31 +246,20 @@ def inflate_rare(ps: Sequence[float], factor: float, threshold: float) -> list[f
 # Pair generators.
 # ---------------------------------------------------------------------------
 
-def _independent_pair_counts(gen: np.random.Generator, n: int, p: float, xi: float,
-                             size: Optional[int] = None):
-    """(matched, a_only, b_only) counts for an independent group.
+def _independent_pair_counts(gen: np.random.Generator, n: int, p: float, xi: float):
+    """(matched, a_only, b_only) counts of one pair of an independent group, by scalar calls.
 
     Per-marker clonality indicators are collapsed to a Binomial clonal count;
     chance overlaps between the two tumors' independent-phase draws follow
     the hypergeometric law of two uniform subsets. Distributionally identical
-    to per-marker sampling. ``size`` pairs come as arrays; ``size=None``
-    draws one pair by scalar calls, which give the numbers of ``size=1`` at
-    a fraction of its call cost, and returns integers.
+    to per-marker sampling. :func:`_draw_group` draws every such pair with it.
     """
-    n_clonal = gen.binomial(n, xi, size=size)
+    n_clonal = gen.binomial(n, xi)
     shared = gen.binomial(n_clonal, p)
     pool = n - n_clonal
     k_a = gen.binomial(pool, p)
     k_b = gen.binomial(pool, p)
-    if size is None:
-        overlap = gen.hypergeometric(k_a, pool - k_a, k_b) if k_a and k_b else 0
-        return shared + overlap, k_a - overlap, k_b - overlap
-    overlap = np.zeros(size, dtype=np.int64)
-    drawable = (k_a > 0) & (k_b > 0)
-    if drawable.any():
-        overlap[drawable] = gen.hypergeometric(
-            k_a[drawable], pool[drawable] - k_a[drawable], k_b[drawable]
-        )
+    overlap = gen.hypergeometric(k_a, pool - k_a, k_b) if k_a and k_b else 0
     return shared + overlap, k_a - overlap, k_b - overlap
 
 

@@ -1,9 +1,11 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from clonality.cli import read_mutations_file, read_probability_file
 from clonality.model import MutationProfile
+from clonality.simulation import _independent_pair_counts
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -26,3 +28,9 @@ def table5():
 
 def profile(tumors, tumor_id):
     return MutationProfile(tumor_id, frozenset(tumors[tumor_id]))
+
+
+def independent_pairs(gen, n, p, xi, size):
+    """(matched, a_only, b_only) arrays of ``size`` independent-group pairs, drawn one by
+    one on ``gen`` as the harness draws them."""
+    return np.array([_independent_pair_counts(gen, n, p, xi) for _ in range(size)]).T

@@ -16,12 +16,13 @@ from clonality.model import MutationProfile, PairObservation, derive_pair_observ
 from clonality.nullref import conditional_test, exact_conditional_null, p_value, sample_conditional_null
 from clonality.rng import RngStream
 from clonality.simulation import (
-    _independent_pair_counts,
     normal_quantile,
     preset_scenario,
     run_calibrated_comparison,
     run_size_power,
 )
+
+from conftest import independent_pairs
 
 SEED = 20250808
 REPLICATES = 500
@@ -254,7 +255,7 @@ def test_criterion_8_property_suites():
     n, size = 20, 100_000
     for p, xi in ((0.1, 0.0), (0.05, 0.25), (0.1, 1.0)):
         gen = RngStream(SEED, 1000 + int(100 * p) + int(10 * xi)).generator()
-        matched, a_only, b_only = _independent_pair_counts(gen, n, p, xi, size)
+        matched, a_only, b_only = independent_pairs(gen, n, p, xi, size)
         counts = matched + a_only
         tol = 4.0 * counts.std() / math.sqrt(size) / n
         assert abs(counts.mean() / n - p) <= tol + 1e-12

@@ -234,20 +234,25 @@ def test_cmd_pairs_output_does_not_depend_on_pool_width(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("test", "--mutations", T1_MUT, "--probs", T1_PROB, "--tumor-a", "T3", "--tumor-b", "Left/Mucinous"),
     ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB),
-], ids=["test", "pairs"])
+    ("simulate", "--preset", "table2-m5", "--xi", "0.5", "--replicates", "2"),
+], ids=["test", "pairs", "simulate"])
 def test_out_of_memory_is_input_error(capsys, monkeypatch, argv):
-    """A ``MemoryError``, in ``pairs`` raised on a pool thread, exits 2 with one line naming --exact-max."""
+    """A ``MemoryError``, in ``pairs`` raised on a pool thread, exits 2 with one line naming
+    the options of the command that ran out: --exact-max only where it has one."""
     threads = []
 
-    def out_of_memory(obs, **options):
+    def out_of_memory(*args, **options):
         threads.append(threading.current_thread())
         raise MemoryError
 
     monkeypatch.setattr(cli, "conditional_test", out_of_memory)
+    monkeypatch.setattr(cli, "run_size_power", out_of_memory)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: out of memory") and err.count("\n") == 1 and "--exact-max" in err
-    assert threads and (threads[0] is threading.main_thread()) == (argv[0] == "test")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1 and "--sims" in err
+    assert ("--exact-max" in err) == (argv[0] in ("test", "pairs"))
+    assert ("--replicates" in err) == (argv[0] == "simulate")
+    assert threads and (threads[0] is threading.main_thread()) == (argv[0] != "pairs")
 
 
 def usage_error(capsys, *argv):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -263,7 +264,7 @@ def test_monte_carlo_p_value_over_several_chunks(monkeypatch):
     monkeypatch.setattr(nullref, "_FIT_CHUNK", 1000)
     ps = list(np.linspace(0.3, 0.8, 16))
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
-    chunks = nullref._drawn_patterns(pg, sizes, 20_000, RngStream(8))
+    chunks = nullref._drawn_chunks(*nullref._drawn_rows(pg, sizes, 20_000, RngStream(8)))
     assert sum(patterns.shape[0] for patterns, *_ in chunks) > 3 * nullref._FIT_CHUNK
     null = sample_conditional_null(ps, 20_000, RngStream(8))
     for q in (0.5, 0.9, 0.999):
@@ -457,6 +458,16 @@ def test_counts_test_refuses_malformed_counts(pg, sizes, matched, options, messa
     options = {"stream_index": [0, 1], **options}
     with pytest.raises(ValueError, match=message):
         nullref.counts_test(np.array(pg), np.array(sizes), np.array(matched), **options)
+
+
+def test_counts_test_result_holds_python_scalars():
+    """Numpy integer options give the result of Python ints, which dumps to JSON as ``test`` prints it."""
+    pg, sizes, matched = np.array([0.1, 0.2]), np.array([10, 12]), np.array([1, 2])
+    result = nullref.counts_test(pg, sizes, matched, sims=np.int64(500), seed=np.uint64(7))
+    assert result == nullref.counts_test(pg, sizes, matched, sims=500, seed=7)
+    assert result.method == "monte-carlo"
+    assert json.loads(json.dumps(dataclasses.asdict(result)))["n_sims"] == 500
+    assert type(result.n_sims) is int and type(result.seed) is int
 
 
 # --- p-values ------------------------------------------------------------------

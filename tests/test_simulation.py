@@ -21,7 +21,6 @@ from clonality.simulation import (
     _draw_group,
     _equicorrelated_pair_mutations,
     _exclusive_pair_cells,
-    _independent_pair_counts,
     _latent_block,
     inflate_rare,
     normal_quantile,
@@ -34,6 +33,8 @@ from clonality.simulation import (
     scenario_from_json_dict,
     scenario_to_json_dict,
 )
+
+from conftest import independent_pairs
 
 
 def small_spec(**overrides):
@@ -236,6 +237,7 @@ def test_scenario_json_defaults_and_unknown_keys():
         ("replicate", {**doc, "replicate": 10}),
         ("rh0", {**doc, "groups": [{**doc["groups"][0], "rh0": 0.3}]}),
         ("sigm", {**doc, "perturbation": {"kind": "logit-noise", "sigm": 0.5}}),
+        ("groups", {"xi": 0.2}),
     ]
     for key, typo in typos:
         with pytest.raises(TypeError, match=f"'{key}'"):
@@ -328,7 +330,7 @@ def test_independent_counts_marginal_preservation():
     for p in (0.05, 0.2):
         for xi in (0.0, 0.25, 1.0):
             gen = RngStream(21).generator()
-            matched, a_only, b_only = _independent_pair_counts(gen, n, p, xi, size)
+            matched, a_only, b_only = independent_pairs(gen, n, p, xi, size)
             counts_a = matched + a_only
             tol = 4.0 * counts_a.std() / math.sqrt(size) / n
             assert abs(counts_a.mean() / n - p) <= tol + 1e-12
@@ -339,7 +341,7 @@ def test_independent_counts_marginal_preservation():
 def test_independent_counts_match_rate_under_independence():
     n, p, size = 10, 0.1, 100_000
     gen = RngStream(22).generator()
-    matched, _, _ = _independent_pair_counts(gen, n, p, 0.0, size)
+    matched, _, _ = independent_pairs(gen, n, p, 0.0, size)
     tol = 4.0 * matched.std() / math.sqrt(size) / n
     assert abs(matched.mean() / n - p * p) <= tol
 
@@ -347,7 +349,7 @@ def test_independent_counts_match_rate_under_independence():
 def test_independent_counts_clonal_match_rate():
     n, p, xi, size = 10, 0.1, 0.25, 100_000
     gen = RngStream(23).generator()
-    matched, _, _ = _independent_pair_counts(gen, n, p, xi, size)
+    matched, _, _ = independent_pairs(gen, n, p, xi, size)
     expected = xi * p + (1 - xi) * p * p
     tol = 4.0 * matched.std() / math.sqrt(size) / n
     assert abs(matched.mean() / n - expected) <= tol
