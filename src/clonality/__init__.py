@@ -12,7 +12,6 @@ from .errors import CatalogMissError, ClonalityError, FileFormatError, UnknownTu
 from .inference import (
     ConditionalData,
     FitResult,
-    conditional_log_likelihood,
     conditional_statistic,
     weight_form_statistic,
 )

@@ -47,7 +47,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import match_probabilities, outcome_cells, validate_probability, validate_xi
+from .model import match_probabilities, outcome_cells, validate_probability
 
 _COARSE_POINTS = 101
 _XI_TOL = 1e-6
@@ -434,45 +434,26 @@ def group_by_probability(p, *counts):
     return (pg, *(np.bincount(inverse, weights=c, minlength=pg.size) for c in counts))
 
 
-def _grouped(data: ConditionalData):
-    """Group markers by identical probability -> (pg, sizes, matched[1, G])."""
-    pg, sizes, matched = group_by_probability(
-        [p for p, _ in data.markers], np.ones(len(data)), [x for _, x in data.markers])
-    return pg, sizes, matched[None, :]
-
-
 def _require_nonempty(data: ConditionalData):
     if len(data) == 0:
         raise ValueError("conditional data is empty; the test is undefined")
 
 
-def conditional_log_likelihood(data: ConditionalData, xi: float) -> float:
-    """Log-likelihood of the match indicators at signal ``xi``.
-
-    Returns ``-inf`` when ``xi = 1`` and any observed mutation is unmatched
-    (an impossible outcome under full clonality).
-    """
-    _require_nonempty(data)
-    xi = validate_xi(xi)
-    pg, sizes, matched = _grouped(data)
-    value = float(_cond_loglik_rows(pg, sizes, matched, np.array([xi]))[0])
-    return value
-
-
 def conditional_statistic(data: ConditionalData) -> FitResult:
     """Conditional LR statistic ``l(xi_hat) - l(0)`` and its MLE."""
     _require_nonempty(data)
-    pg, sizes, matched = _grouped(data)
-    xi_hat, stat = fit_conditional_batch(pg, sizes, matched)
+    pg, sizes, matched = group_by_probability(
+        [p for p, _ in data.markers], np.ones(len(data)), [x for _, x in data.markers])
+    xi_hat, stat = fit_conditional_batch(pg, sizes, matched[None, :])
     return FitResult(xi_hat=float(xi_hat[0]), statistic=float(stat[0]))
 
 
 def weight_form_statistic(data: ConditionalData, xi: float) -> float:
     """Weight-form of the conditional statistic (interior xi only).
 
-    Algebraically identical to ``conditional_log_likelihood(data, xi) -
-    conditional_log_likelihood(data, 0)``; kept as an independent cross-check
-    of the q-form computation.
+    Algebraically identical to the q-form ratio ``l(xi) - l(0)`` that
+    :func:`conditional_statistic` maximizes; kept as an independent
+    cross-check of the q-form computation.
     """
     _require_nonempty(data)
     if not (0.0 < xi < 1.0):

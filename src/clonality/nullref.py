@@ -45,7 +45,9 @@ draw by 1, and :func:`p_value` reads the same mass over total from both.
 P-values count null statistics greater than or equal to the observed one
 (ties are extreme): the published single-locus p-value equals the
 probability of the tied outcome itself, which a strict rule would drop. A
-1e-9 tie tolerance absorbs float rounding across code paths.
+1e-9 tie tolerance absorbs float rounding across code paths; callers pass
+observed statistics, and only :func:`_extreme_share` and :func:`p_value`
+apply the rule.
 """
 
 from __future__ import annotations
@@ -145,8 +147,9 @@ def _distinct_rows(rows: np.ndarray, sizes: np.ndarray):
 
     Patterns sort as their int64 keys in mixed radix (row 0 most significant,
     radix ``sizes[g] + 1``) do, so a zero-size group's zero row adds nothing
-    to a key and decodes to a zero column; keys that would leave int64 go to
-    numpy.
+    to a key and decodes to a zero column. ``np.unique`` counts the keys by a
+    sort (``return_index`` or ``return_inverse`` would argsort); keys that
+    would leave int64 go to its row-wise form.
     """
     radix = [int(size) + 1 for size in sizes]
     if math.prod(radix) >= 1 << 63:
@@ -155,9 +158,8 @@ def _distinct_rows(rows: np.ndarray, sizes: np.ndarray):
     keys = np.zeros(rows.shape[1], dtype=np.int64)
     for step, row in zip(place, rows):
         keys += step * row
-    keys.sort()
-    edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
-    return keys[edges[:-1], None] // place % radix, np.diff(edges)
+    keys, draws = np.unique(keys, return_counts=True)
+    return keys[:, None] // place % radix, draws
 
 
 def _inverted_rows(gen: np.random.Generator, n: np.ndarray, q: np.ndarray, n_sims: int):
@@ -323,19 +325,23 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
     return chunks()
 
 
-def _extreme_share(pg, sizes, chunks, thresholds, total: float = 1.0, row_of=None) -> np.ndarray:
-    """Per row, the mass over ``total`` of its patterns with statistic >= its threshold.
+def _extreme_share(pg, sizes, chunks, observed, total: float = 1.0, row_of=None) -> np.ndarray:
+    """Per row, the mass over ``total`` of its patterns with statistic >= its observed one.
 
     ``chunks`` yield the patterns of K rows stacked in row order, pattern
-    j belonging to row ``row_of[j]``; ``sizes`` (K, G) and ``thresholds``
-    (K,) hold each row's own. One row needs no ``row_of``, and its sizes
-    and threshold are passed on whole, not expanded to its patterns.
+    j belonging to row ``row_of[j]``; ``sizes`` (K, G) and ``observed``
+    (K,) hold each row's own; the tie rule lives here and in :func:`p_value`:
+    a pattern is extreme from ``observed - TIE_TOLERANCE`` up. One row needs
+    no ``row_of``; its sizes and threshold are passed on whole, and
+    ``count_nonzero`` counts it (``np.bincount`` took 0.70 ms per
+    65,536-pattern exact chunk, against 6 µs).
     Each pattern is decided as the full fit would decide it: by its
     bound-table sums where its chunk has them (one-row sources only), else
     by :func:`conditional_exceeds`. A row's extreme weights are summed per
     atom as :func:`p_value` sums them, so each of the K results is the same
     float as :func:`p_value` on that row's null alone.
     """
+    thresholds = np.asarray(observed, dtype=float) - TIE_TOLERANCE
     k_rows = len(thresholds)
     weights, reps = [], []
     n_extreme, n_seen = np.zeros(k_rows, dtype=np.int64), np.zeros(k_rows, dtype=np.int64)
@@ -421,8 +427,7 @@ def p_value(observed: float, null: NullDistribution) -> float:
 def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> float:
     """``p_value(observed, exact_conditional_null(ps, exact_max))``, deciding, not fitting."""
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
-    return float(_extreme_share(pg, sizes[None, :], _exact_patterns(pg, sizes, exact_max),
-                                [observed - TIE_TOLERANCE])[0])
+    return float(_extreme_share(pg, sizes[None, :], _exact_patterns(pg, sizes, exact_max), [observed])[0])
 
 
 def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: RngStream) -> float:
@@ -433,7 +438,7 @@ def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: 
     """
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     chunks = _drawn_chunks(*_drawn_rows(pg, sizes, n_sims, rng))
-    return float(_extreme_share(pg, sizes[None, :], chunks, [observed - TIE_TOLERANCE], n_sims)[0])
+    return float(_extreme_share(pg, sizes[None, :], chunks, [observed], n_sims)[0])
 
 
 def counts_test(
@@ -491,7 +496,6 @@ def counts_test(
         raise ValueError(f"{matched.shape[0]} rows need as many stream indices, got {len(streams)}")
     streams = [RngStream(seed, index) for index in streams]
     xi_hat, stat = fit_conditional_batch(pg, sizes[0] if one else sizes, matched)
-    thresholds = stat - TIE_TOLERANCE
     n_union = sizes.sum(axis=1)
     exact = n_union <= exact_max
     p = np.empty(len(streams))
@@ -499,14 +503,14 @@ def counts_test(
         present = sizes[k] > 0
         pg_k, sizes_k = pg[present], sizes[k, present]
         p[k] = _extreme_share(pg_k, sizes_k[None, :], _exact_patterns(pg_k, sizes_k, exact_max),
-                              thresholds[k:k + 1])[0]
+                              stat[k:k + 1])[0]
     drawn = np.flatnonzero(~exact)
     if drawn.size:
         rows = [_drawn_rows(pg, sizes[k], sims, streams[k]) for k in drawn]
         patterns, draws = rows[0] if len(rows) == 1 else map(np.concatenate, zip(*rows))
         row_of = np.repeat(np.arange(len(rows)), [row_draws.size for _, row_draws in rows])
         p[drawn] = _extreme_share(pg, sizes[drawn], _drawn_chunks(patterns, draws),
-                                  thresholds[drawn], sims, row_of)
+                                  stat[drawn], sims, row_of)
     results = [TestResult(statistic=float(stat[k]), xi_hat=float(xi_hat[k]), p_value=float(p[k]),
                           method="exact" if exact[k] else "monte-carlo",
                           n_sims=0 if exact[k] else int(sims), seed=None if exact[k] else int(seed),

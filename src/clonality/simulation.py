@@ -70,9 +70,11 @@ _UNCOND_NULL_STREAM = (1 << 41) + 1
 
 
 def _check_real(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is a real number (not a bool)."""
+    """Raise ``ValueError`` unless ``value`` is a finite real number (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,7 @@ def perturb_probabilities_logit(
     ps: Sequence[float], sigma: float, rng: RngStream
 ) -> list[float]:
     """Additive N(0, sigma) noise on the logit scale (sigma is the SD)."""
+    _check_real("sigma", sigma)
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     ps = [validate_probability(p) for p in ps]
@@ -234,6 +237,8 @@ def perturb_probabilities_logit(
 
 def inflate_rare(ps: Sequence[float], factor: float, threshold: float) -> list[float]:
     """Multiply every probability below ``threshold`` by ``factor``."""
+    _check_real("factor", factor)
+    _check_real("threshold", threshold)
     if factor < 1.0:
         raise ValueError(f"factor must be >= 1, got {factor}")
     return [

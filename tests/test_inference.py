@@ -10,7 +10,6 @@ from clonality.inference import (
     ConditionalData,
     bound_tables,
     conditional_exceeds,
-    conditional_log_likelihood,
     conditional_statistic,
     fit_conditional_batch,
     fit_unconditional_batch,
@@ -91,19 +90,13 @@ TABLE1_MUCINOUS = ConditionalData.from_pairs(
 # --- conditional likelihood ----------------------------------------------
 
 def test_conditional_log_likelihood_values():
-    single = ConditionalData.from_pairs([(0.081, True)])
-    assert conditional_log_likelihood(single, 0.0) == pytest.approx(
-        math.log(0.081 / 1.919), rel=1e-12
-    )
-    assert conditional_log_likelihood(single, 1.0) == 0.0
+    def loglik(p, matched, xi):
+        return inference._cond_loglik_rows(np.array([p]), np.ones(1), np.array([[float(matched)]]),
+                                           np.array([xi]))[0]
 
-    unmatched = ConditionalData.from_pairs([(0.1, False)])
-    assert conditional_log_likelihood(unmatched, 1.0) == -math.inf
-
-
-def test_conditional_log_likelihood_empty():
-    with pytest.raises(ValueError):
-        conditional_log_likelihood(ConditionalData(()), 0.5)
+    assert loglik(0.081, True, 0.0) == pytest.approx(math.log(0.081 / 1.919), rel=1e-12)
+    assert loglik(0.081, True, 1.0) == 0.0
+    assert loglik(0.1, False, 1.0) == -math.inf
 
 
 def test_mle_boundary_short_circuits():

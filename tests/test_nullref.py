@@ -272,6 +272,22 @@ def test_monte_carlo_p_value_over_several_chunks(monkeypatch):
         assert monte_carlo_p_value(s, ps, 20_000, RngStream(8)) == p_value(s, null)
 
 
+def test_tie_tolerance_counts_an_atom_up_to_1e_9_below_the_observed_statistic():
+    ps = [0.081, 0.004, 0.004, 0.02, 0.3, 0.15]
+    exact = exact_conditional_null(ps)
+    drawn = sample_conditional_null(ps, 5000, RngStream(3, 1))
+    cases = [  # an atom of each null (8.5177 and 0.6700), its decide-and-sum and p-values
+        (exact, np.unique(exact.statistics)[24], lambda s: exact_p_value(s, ps), (1.7526e-5, 1.4645e-5)),
+        (drawn, np.unique(drawn.statistics)[3],
+         lambda s: monte_carlo_p_value(s, ps, 5000, RngStream(3, 1)), (0.0674, 0.0364)),
+    ]
+    for null, atom, decide, pinned in cases:
+        near, far = decide(atom + 0.5e-9), decide(atom + 2e-9)
+        assert near == p_value(atom + 0.5e-9, null) and far == p_value(atom + 2e-9, null)
+        assert near > far
+        assert (near, far) == pytest.approx(pinned, rel=1e-4)
+
+
 def binomial_calls(pg, sizes, n_sims, gen):
     """(n_sims, G) counts of one ``gen.binomial`` call per group, as the draws were first made."""
     q0 = pg / (2.0 - pg)

@@ -659,3 +659,26 @@ def test_scenario_spec_validation():
 def test_perturbation_rejects_a_field_its_kind_does_not_read(fields, message):
     with pytest.raises(ValueError, match=message):
         Perturbation(**fields)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fields, name", [
+    (dict(kind="logit-noise"), "sigma"),
+    (dict(kind="rare-inflation", factor=10.0), "factor"),
+    (dict(kind="rare-inflation", factor=10.0), "threshold"),
+], ids=["logit-noise sigma", "rare-inflation factor", "rare-inflation threshold"])
+def test_perturbation_refuses_a_non_finite_field(fields, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        Perturbation(**{**fields, name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        if name == "sigma":
+            perturb_probabilities_logit([0.001, 0.5], value, RngStream(1))
+        else:
+            inflate_rare([0.001, 0.5], **{"factor": 10.0, "threshold": 0.01, name: value})
+
+
+def test_scenario_json_refuses_a_nan_threshold():
+    doc = json.loads('{"groups": [{"kind": "independent", "n_markers": 10, "p": 0.1}], "xi": 0.1, '
+                     '"perturbation": {"kind": "rare-inflation", "factor": 10, "threshold": NaN}}')
+    with pytest.raises(ValueError, match="^threshold must be finite"):
+        scenario_from_json_dict(doc)

@@ -34,6 +34,20 @@ def pinned_outputs(tree: Path) -> list[str]:
     return done.stdout.splitlines(keepends=True)
 
 
+def extract(archive: bytes, tree: Path) -> None:
+    """Unpack a tar archive into ``tree``, by tarfile's ``data`` filter where this Python has it.
+
+    The filter came in Python 3.12 and the 3.11.4 and 3.10.12 backports; the
+    archive is the repository's own ``git archive``, so older Pythons unpack it
+    unfiltered.
+    """
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(tree, filter="data")
+        else:
+            tar.extractall(tree)
+
+
 def differing_lines(diff: list[str]) -> int:
     """Removed plus added lines of a unified diff, its two file header lines not counted."""
     return sum(line[0] in "+-" for line in diff[2:])
@@ -57,8 +71,7 @@ def main(argv=None) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="equal_outputs_") as tmp:
         tree = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tree, filter="data")
+        extract(archive.stdout, tree)
         (tree / SCRIPT).parent.mkdir(exist_ok=True)
         (tree / SCRIPT).write_bytes((ROOT / SCRIPT).read_bytes())
         try:
