@@ -48,7 +48,7 @@ _COUNT_HEADER = ["marker", "ref_mutated", "ref_total", "study_mutated", "study_t
 # the options of each command that bound its memory, named when it runs out
 _LOWER_EXACT = "--exact-max, so that large mutated sets use Monte Carlo sampling, or --sims"
 _MEMORY_OPTIONS = {"test": _LOWER_EXACT, "pairs": _LOWER_EXACT, "simulate": "--sims or --replicates"}
-_PAIRS_POOL_MAX = 2  # widest `pairs` pool measured to pay; an exact pair in flight holds 2^|E| atoms
+_PAIRS_POOL_MAX = 2  # widest `pairs` pool measured to pay; each exact pair in flight holds its own chunks
 
 
 def _read_rows(path: str):

@@ -6,13 +6,14 @@ only the match indicators, each Bernoulli with the null match probability
 so the null works on per-probability match counts, over the groups that
 :func:`~clonality.inference.group_by_probability` makes once per pair and
 the observed fit shares. Two sources yield count patterns in chunks of up to
-``_FIT_CHUNK`` rows, ``(patterns, weights, reps, sums)``, a pattern standing
-for ``reps`` atoms of weight ``weights``. For small E,
+``_FIT_CHUNK`` rows, ``(patterns, weights, reps, bounds)``, a pattern
+standing for ``reps`` atoms of weight ``weights``. For small E,
 :func:`_exact_patterns` enumerates all 2^|E| match vectors (up to
-``EXACT_ATOM_LIMIT``) as patterns weighted by one vector's mass, with their
-sums of per-group bound tables; otherwise :func:`_drawn_rows` deduplicates
-one table of Monte Carlo draws and :func:`_drawn_chunks` yields its distinct
-patterns, weight 1, their draw counts and no sums. A p-value needs only
+``EXACT_ATOM_LIMIT``) as patterns weighted by one vector's mass, with the
+(3, K) bounds that their sums of per-group bound tables give; otherwise
+:func:`_drawn_rows` deduplicates one table of Monte Carlo draws and
+:func:`_drawn_chunks` yields its distinct patterns, weight 1, their draw
+counts and no bounds. A p-value needs only
 whether each pattern's statistic reaches the observed one, so the one
 decide-and-sum, :func:`_extreme_share`, settles what the bound tables prove
 (:func:`~clonality.inference.settle_by_bounds`) and passes the rest to
@@ -20,7 +21,10 @@ decide-and-sum, :func:`_extreme_share`, settles what the bound tables prove
 pattern once its answer is proven. It returns the same float as
 :func:`p_value` on the null the one oracle, :func:`_fitted_null`, fits in
 full (:func:`exact_conditional_null`, :func:`sample_conditional_null`),
-which tests use as the reference.
+which tests use as the reference. Memory follows count patterns, not
+atoms: a chunk holds its patterns and their bounds, the decide-and-sum one
+weight and multiplicity per extreme pattern, and :func:`_repeat_sum` sums
+the atoms without repeating them.
 
 :func:`counts_test` is the one test core: it takes the match counts of one
 pair, or of K pairs sharing one set of probabilities, already grouped by
@@ -60,6 +64,7 @@ import numpy as np
 
 from .errors import ClonalityError
 from .inference import (
+    bound_maxima,
     bound_tables,
     conditional_exceeds,
     fit_conditional_batch,
@@ -74,11 +79,16 @@ TIE_TOLERANCE = 1e-9
 EXACT_MAX_DEFAULT = 20
 SIMS_DEFAULT = 100_000
 _FIT_CHUNK = 1 << 16
+_BOUND_SLAB = 1 << 12  # patterns per (21, n) table-sum temporary of an exact chunk
+_SUM_LEAF = 1 << 16  # atoms per repeated piece of _repeat_sum
 # Most atoms (2^|E|) an exact null may enumerate, for exact_p_value and the
 # oracle exact_conditional_null alike. At the limit the oracle's 16.8M atoms
 # take 256 MB as statistics and probabilities, and about 1 GB while being
-# built; exact_p_value keeps only the extreme atoms' masses, which on the
-# distinct-p worst case peaked at 260 MB RSS at |E| = 22 and 587 MB at 24.
+# built. exact_p_value keeps one weight and multiplicity per extreme pattern
+# and no atoms: in one process per case (about 36 MB of it imports), the
+# distinct-p worst case (p ~ U(0.002, 0.3), 30 % matched) peaked at 82, 131
+# and 290 MB RSS at |E| = 20, 22 and 24, and shared p at |E| = 24 over 4
+# levels at 37 MB.
 EXACT_ATOM_LIMIT = 1 << 24
 
 
@@ -261,18 +271,23 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
 
     Raises before allocating anything when ``|E| = sizes.sum()`` exceeds
     ``exact_max`` or 2^|E| exceeds ``EXACT_ATOM_LIMIT``. Yields
-    ``(patterns, weights, reps, sums)`` for up to
+    ``(patterns, weights, reps, bounds)`` for up to
     ``_FIT_CHUNK`` patterns at a time, in one fixed order: the
     per-probability match counts, the product-Bernoulli mass of one match
     vector with those counts, the number of match vectors sharing them, and
-    each pattern's sums of its groups' columns of
-    :func:`~clonality.inference.bound_tables`, shape (21, K).
+    each pattern's :func:`~clonality.inference.bound_maxima` of its sums of
+    its groups' columns of :func:`~clonality.inference.bound_tables`, shape
+    (3, K).
 
     Patterns, multiplicities and table sums are computed once per row of
     each part of :func:`_split_patterns`; a chunk combines the two parts'
-    rows by broadcasting. The mass is one matrix-vector product over the
-    chunk's patterns, whose rounding, and with it every p-value's, may
-    depend on the batch, so the chunks stay those of the flat enumeration.
+    rows by broadcasting, and reduces the (21, n) table sums of at most
+    ``_BOUND_SLAB`` patterns at a time. The mass is one matrix-vector
+    product over the chunk's patterns and one over their misses, whose
+    rounding, and with it every p-value's, may depend on the batch, so the
+    chunks stay those of the flat enumeration. The misses ``sizes -
+    patterns`` are written into the pattern block and back, which is exact
+    for these whole numbers, so a chunk allocates one (K, G) block.
     """
     n = int(sizes.sum())
     if n > exact_max:
@@ -288,6 +303,7 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
             "so that larger sets use Monte Carlo sampling"
         )
     q0 = match_probabilities(pg, 0.0)
+    log_match, log_miss = np.log(q0), np.log1p(-q0)
     counts = sizes.astype(int)
     choose = [np.array([math.comb(c, k) for k in range(c + 1)], dtype=np.int64) for c in counts]
     tables = bound_tables(pg, sizes)
@@ -304,6 +320,7 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
     (lead, lead_reps, lead_sums), (trail, trail_reps, trail_sums) = parts
     width = trail.shape[0]
     n_patterns = lead.shape[0] * width
+    slab = max(1, _BOUND_SLAB // width)  # leading rows per table-sum slab
 
     def chunks():
         for start in range(0, n_patterns, _FIT_CHUNK):
@@ -316,62 +333,102 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
             block[:, :, :lead.shape[1]] = lead[rows, None]
             block[:, :, lead.shape[1]:] = trail
             patterns = block.reshape(-1, len(counts))[span]
-            log_vector_prob = patterns @ np.log(q0) + (sizes[None, :] - patterns) @ np.log1p(-q0)
-            sums = lead_sums[:, rows, None] + trail_sums[:, None, :]
+            log_vector_prob = patterns @ log_match
+            np.subtract(sizes, patterns, out=patterns)
+            log_vector_prob += patterns @ log_miss
+            np.subtract(sizes, patterns, out=patterns)
+            bounds = np.empty((3, block.shape[0] * width))
+            for row in range(top, rows.stop, slab):
+                sums = lead_sums[:, row:min(row + slab, rows.stop), None] + trail_sums[:, None, :]
+                at = (row - top) * width
+                bound_maxima(sums.reshape(sums.shape[0], -1), bounds[:, at:at + sums[0].size])
             yield (patterns, np.exp(log_vector_prob),
-                   np.outer(lead_reps[rows], trail_reps).ravel()[span],
-                   sums.reshape(sums.shape[0], -1)[:, span])
+                   np.outer(lead_reps[rows], trail_reps).ravel()[span], bounds[:, span])
 
     return chunks()
 
 
-def _extreme_share(pg, sizes, chunks, observed, total: float = 1.0, row_of=None) -> np.ndarray:
+def _repeat_sum(w: np.ndarray, r: np.ndarray) -> float:
+    """``np.repeat(w, r).sum()`` bit for bit, without the repeat; every ``r`` >= 1.
+
+    Numpy sums a contiguous float64 array pairwise: more than 128 values are
+    split at n/2 rounded down to a multiple of 8, and the two halves' sums
+    added. This follows that tree down to pieces of at most ``_SUM_LEAF``
+    atoms, which it repeats and reduces by numpy itself. Every multiplicity
+    1 is ``w.sum()``; every weight 1, as on a Monte Carlo null, is the exact
+    integer count.
+    """
+    atoms = int(r.sum())
+    if atoms == r.size:
+        return w.sum()
+    if (w == 1.0).all():
+        return float(atoms)
+    ends = np.cumsum(r)
+
+    def tree(lo, n):
+        if n > _SUM_LEAF:
+            half = n // 2 - n // 2 % 8
+            return tree(lo, half) + tree(lo + half, n - half)
+        first, last = np.searchsorted(ends, (lo, lo + n - 1), side="right")
+        runs = r[first:last + 1].copy()
+        runs[-1] = lo + n - (ends[last] - r[last])
+        runs[0] -= lo - (ends[first] - r[first])
+        return np.add.reduce(np.repeat(w[first:last + 1], runs), initial=0.0)
+
+    return tree(0, atoms)
+
+
+def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 1.0,
+                   row_of=None) -> np.ndarray:
     """Per row, the mass over ``total`` of its patterns with statistic >= its observed one.
 
-    ``chunks`` yield the patterns of K rows stacked in row order, pattern
-    j belonging to row ``row_of[j]``; ``sizes`` (K, G) and ``observed``
-    (K,) hold each row's own; the tie rule lives here and in :func:`p_value`:
-    a pattern is extreme from ``observed - TIE_TOLERANCE`` up. One row needs
-    no ``row_of``; its sizes and threshold are passed on whole, and
-    ``count_nonzero`` counts it (``np.bincount`` took 0.70 ms per
-    65,536-pattern exact chunk, against 6 µs).
+    ``chunks`` yield the ``n_patterns`` patterns of K rows stacked in row
+    order, pattern j belonging to row ``row_of[j]``; ``sizes`` (K, G) and
+    ``observed`` (K,) hold each row's own; the tie rule lives here and in
+    :func:`p_value`: a pattern is extreme from ``observed - TIE_TOLERANCE``
+    up. One row needs no ``row_of``; its sizes and threshold are passed on
+    whole, and ``count_nonzero`` counts it (``np.bincount`` took 0.70 ms
+    per 65,536-pattern exact chunk, against 6 µs).
     Each pattern is decided as the full fit would decide it: by its
-    bound-table sums where its chunk has them (one-row sources only), else
-    by :func:`conditional_exceeds`. A row's extreme weights are summed per
-    atom as :func:`p_value` sums them, so each of the K results is the same
-    float as :func:`p_value` on that row's null alone.
+    bound maxima where its chunk has them (one-row sources only), else
+    by :func:`conditional_exceeds`. The extreme patterns' weights and
+    multiplicities go into one buffer of ``n_patterns``, and a row's are
+    summed per atom as :func:`p_value` sums them (:func:`_repeat_sum`), so
+    each of the K results is the same float as :func:`p_value` on that
+    row's null alone.
     """
     thresholds = np.asarray(observed, dtype=float) - TIE_TOLERANCE
     k_rows = len(thresholds)
-    weights, reps = [], []
+    weights, reps = np.empty(n_patterns), np.empty(n_patterns, dtype=np.int64)
     n_extreme, n_seen = np.zeros(k_rows, dtype=np.int64), np.zeros(k_rows, dtype=np.int64)
-    start = 0
-    for patterns, weight, rep, sums in chunks:
+    start = filled = 0
+    for patterns, weight, rep, bounds in chunks:
         if k_rows == 1:
             owner, row_sizes, threshold = None, sizes[0], thresholds[0]
         else:
             owner = row_of[start:start + rep.size]
             row_sizes, threshold = sizes[owner], thresholds[owner]
         start += rep.size
-        if sums is None:
+        if bounds is None:
             extreme = conditional_exceeds(pg, row_sizes, patterns, threshold)
         else:
-            extreme, open_rows = settle_by_bounds(sums, threshold)
+            extreme, open_rows = settle_by_bounds(bounds, threshold)
             extreme[open_rows] = conditional_exceeds(pg, row_sizes, patterns[open_rows], threshold)
+        kept = np.count_nonzero(extreme)
+        weights[filled:filled + kept] = weight[extreme]
+        reps[filled:filled + kept] = rep[extreme]
+        filled += kept
         if owner is None:
-            n_extreme[0] += np.count_nonzero(extreme)
+            n_extreme[0] += kept
             n_seen[0] += rep.size
         else:
             n_extreme += np.bincount(owner[extreme], minlength=k_rows)
             n_seen += np.bincount(owner, minlength=k_rows)
-        weights.append(weight[extreme])
-        reps.append(rep[extreme])
-    weights, reps = np.concatenate(weights), np.concatenate(reps)
     ends = np.cumsum(n_extreme)
     shares = np.ones(k_rows)
     for k in np.flatnonzero(n_extreme < n_seen):  # a row with every pattern extreme has 1
         atoms = slice(ends[k] - n_extreme[k], ends[k])
-        shares[k] = min(np.repeat(weights[atoms], reps[atoms]).sum() / total, 1.0)
+        shares[k] = min(_repeat_sum(weights[atoms], reps[atoms]) / total, 1.0)
     return shares
 
 
@@ -427,7 +484,8 @@ def p_value(observed: float, null: NullDistribution) -> float:
 def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> float:
     """``p_value(observed, exact_conditional_null(ps, exact_max))``, deciding, not fitting."""
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
-    return float(_extreme_share(pg, sizes[None, :], _exact_patterns(pg, sizes, exact_max), [observed])[0])
+    chunks = _exact_patterns(pg, sizes, exact_max)
+    return float(_extreme_share(pg, sizes[None, :], chunks, [observed], int(np.prod(sizes + 1)))[0])
 
 
 def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: RngStream) -> float:
@@ -437,8 +495,9 @@ def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: 
     ``n_sims`` draws reached the observed statistic, i.e. p < 1/n_sims.
     """
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
-    chunks = _drawn_chunks(*_drawn_rows(pg, sizes, n_sims, rng))
-    return float(_extreme_share(pg, sizes[None, :], chunks, [observed], n_sims)[0])
+    patterns, draws = _drawn_rows(pg, sizes, n_sims, rng)
+    chunks = _drawn_chunks(patterns, draws)
+    return float(_extreme_share(pg, sizes[None, :], chunks, [observed], draws.size, n_sims)[0])
 
 
 def counts_test(
@@ -502,15 +561,15 @@ def counts_test(
     for k in np.flatnonzero(exact):
         present = sizes[k] > 0
         pg_k, sizes_k = pg[present], sizes[k, present]
-        p[k] = _extreme_share(pg_k, sizes_k[None, :], _exact_patterns(pg_k, sizes_k, exact_max),
-                              stat[k:k + 1])[0]
+        chunks = _exact_patterns(pg_k, sizes_k, exact_max)
+        p[k] = _extreme_share(pg_k, sizes_k[None, :], chunks, stat[k:k + 1], int(np.prod(sizes_k + 1)))[0]
     drawn = np.flatnonzero(~exact)
     if drawn.size:
         rows = [_drawn_rows(pg, sizes[k], sims, streams[k]) for k in drawn]
         patterns, draws = rows[0] if len(rows) == 1 else map(np.concatenate, zip(*rows))
         row_of = np.repeat(np.arange(len(rows)), [row_draws.size for _, row_draws in rows])
         p[drawn] = _extreme_share(pg, sizes[drawn], _drawn_chunks(patterns, draws),
-                                  stat[drawn], sims, row_of)
+                                  stat[drawn], draws.size, sims, row_of)
     results = [TestResult(statistic=float(stat[k]), xi_hat=float(xi_hat[k]), p_value=float(p[k]),
                           method="exact" if exact[k] else "monte-carlo",
                           n_sims=0 if exact[k] else int(sims), seed=None if exact[k] else int(seed),

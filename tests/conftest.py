@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clonality.cli import read_mutations_file, read_probability_file
+from clonality.inference import bound_tables
 from clonality.model import MutationProfile
 from clonality.simulation import _independent_pair_counts
 
@@ -34,3 +35,14 @@ def independent_pairs(gen, n, p, xi, size):
     """(matched, a_only, b_only) arrays of ``size`` independent-group pairs, drawn one by
     one on ``gen`` as the harness draws them."""
     return np.array([_independent_pair_counts(gen, n, p, xi) for _ in range(size)]).T
+
+
+def table_sums(pg, sizes, patterns):
+    """Each pattern's (21,) sums of its groups' bound-table columns, gathered group by group."""
+    tables = bound_tables(pg, sizes)
+    return sum(table[:, patterns[:, g].astype(int)] for g, table in enumerate(tables))
+
+
+def table_bounds(sums):
+    """``settle_by_bounds``' (3, K) rows of (21, K) table sums: ll0 and two maxima."""
+    return np.vstack([sums[0], sums[:11].max(axis=0), sums[11:].max(axis=0)])

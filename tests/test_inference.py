@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from clonality import inference
 from clonality.inference import (
     ConditionalData,
-    bound_tables,
     conditional_exceeds,
     conditional_statistic,
     fit_conditional_batch,
@@ -17,6 +16,8 @@ from clonality.inference import (
     settle_by_bounds,
     weight_form_statistic,
 )
+
+from conftest import table_bounds, table_sums
 
 
 # --- independent oracles -------------------------------------------------
@@ -396,22 +397,16 @@ def test_rows_with_zero_size_columns_equal_their_own_one_row_calls(batch):
         assert conditional_exceeds(*args, thresholds[row])[0] == decided[row]
 
 
-def table_sums(pg, sizes, patterns):
-    """Each pattern's sums of its groups' bound-table columns, gathered group by group."""
-    tables = bound_tables(pg, sizes)
-    return sum(table[:, patterns[:, g].astype(int)] for g, table in enumerate(tables))
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(batch=st.one_of(pattern_batches(), fit_batches().map(lambda b: b[:3])),
        pick=st.integers(0, 10 ** 6))
 def test_bound_tables_settle_only_what_the_fit_decides(batch, pick):
     pg, sizes, patterns = batch
     stats = fit_conditional_batch(pg, sizes, patterns)[1]
-    sums = table_sums(pg, sizes, patterns)
+    bounds = table_bounds(table_sums(pg, sizes, patterns))
     s = float(stats[pick % stats.size])
     for threshold in (s, s - 1e-9, s + 1e-9, np.nextafter(s, np.inf), np.nextafter(s, -np.inf), 0.0):
-        extreme, open_rows = settle_by_bounds(sums, threshold)
+        extreme, open_rows = settle_by_bounds(bounds, threshold)
         ruled_out = ~extreme
         ruled_out[open_rows] = False
         assert (stats[extreme] >= threshold).all(), threshold
@@ -424,7 +419,7 @@ def test_bound_tables_settle_rows_without_match_and_fully_matched():
     patterns = np.array([[0.0, 0.0, 0.0], sizes])
     stats = fit_conditional_batch(pg, sizes, patterns)[1]
     assert stats[0] == 0.0 and stats[1] > 10.0
-    sums = table_sums(pg, sizes, patterns)
+    bounds = table_bounds(table_sums(pg, sizes, patterns))
     for threshold, extreme_rows in ((-1.0, [0, 1]), (1.0, [1]), (stats[1] + 1e-9, [])):
-        extreme, open_rows = settle_by_bounds(sums, threshold)
+        extreme, open_rows = settle_by_bounds(bounds, threshold)
         assert np.flatnonzero(extreme).tolist() == extreme_rows and open_rows.size == 0

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from clonality.nullref import (
     sample_unconditional_null,
 )
 from clonality.rng import RngStream
+
+from conftest import table_bounds, table_sums
 
 MUCINOUS_PS = [0.081] + [0.004] * 9
 
@@ -161,6 +164,7 @@ def test_observed_pattern_atom_reproduces_observed_statistic():
 
 def test_exact_p_value_over_several_chunks_and_a_split(monkeypatch):
     monkeypatch.setattr(nullref, "_FIT_CHUNK", 1000)
+    monkeypatch.setattr(nullref, "_BOUND_SLAB", 200)  # a chunk reduces its bounds in several slabs
     gen = np.random.default_rng(1114)
     for trial in range(8):
         m = int(gen.integers(11, 15))
@@ -175,9 +179,14 @@ def test_exact_p_value_over_several_chunks_and_a_split(monkeypatch):
         assert lead.shape[1] and trail.shape[1]
         shape = tuple(sizes.astype(int) + 1)
         flat = np.column_stack(np.unravel_index(np.arange(math.prod(shape)), shape)).astype(float)
-        enumerated = [patterns for patterns, *_ in chunks]
-        assert all(p.flags.c_contiguous for p in enumerated)
-        assert np.array_equal(np.concatenate(enumerated), flat)
+        enumerated = list(chunks)
+        assert all(patterns.flags.c_contiguous for patterns, *_ in enumerated)
+        assert np.array_equal(np.concatenate([patterns for patterns, *_ in enumerated]), flat)
+        cut = lead.shape[1]  # the parts' sums, added as the chunks add them
+        for patterns, _, _, bounds in enumerated:
+            sums = (table_sums(pg[:cut], sizes[:cut], patterns[:, :cut])
+                    + table_sums(pg[cut:], sizes[cut:], patterns[:, cut:]))
+            assert np.array_equal(bounds, table_bounds(sums))
         assert trial % 2 or len(enumerated) > 2
         null = exact_conditional_null(ps)
         s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
@@ -185,6 +194,46 @@ def test_exact_p_value_over_several_chunks_and_a_split(monkeypatch):
         for s in (s_obs, np.nextafter(s_obs, np.inf), 0.0, float(atoms[len(atoms) // 2]),
                   float(atoms[-1]) + 1.0):
             assert exact_p_value(s, ps) == p_value(s, null)
+
+
+def test_repeat_sum_equals_numpy_sum_of_the_repeat():
+    gen = np.random.default_rng(2016)
+    cases = []
+    for k in range(320):
+        m = int(gen.integers(1, 300))
+        kind = k % 8
+        if kind == 0:
+            r = np.ones(m, dtype=np.int64)
+        elif kind == 1:  # a single run
+            r = gen.integers(1, 300_000, 1)
+        elif kind == 2:  # runs near the 128-atom blocks
+            r = gen.choice([1, 7, 8, 9, 120, 127, 128, 129, 255, 256, 257], m)
+        elif kind == 3:  # runs near the 2^16-atom leaves
+            r = gen.choice([1, 3, 65_535, 65_536, 65_537, 131_071, 131_073], int(gen.integers(1, 12)))
+        elif kind == 4:
+            r = gen.integers(1, 40_000, m)
+        else:
+            r = gen.integers(1, 300, m)
+        w = gen.random(r.size) * 10.0 ** gen.uniform(-15, 0, r.size)
+        cases.append((np.ones(r.size) if kind == 5 else w, r))
+    assert sum(int(r.sum()) > 1 << 17 for _, r in cases) > 40
+    for w, r in cases:
+        assert nullref._repeat_sum(w, r) == np.repeat(w, r).sum()
+    assert nullref._repeat_sum(np.empty(0), np.empty(0, dtype=np.int64)) == 0.0
+
+
+def test_exact_p_value_sums_shared_atoms_without_repeating_them():
+    ps = [0.01] * 5 + [0.05] * 5 + [0.1] * 6 + [0.2] * 6  # 2^22 atoms in 1,764 patterns
+    threshold = 1e-3  # most atoms are extreme, and the no-match one is not
+    exact_p_value(threshold, ps, exact_max=22)
+    tracemalloc.start()
+    try:
+        p = exact_p_value(threshold, ps, exact_max=22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < p < 1.0
+    assert peak < 8 << 21  # half of the 2^22 atoms' float64 masses
 
 
 def test_bound_tables_settle_most_exact_patterns():

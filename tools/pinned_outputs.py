@@ -31,7 +31,9 @@ shared probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
 observed statistic s, at s/2 and at one ulp above s; ``exact_p_value`` at
 the observed statistic of each of the 112 ``case-exact`` pool cases of
 ``bench/workloads.py`` (distinct probabilities at |E| 8-16, shared ones at
-16-20); for every preset kind
+16-20); ``exact_p_value`` at s, s/2 and one ulp above s of a distinct-p
+case at |E| = 18 (four full 65,536-pattern chunks) and of a shared-p case
+at |E| = 22 (2^22 atoms over 4 probabilities); for every preset kind
 at xi 0.25, the ``json.dumps`` of ``scenario_to_json_dict`` and whether
 ``scenario_from_json_dict`` gives the scenario back.
 
@@ -341,6 +343,18 @@ def draw_values():
              [sorted(dataclasses.asdict(r).items()) for r in results])
 
 
+def large_exact_values():
+    gen = np.random.default_rng(2218)
+    distinct = gen.uniform(0.002, 0.3, 18)
+    shared = np.repeat(gen.uniform(0.002, 0.3, 4), [5, 5, 6, 6])
+    for label, ps in (("distinct |E|=18", distinct), ("shared |E|=22", shared)):
+        ps = [float(p) for p in ps]
+        matched = [bool(x) for x in gen.random(len(ps)) < 0.25]
+        s = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
+        for at, threshold in (("s", s), ("s/2", s / 2), ("s+ulp", float(np.nextafter(s, np.inf)))):
+            emit(f"exact_p_value {label} at {at}", exact_p_value(threshold, ps, exact_max=len(ps)))
+
+
 def exact_pool_values():
     for stratum in EXACT_STRATA:
         for variant in range(EXACT_POOL_VARIANTS):
@@ -358,4 +372,5 @@ if __name__ == "__main__":
     draw_values()
     counts_file_values()
     exact_pool_values()
+    large_exact_values()
     scenario_values()
