@@ -1,12 +1,11 @@
 """What the scripts under ``bench/`` and ``tools/`` use of the package still exists.
 
-The benchmark scripts and the tools, the equality script
-``tools/pinned_outputs.py`` among them, are not imported here (they set up
-paths and files at import); an ``ast`` walk finds every ``clonality`` name
-they import or dereference, and every keyword they pass to a package
-function, and checks each against the package as it is. So a change that
-deletes or renames a name a script uses fails here, not in a later run of
-that script.
+The benchmark scripts and the tools, ``tools/pinned_outputs.py`` among
+them, are not imported here (they set up paths and files at import); an
+``ast`` walk finds every ``clonality`` name they import or dereference, and
+every keyword they pass to a package function, and checks each against the
+package as it is. So a change that deletes or renames a name a script uses
+fails here, not in a later run of that script.
 """
 
 import ast

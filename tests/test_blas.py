@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -59,11 +60,20 @@ def test_nested_blocks_restore_the_outer_count(two_threads):
 
 
 @needs_openblas
-def test_without_openblas_the_block_does_nothing(two_threads, monkeypatch):
-    monkeypatch.setattr(_blas, "_openblas", lambda: None)
-    with _blas.one_blas_thread():
+def test_without_openblas_the_block_does_nothing(two_threads, tmp_path, monkeypatch):
+    fake = tmp_path / "libopenblas.so"
+    fake.write_bytes(b"not a shared library")
+    _blas._openblas.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(pathlib.Path, "glob", lambda self, pattern: iter([fake]))
+            assert _blas._openblas() is None
+            with _blas.one_blas_thread():
+                assert OPENBLAS[0]() == two_threads
         assert OPENBLAS[0]() == two_threads
-    assert OPENBLAS[0]() == two_threads
+    finally:
+        _blas._openblas.cache_clear()
+    assert _blas._openblas() is not None
 
 
 @needs_openblas

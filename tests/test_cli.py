@@ -331,6 +331,18 @@ def test_bad_header_reports_line(tmp_path, capsys):
     assert f"{bad}:1" in err
 
 
+@pytest.mark.parametrize("body, line, message", [
+    ("", 0, "file is empty"),
+    ("tumor\tmarker\n\tX\n", 2, "empty tumor id"),
+    ("tumor\tmarker\n", 0, "no tumors found"),
+], ids=["zero bytes", "empty tumor field", "header only"])
+def test_mutations_reader_check_messages(tmp_path, capsys, body, line, message):
+    mutations = tmp_path / "m.tsv"
+    mutations.write_text(body)
+    assert run(capsys, "test", "--mutations", str(mutations), "--probs", T1_PROB,
+               "--tumor-a", "A", "--tumor-b", "B") == (2, "", f"error: {mutations}:{line}: {message}\n")
+
+
 def test_duplicate_mutation_row_reports_line(tmp_path, capsys):
     bad = tmp_path / "dup.tsv"
     bad.write_text("tumor\tmarker\nA\tX\nA\tX\nB\tY\n")
@@ -651,6 +663,11 @@ def test_cmd_simulate_unknown_preset(capsys):
     code, _, err = run(capsys, "simulate", "--preset", "table7-m5", "--xi", "0")
     assert code == 2
     assert "table2-m5" in err  # lists the known presets
+
+
+def test_cmd_simulate_correlation_out_of_range(capsys):
+    assert run(capsys, "simulate", "--preset", "table4-corr(1.5)", "--xi", "0") == (
+        2, "", "error: correlation must lie in [0, 1), got 1.5\n")
 
 
 def test_mutations_reader_declares_empty_tumors():

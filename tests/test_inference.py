@@ -132,6 +132,11 @@ def test_conditional_statistic_single_match():
     assert fit.statistic == pytest.approx(3.165, abs=1e-3)
 
 
+def test_conditional_statistic_of_no_markers_is_refused():
+    with pytest.raises(ValueError, match="conditional data is empty"):
+        conditional_statistic(ConditionalData(()))
+
+
 def test_conditional_statistic_no_match_is_zero():
     fit = conditional_statistic(ConditionalData.from_pairs([(0.1, False), (0.3, False)]))
     assert fit.xi_hat == 0.0

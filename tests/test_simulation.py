@@ -81,6 +81,13 @@ def test_normal_quantile_domain():
 
 # --- probability misspecification ------------------------------------------------
 
+def test_perturbation_refuses_an_unknown_kind_and_a_negative_sigma():
+    with pytest.raises(ValueError, match="unknown perturbation 'bogus'"):
+        Perturbation(kind="bogus")
+    with pytest.raises(ValueError, match="sigma must be >= 0, got -1.0"):
+        perturb_probabilities_logit([0.1], -1.0, RngStream(1))
+
+
 def test_perturb_logit_sigma_zero_is_identity():
     ps = [0.1, 0.004, 0.5]
     assert perturb_probabilities_logit(ps, 0.0, RngStream(1)) == ps

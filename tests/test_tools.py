@@ -1,10 +1,9 @@
 """The standard-library tools under ``tools/`` that a test can run in well under a second."""
 
-import difflib
 import importlib.util
-import io
 import pathlib
-import tarfile
+
+import pytest
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
@@ -16,28 +15,46 @@ def load(name):
     return module
 
 
-def test_equal_outputs_counts_differing_lines():
-    tool = load("equal_outputs")
-    diff = list(difflib.unified_diff(["a\n", "--b\n", "c\n"], ["a\n", "++B\n", "c\n", "d\n"], "x", "y"))
-    assert tool.differing_lines(diff) == 3
-    assert tool.differing_lines([]) == 0
+def test_ab_bench_tie_is_not_a_win():
+    runs = [1.0, 2.0, 3.0, 4.0]
+    assert load("ab_bench").verdict(runs, runs, "higher", 0.25) == (0, False, False)
 
 
-def test_equal_outputs_refuses_a_bad_ref_or_usage(capsys):
-    tool = load("equal_outputs")
-    assert tool.main(["no/such/ref"]) == 2
-    assert capsys.readouterr().err.startswith("error: git archive no/such/ref")
-    assert tool.main([]) == 2 and tool.main(["a", "b"]) == 2
-    assert "equal_outputs.py REF" in capsys.readouterr().err
+@pytest.mark.parametrize("wins, gain", [(9, True), (8, False)])
+def test_ab_bench_gain_needs_9_wins_of_10(wins, gain):
+    change = [2.0] * wins + [0.5] * (10 - wins)
+    assert load("ab_bench").verdict([1.0] * 10, change, "higher", 0.25) == (wins, gain, False)
 
 
-def test_equal_outputs_extracts_without_the_tar_data_filter(tmp_path, monkeypatch):
-    tool = load("equal_outputs")
-    content, buffer = b"print()\n", io.BytesIO()
-    with tarfile.open(fileobj=buffer, mode="w") as tar:
-        member = tarfile.TarInfo("tools/pinned_outputs.py")
-        member.size = len(content)
-        tar.addfile(member, io.BytesIO(content))
-    monkeypatch.delattr(tarfile, "data_filter", raising=False)
-    tool.extract(buffer.getvalue(), tmp_path)
-    assert (tmp_path / "tools" / "pinned_outputs.py").read_bytes() == content
+def test_ab_bench_median_gap_equal_to_the_iqr_is_not_a_gain():
+    parent = [float(k) for k in range(1, 11)]  # q1 2.75, median 5.5, q3 8.25
+    verdict = load("ab_bench").verdict
+    assert verdict(parent, [v + 5.5 for v in parent], "higher", 0.25) == (10, False, False)
+    assert verdict(parent, [v + 5.6 for v in parent], "higher", 0.25) == (10, True, False)
+
+
+def test_ab_bench_lower_ok_ratio_voids_a_gain():
+    verdict = load("ab_bench").verdict
+    assert verdict([1.0] * 10, [0.5] * 10, "lower", 0.25) == (10, True, False)
+    assert verdict([1.0] * 10, [0.5] * 10, "lower", 0.25, fails_more=True) == (10, False, False)
+
+
+@pytest.mark.parametrize("seconds, units, worse", [(1.26, 74.0, True), (1.24, 76.0, False)],
+                         ids=["26% worse", "24% worse"])
+def test_ab_bench_flags_a_median_worse_beyond_the_bound(seconds, units, worse):
+    verdict = load("ab_bench").verdict
+    assert verdict([1.0] * 10, [seconds] * 10, "lower", 0.25) == (0, False, worse)
+    assert verdict([100.0] * 10, [units] * 10, "higher", 0.25) == (0, False, worse)
+
+
+def test_src_lines_counts_code_only_lines():
+    source = '''"""Module
+docstring."""
+
+# a comment-only line
+def f(x):
+    """Function docstring."""
+    return (x +  # a trailing comment
+            1)
+'''
+    assert load("src_lines").counts(source) == (8, 3)

@@ -7,10 +7,9 @@ once in each checkout, in its own process, with the order alternating from
 pair to pair (the parent first in pair 0). For every end-to-end metric the
 last stdout line reports, it prints both sides' quartiles, the number of
 pairs the change wins (better in the direction ``BENCHMARK.json`` gives; a
-tie is not a win) and whether the gain rule holds: the change wins at least
-9 pairs in 10 and its median is better than the parent's by more than the
-parent's interquartile range. Standard library only; exit code 2 when a
-run fails.
+tie is not a win), whether the gain rule holds and whether the change is
+worse beyond the metric's bound (see ``verdict``). Standard library only;
+exit code 2 when a run fails.
 """
 
 import argparse
@@ -41,6 +40,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float,
+            fails_more: bool = False) -> tuple[int, bool, bool]:
+    """``(wins, gain, worse)`` of one metric over paired runs, pair k being ``parent[k], change[k]``.
+
+    A pair is a win when the change is strictly better in the direction
+    ``better`` ("higher" or "lower"). ``gain``: the change wins at least 9
+    pairs in 10, its median is better than the parent's by more than the
+    parent's interquartile range, and it does not fail more operations
+    (``fails_more``: its median ``ok_ratio`` is below the parent's).
+    ``worse``: its median is worse than the parent's by more than ``bound``
+    times the parent's median, the rule ``BENCHMARK.json``'s bounds set.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    (p1, pm, p3), (_, cm, _) = quartiles(parent), quartiles(change)
+    gain = (not fails_more and wins >= math.ceil(0.9 * len(parent))
+            and sign * (cm - pm) > p3 - p1)
+    worse = sign * (pm - cm) > bound * pm
+    return wins, gain, worse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -53,7 +73,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     with open(args.change / "BENCHMARK.json", encoding="utf-8") as handle:
-        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(handle)["end_to_end"]}
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -65,18 +85,18 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}, seed {args.seed}, --seconds {args.seconds:g}, "
           f"{args.pairs} alternating pairs")
     print(f"{'metric':<16}{'parent q1 / median / q3':>34}{'change q1 / median / q3':>34}"
-          f"{'wins':>8}  gain")
+          f"{'wins':>8}  gain  worse")
+    ok = {side: statistics.median(r["ok_ratio"] for r in runs[side]) for side in runs}
     for name in runs["parent"][0]:
-        if name not in better:
+        if name not in metrics:
             continue
-        sign = 1.0 if better[name] == "higher" else -1.0
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        wins, gain, worse = verdict(parent, change, metrics[name]["better"], metrics[name]["bound"],
+                                    fails_more=ok["change"] < ok["parent"])
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
-        gain = wins >= math.ceil(0.9 * args.pairs) and sign * (cm - pm) > p3 - p1
         print(f"{name:<16}{f'{p1:.4g} / {pm:.4g} / {p3:.4g}':>34}{f'{c1:.4g} / {cm:.4g} / {c3:.4g}':>34}"
-              f"{f'{wins}/{args.pairs}':>8}  {'yes' if gain else 'no'}")
+              f"{f'{wins}/{args.pairs}':>8}  {'yes' if gain else 'no':<4}  {'yes' if worse else 'no'}")
     return 0
 
 

@@ -1,18 +1,19 @@
 """Print the outputs that a refactor of the test or the harness must keep bit for bit.
 
-    python3 tools/pinned_outputs.py > change.tsv
+    python3 tools/pinned_outputs.py > tests/fixtures/pinned_outputs.txt
 
-Each line is ``name<TAB>repr(value)``. Floats print by ``repr``, which
-round-trips, and numpy scalars print with their type, so a ``diff`` of two
-checkouts' outputs shows every moved bit. The package is imported from the
-``src/`` next to this file. The run is deterministic and takes well under a
-minute on a 2-vCPU machine.
+The first line, ``# python <x.y.z> numpy <v> blas <name> <version>``, names
+the versions the values came from. Each other line is
+``name<TAB>repr(value)``. Floats print by ``repr``, which round-trips, and
+numpy scalars print with their type, so a ``diff`` against the committed
+fixture shows every moved bit; ``tests/test_pinned_outputs.py`` makes that
+comparison. The package is imported from the ``src/`` next to this file. The
+run is deterministic and takes well under a minute on a 2-vCPU machine.
 
 Covered: the CLI ``test`` bytes of the Table 1 pair; ``pairs`` on the
 Table 5 files, exact and Monte Carlo, with ``--threads`` 1 and 3, which
 ``pairs`` ignores: both runs use the same pool, up to 2 threads, one per
-usable CPU and pair (the ``threads=`` labels stay, so outputs from before and after the
-option lost its effect diff empty); ``test`` and
+usable CPU and pair; ``test`` and
 ``pairs`` on a counts-mode copy of the Table 1 probabilities;
 ``estimate-probs`` on ``tests/fixtures/counts_example.tsv`` at
 ``--study-size 1``; the exit code, stdout and stderr of one malformed
@@ -52,9 +53,9 @@ byte-order mark and CRLF line ends, with the count cells ``' 12'``,
 import contextlib
 import dataclasses
 import hashlib
-import inspect
 import io
 import json
+import platform
 import sys
 import tempfile
 import warnings
@@ -117,6 +118,16 @@ PRESETS = ("table2-m5", "table2-m10", "table2-m20", "table3-noise", "table3-infl
 
 def emit(name, value):
     print(f"{name}\t{value!r}")
+
+
+def header():
+    """``# python <x.y.z> numpy <v> blas <name> <version>``; ``unknown`` where numpy < 1.26 cannot say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26: show_config takes no mode
+        blas = {}
+    return (f"# python {platform.python_version()} numpy {np.__version__} "
+            f"blas {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}")
 
 
 def cli_output(*argv):
@@ -240,8 +251,6 @@ def harness_values():
 
 
 def replicate_values():
-    # a tree whose harness still has a thread pool takes its thread count after the offset
-    threads = (1,) if "threads" in inspect.signature(_replicate_arrays).parameters else ()
     wide = ScenarioSpec(groups=tuple(MarkerGroup("independent", 60, p)
                                      for p in (0.002, 0.004, 0.006, 0.01, 0.015, 0.02,
                                                0.03, 0.05, 0.08, 0.1)),
@@ -251,7 +260,7 @@ def replicate_values():
     for label, spec in [*specs, ("ten distinct p xi=0.25", wide)]:
         for seed in (1, 2, 3):
             for offset in (0, _NULL_RUN_OFFSET):
-                pvals = _replicate_arrays(spec, RngStream(seed), offset, *threads)[0]
+                pvals = _replicate_arrays(spec, RngStream(seed), offset)[0]
                 emit(f"_replicate_arrays {label} seed={seed} offset={offset}", pvals.tolist())
 
 
@@ -364,6 +373,7 @@ def exact_pool_values():
 
 
 if __name__ == "__main__":
+    print(header())
     cli_values()
     harness_values()
     replicate_values()
