@@ -25,7 +25,12 @@ their calibration-run offset, and for a run over ten distinct probabilities;
 the sorted A and B profiles of ``sample_tumor_pair`` on a few streams for
 every preset kind at xi 0.25 and for a universe of all three group kinds at
 xi 0, 0.3 and 1;
-``run_calibrated_comparison`` at 1 and 3 threads; 64 ``counts_test``
+``run_calibrated_comparison`` at 1 and 3 threads; the sorted statistics of
+``sample_unconditional_null`` at 300 sims over the ``table2-m5`` universe and
+over twelve distinct probabilities of 1,000 markers each (too many patterns
+for int64 keys), and the unconditional p-values of ``_replicate_arrays`` for
+``table2-m5`` at xi 0 and 0.25 over three seeds and both offsets, against the null
+``run_calibrated_comparison`` builds for that seed; 64 ``counts_test``
 results of grouped markers by field name (labelled ``conditional_data_test``,
 the adapter they once went through), exact and Monte Carlo, on distinct and
 shared probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
@@ -68,10 +73,17 @@ import numpy as np  # noqa: E402
 
 from clonality import cli  # noqa: E402
 from clonality.inference import ConditionalData, conditional_statistic, group_by_probability  # noqa: E402
-from clonality.nullref import counts_test, exact_p_value, monte_carlo_p_value  # noqa: E402
+from clonality.model import clamp_probability  # noqa: E402
+from clonality.nullref import (  # noqa: E402
+    counts_test,
+    exact_p_value,
+    monte_carlo_p_value,
+    sample_unconditional_null,
+)
 from clonality.rng import RngStream  # noqa: E402
 from clonality.simulation import (  # noqa: E402
     _NULL_RUN_OFFSET,
+    _UNCOND_NULL_STREAM,
     MarkerGroup,
     ScenarioSpec,
     _replicate_arrays,
@@ -264,6 +276,27 @@ def replicate_values():
                 emit(f"_replicate_arrays {label} seed={seed} offset={offset}", pvals.tolist())
 
 
+TWELVE_GROUPS = [(p, 1000) for p in (0.001, 0.002, 0.004, 0.006, 0.01, 0.015,
+                                     0.02, 0.03, 0.05, 0.08, 0.1, 0.2)]
+
+
+def unconditional_values():
+    spec = preset_scenario("table2-m5", 0.0)
+    universe = list(zip(*group_by_probability([clamp_probability(g.p) for g in spec.groups],
+                                              [g.n_markers for g in spec.groups])))
+    for label, groups in (("table2-m5", universe), ("twelve groups", TWELVE_GROUPS)):
+        null = sample_unconditional_null(groups, 300, RngStream(8, 2))
+        emit(f"sample_unconditional_null {label} sims=300", sorted(null.statistics.tolist()))
+    for seed in (1, 2, 3):
+        null = sample_unconditional_null(universe, 200, RngStream(seed, _UNCOND_NULL_STREAM))
+        for xi in (0.0, 0.25):
+            spec = dataclasses.replace(preset_scenario("table2-m5", xi), replicates=20, sims=200)
+            for offset in (0, _NULL_RUN_OFFSET):
+                pvals = _replicate_arrays(spec, RngStream(seed), offset, null)[1]
+                emit(f"_replicate_arrays table2-m5 xi={xi} unconditional seed={seed} offset={offset}",
+                     pvals.tolist())
+
+
 MIXED_GROUPS = (
     MarkerGroup("independent", 40, 0.05),
     MarkerGroup("exclusive-block", 10, 0.05),
@@ -377,6 +410,7 @@ if __name__ == "__main__":
     cli_values()
     harness_values()
     replicate_values()
+    unconditional_values()
     sampled_pair_values()
     conditional_values()
     draw_values()
