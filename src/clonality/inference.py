@@ -21,11 +21,13 @@ The constrained MLE of ``xi`` on [0, 1] is found by a 101-point grid scan
 followed by golden-section refinement of the bracketing interval (absolute
 tolerance 1e-6). The scan/refinement is vectorized across many match
 patterns at once because the null-distribution builders need to fit
-thousands of simulated patterns. Markers are grouped by distinct ``p`` in
-one function, :func:`group_by_probability`, which the observed fits, both
-nulls and the simulation harness share, so each likelihood evaluation is
-O(#groups). The batch kernels take their arrays as given: a test's counts
-are checked once, by :func:`~clonality.nullref.counts_test`, before any fit.
+thousands of simulated patterns; each golden-section step evaluates both
+of its points for every row in one likelihood call. Markers are grouped
+by distinct ``p`` in one function, :func:`group_by_probability`, which
+the observed fits, both nulls and the simulation harness share, so each
+likelihood evaluation is O(#groups). The batch kernels take their arrays
+as given: a test's counts are checked once, by
+:func:`~clonality.nullref.counts_test`, before any fit.
 
 An exact p-value only needs to know, for each null pattern, whether its
 statistic reaches the observed one. :func:`conditional_exceeds` answers that
@@ -109,21 +111,24 @@ def _rows_of(value, rows, shared_ndim):
 
 
 def _row_sums(terms, sizes):
-    """``terms.sum(axis=1)``, each row summed over its nonzero-size columns only.
+    """``terms.sum(axis=-1)``, each row summed over its nonzero-size columns only.
 
-    Numpy sums a row of 8 or more terms pairwise, so a zero-size column of
-    per-row ``sizes`` (K, G) would regroup the sum. Rows are summed as a
-    one-row call over their own columns sums them, so a row's bits do not
-    depend on the columns that other rows add.
+    ``terms`` is (K, G), or (2, K, G) with each plane summed as a (K, G)
+    block is. Numpy sums a row of 8 or more terms pairwise, so a zero-size
+    column of per-row ``sizes`` (K, G) would regroup the sum. Rows are
+    summed as a one-row call over their own columns sums them, so a row's
+    bits do not depend on the columns that other rows add.
     """
-    if sizes.ndim == 1 or terms.shape[1] < 8:
-        return terms.sum(axis=1)
+    if sizes.ndim == 1 or terms.shape[-1] < 8:
+        return terms.sum(axis=-1)
     present = sizes > 0
     width = present.sum(axis=1)
-    sums = np.zeros(terms.shape[0])
+    sums = np.zeros(terms.shape[:-1])
     for w in np.unique(width[width > 0]):
         rows = width == w
-        sums[rows] = terms[rows][present[rows]].reshape(-1, w).sum(axis=1)
+        # a stacked pick comes out in Fortran order, and numpy sums that in another order
+        picked = np.ascontiguousarray(terms[..., rows, :][..., present[rows]])
+        sums[..., rows] = picked.reshape(*terms.shape[:-2], -1, w).sum(axis=-1)
     return sums
 
 
@@ -131,13 +136,14 @@ def _cond_loglik_rows(pg, sizes, matched, xi_rows, xi_miss=None):
     """Conditional log-likelihood of each row's counts at its own xi.
 
     pg: (G,); sizes: (G,), or (K, G) per row; matched: (K, G); xi_rows:
-    (K,). Returns (K,). ``xi_miss``, if given, replaces ``xi_rows`` in the
-    unmatched terms only. Since q rises with xi, ``xi_rows = hi`` with
-    ``xi_miss = lo`` bounds the log-likelihood from above over every xi in
-    ``[lo, hi]``.
+    (K,), or (2, K) for two points per row in one call. Returns
+    ``xi_rows``' shape, each plane with the bits of its own (K,) call.
+    ``xi_miss``, if given, replaces ``xi_rows`` in the unmatched terms only.
+    Since q rises with xi, ``xi_rows = hi`` with ``xi_miss = lo`` bounds the
+    log-likelihood from above over every xi in ``[lo, hi]``.
     """
-    q = match_probabilities(pg[None, :], xi_rows[:, None])
-    q_miss = q if xi_miss is None else match_probabilities(pg[None, :], xi_miss[:, None])
+    q = match_probabilities(pg, xi_rows[..., None])
+    q_miss = q if xi_miss is None else match_probabilities(pg, xi_miss[..., None])
     unmatched = sizes - matched
     with np.errstate(divide="ignore", invalid="ignore"):
         t_match = np.where(matched > 0, matched * np.log(q), 0.0)
@@ -149,9 +155,10 @@ def _golden_max(loglik_rows, lo, hi, keep=None):
     """Vectorized golden-section maximization over per-row brackets.
 
     ``loglik_rows(xi, sel)`` evaluates the rows ``sel`` (an index array, or
-    ``slice(None)`` for all) each at its own xi. ``keep(sel, lo, hi)``, if
-    given, runs before every iteration and says which of the remaining rows
-    still need refining; the others are dropped. A kept row's bracket takes
+    ``slice(None)`` for all) each at its own xi, (K,) or (2, K); a step
+    evaluates both golden points in one (2, K) call. ``keep(sel, lo, hi)``,
+    if given, runs before every iteration and says which of the remaining
+    rows still need refining; the others are dropped. A kept row's bracket takes
     exactly the steps it takes without ``keep``, and brackets nest.
     Returns ``(sel, xi)``: the rows refined to the end and their maximizers.
     """
@@ -165,7 +172,8 @@ def _golden_max(loglik_rows, lo, hi, keep=None):
         h = hi - lo
         x1 = lo + _INVPHI2 * h
         x2 = lo + _INVPHI * h
-        left = loglik_rows(x1, sel) >= loglik_rows(x2, sel)
+        ll1, ll2 = loglik_rows(np.stack([x1, x2]), sel)
+        left = ll1 >= ll2
         hi = np.where(left, x2, hi)
         lo = np.where(left, lo, x1)
     return sel, (lo + hi) / 2.0
@@ -187,11 +195,11 @@ def _fit_rows(loglik_rows, grid_ll):
     """
     best, lo, hi = _grid_bracket(grid_ll)
     _, refined = _golden_max(loglik_rows, lo, hi)
-    candidates = np.column_stack([_GRID[best], refined])
-    cand_ll = np.column_stack([loglik_rows(candidates[:, j]) for j in range(candidates.shape[1])])
-    pick = np.argmax(cand_ll, axis=1)
+    candidates = np.stack([_GRID[best], refined])
+    cand_ll = loglik_rows(candidates)
+    pick = np.argmax(cand_ll, axis=0)
     rows = np.arange(len(pick))
-    return candidates[rows, pick], cand_ll[rows, pick]
+    return candidates[pick, rows], cand_ll[pick, rows]
 
 
 def _conditional_stage(pg, sizes, matched):
@@ -392,13 +400,14 @@ def settle_by_bounds(bounds: np.ndarray, threshold: float) -> tuple[np.ndarray, 
 
 
 def _uncond_loglik_rows(pg, n_markers, matched, single, xi_rows):
-    both_p, single_p, neither_p = outcome_cells(pg[None, :], xi_rows[:, None])
-    unmut = n_markers[None, :] - matched - single
+    """Unconditional log-likelihood of each row's counts at its own xi, (K,) or (2, K)."""
+    both_p, single_p, neither_p = outcome_cells(pg, xi_rows[..., None])
+    unmut = n_markers - matched - single
     with np.errstate(divide="ignore", invalid="ignore"):
         t_b = np.where(matched > 0, matched * np.log(both_p), 0.0)
         t_s = np.where(single > 0, single * np.log(single_p), 0.0)
         t_n = np.where(unmut > 0, unmut * np.log(neither_p), 0.0)
-    return (t_b + t_s + t_n).sum(axis=1)
+    return (t_b + t_s + t_n).sum(axis=-1)
 
 
 def fit_unconditional_batch(

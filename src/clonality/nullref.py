@@ -40,7 +40,9 @@ counts it draws.
 
 The unconditional null simulates whole tumor pairs over ``(p, n_markers)``
 groups under zero clonality signal; it does not depend on the observed
-data, so a caller builds it once and passes it to every p-value.
+data, so a caller builds it once and passes it to every p-value. It, too,
+deduplicates its draws with :func:`_distinct_rows` and fits each distinct
+pattern once.
 
 Every null is a :class:`NullDistribution` of weighted atoms: an exact null
 weights each outcome vector by its probability, a Monte Carlo null each
@@ -57,6 +59,7 @@ apply the rule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -595,23 +598,30 @@ def sample_unconditional_null(
 ) -> NullDistribution:
     """Monte Carlo null of the unconditional statistic over a marker universe.
 
-    ``universe`` lists ``(p, n_markers)`` groups. Pairs are simulated under
-    zero signal; per-group outcome counts are multinomial, which is all the
-    grouped likelihood needs.
+    ``universe`` lists ``(p, n_markers)`` groups, each ``n_markers`` a whole
+    number >= 1. Pairs are simulated under zero signal; per-group outcome
+    counts are multinomial, which is all the grouped likelihood needs. Like
+    the conditional Monte Carlo null, it fits each distinct (matched,
+    single) count pattern once, and its atoms, one per draw, come grouped by
+    pattern in the patterns' sorted order, not in draw order.
     """
     validate_count("n_sims", n_sims, 1)
-    gen = rng.generator()
+    if not universe:
+        raise ValueError("universe must hold at least one (p, n_markers) group")
+    for _, n in universe:
+        whole = isinstance(n, numbers.Real) and not isinstance(n, bool) and float(n).is_integer()
+        if not (whole and n >= 1):
+            raise ValueError(f"n_markers must be a whole number >= 1, got {n!r}")
     pg = np.array([validate_probability(p) for p, _ in universe])
-    ng = np.array([int(n) for _, n in universe], dtype=float)
-    matched_cols, single_cols = [], []
-    for p, n in zip(pg, ng):
-        draws = gen.multinomial(int(n), outcome_cells(p, 0.0), size=n_sims)
-        matched_cols.append(draws[:, 0])
-        single_cols.append(draws[:, 1])
-    matched = np.column_stack(matched_cols).astype(float)
-    single = np.column_stack(single_cols).astype(float)
-    stats = fit_unconditional_batch(pg, ng, matched, single)[1]
-    return NullDistribution(stats, np.ones(n_sims), n_sims)
+    ng = np.array([n for _, n in universe], dtype=float)
+    gen = rng.generator()
+    counts = np.empty((2 * ng.size, n_sims), dtype=np.int64)  # matched rows, then single rows
+    for g, (p, n) in enumerate(zip(pg, ng)):
+        cells = gen.multinomial(int(n), outcome_cells(p, 0.0), size=n_sims)
+        counts[g], counts[ng.size + g] = cells[:, 0], cells[:, 1]
+    patterns, draws = _distinct_rows(counts, np.concatenate([ng, ng]))
+    stats = fit_unconditional_batch(pg, ng, patterns[:, :ng.size], patterns[:, ng.size:])[1]
+    return NullDistribution(np.repeat(stats, draws), np.ones(n_sims), n_sims)
 
 
 def calibrated_rejection(

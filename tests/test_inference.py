@@ -402,6 +402,44 @@ def test_rows_with_zero_size_columns_equal_their_own_one_row_calls(batch):
         assert conditional_exceeds(*args, thresholds[row])[0] == decided[row]
 
 
+def stacked_cases(gen):
+    """(pg, sizes, matched, xi) with xi (2, K): shared (G,) sizes, then per-row (K, G) ones.
+
+    The per-row sizes have 8 to 30 columns, some of zero size, so their rows
+    take ``_row_sums``' per-width path. Some xi are exactly 0 or 1.
+    """
+    for per_row in (False, True):
+        for _ in range(40):
+            n_groups = int(gen.integers(8, 31) if per_row else gen.integers(1, 31))
+            n_rows = int(gen.integers(1, 60))
+            pg = np.sort(gen.uniform(1e-4, 0.6, n_groups))
+            shape = (n_rows, n_groups) if per_row else (n_groups,)
+            sizes = gen.integers(1, 6, shape) * (gen.random(shape) < gen.uniform(0.2, 1.0))
+            if per_row:
+                sizes[np.arange(n_rows), gen.integers(0, n_groups, n_rows)] += 1
+            sizes = sizes.astype(float)
+            matched = np.floor(gen.random((n_rows, n_groups)) * (sizes + 1))
+            xi = gen.choice([0.0, 1.0, *gen.random(6)], (2, n_rows))
+            yield pg, sizes, matched, xi
+
+
+def test_stacked_kernels_equal_their_two_one_point_calls():
+    gen = np.random.default_rng(311)
+    for pg, sizes, matched, xi in stacked_cases(gen):
+        lo = xi * gen.random(xi.shape)
+        for miss in (None, lo):
+            stacked = inference._cond_loglik_rows(pg, sizes, matched, xi, miss)
+            assert stacked.shape == xi.shape
+            assert np.array_equal(stacked, np.stack([inference._cond_loglik_rows(
+                pg, sizes, matched, xi[j], None if miss is None else miss[j]) for j in (0, 1)]))
+        if sizes.ndim == 1:
+            n_markers = sizes + gen.integers(0, 40, sizes.size)
+            single = np.floor(gen.random(matched.shape) * (n_markers - matched + 1))
+            stacked = inference._uncond_loglik_rows(pg, n_markers, matched, single, xi)
+            assert np.array_equal(stacked, np.stack(
+                [inference._uncond_loglik_rows(pg, n_markers, matched, single, xi[j]) for j in (0, 1)]))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(batch=st.one_of(pattern_batches(), fit_batches().map(lambda b: b[:3])),
        pick=st.integers(0, 10 ** 6))

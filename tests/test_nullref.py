@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,10 +16,11 @@ from clonality.inference import (
     ConditionalData,
     conditional_statistic,
     fit_conditional_batch,
+    fit_unconditional_batch,
     group_by_probability,
     settle_by_bounds,
 )
-from clonality.model import PROB_CEIL, PROB_FLOOR, PairObservation
+from clonality.model import PROB_CEIL, PROB_FLOOR, PairObservation, clamp_probability, outcome_cells
 from clonality.nullref import (
     EXACT_ATOM_LIMIT,
     NullDistribution,
@@ -32,6 +34,7 @@ from clonality.nullref import (
     sample_unconditional_null,
 )
 from clonality.rng import RngStream
+from clonality.simulation import preset_scenario
 
 from conftest import table_bounds, table_sums
 
@@ -640,6 +643,64 @@ def test_unconditional_null_percentile_stable_across_seeds():
         for _ in range(200)
     ]
     assert abs(qa - qb) <= 4.0 * math.sqrt(2.0) * max(np.std(boot), 1e-3)
+
+
+def test_unconditional_null_refuses_an_empty_universe():
+    with pytest.raises(ValueError, match="universe must hold at least one"):
+        sample_unconditional_null([], 10, RngStream(0))
+
+
+@pytest.mark.parametrize("n_markers", [2.5, True, 0, -3])
+def test_unconditional_null_refuses_a_count_that_is_not_a_whole_number_of_markers(n_markers):
+    message = re.escape(f"n_markers must be a whole number >= 1, got {n_markers!r}")
+    with pytest.raises(ValueError, match=message):
+        sample_unconditional_null([(0.1, 5), (0.2, n_markers)], 10, RngStream(0))
+
+
+def test_unconditional_null_takes_a_whole_float_count():
+    # group_by_probability sums the counts of a universe as floats
+    a = sample_unconditional_null([(0.1, 10.0), (0.02, 40.0)], 50, RngStream(4))
+    b = sample_unconditional_null([(0.1, 10), (0.02, 40)], 50, RngStream(4))
+    assert np.array_equal(a.statistics, b.statistics)
+
+
+TABLE2_M5 = preset_scenario("table2-m5", 0.0).groups
+UNIVERSES = {
+    "table2-m5": list(zip(*group_by_probability([clamp_probability(g.p) for g in TABLE2_M5],
+                                                [g.n_markers for g in TABLE2_M5]))),
+    # (n + 1)^2 per group passes 2^63: the mixed-radix keys leave int64
+    "twelve groups": [(p, 1000) for p in (0.001, 0.002, 0.004, 0.006, 0.01, 0.015,
+                                          0.02, 0.03, 0.05, 0.08, 0.1, 0.2)],
+}
+
+
+@pytest.mark.parametrize("name, n_sims", [("table2-m5", 2000), ("twelve groups", 1000)])
+def test_unconditional_null_fits_each_distinct_draw_once(name, n_sims, monkeypatch):
+    universe = UNIVERSES[name]
+    assert (math.prod((n + 1) ** 2 for _, n in universe) >= 1 << 63) == (name == "twelve groups")
+    fitted_rows = []
+
+    def fit(pg, ng, matched, single):
+        fitted_rows.append(len(matched))
+        return fit_unconditional_batch(pg, ng, matched, single)
+
+    monkeypatch.setattr(nullref, "fit_unconditional_batch", fit)
+    null = sample_unconditional_null(universe, n_sims, RngStream(7, 3))
+    gen = RngStream(7, 3).generator()  # the same multinomial calls, every row in draw order
+    draws = [gen.multinomial(int(n), outcome_cells(p, 0.0), size=n_sims) for p, n in universe]
+    matched = np.column_stack([d[:, 0] for d in draws]).astype(float)
+    single = np.column_stack([d[:, 1] for d in draws]).astype(float)
+    pg, ng = (np.array(column, dtype=float) for column in zip(*universe))
+    every = fit_unconditional_batch(pg, ng, matched, single)[1]
+    assert np.array_equal(np.sort(null.statistics), np.sort(every))
+    assert fitted_rows == [len(np.unique(np.hstack([matched, single]), axis=0))]
+    if name == "table2-m5":
+        assert fitted_rows[0] < n_sims // 5
+    in_draw_order = NullDistribution(every, np.ones(n_sims), n_sims)
+    values = np.unique(every)
+    grid = np.concatenate([values, np.nextafter(values, np.inf), (values[1:] + values[:-1]) / 2,
+                           values - 2e-9, [-1.0, values[-1] + 1.0]])
+    assert [p_value(s, null) for s in grid] == [p_value(s, in_draw_order) for s in grid]
 
 
 # --- calibrated rejection -----------------------------------------------------------
