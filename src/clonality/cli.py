@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -355,6 +356,7 @@ def int_range(low: int, high: Optional[int] = None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line; :func:`main` builds one on its first call and reuses it."""
     parser = argparse.ArgumentParser(
         prog="clonality",
         description="Test tumor pairs for clonal relatedness from somatic mutation profiles.",
@@ -398,9 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with one_blas_thread():
             return args.func(args)

@@ -285,7 +285,7 @@ def fit_conditional_batch(
 
 
 def conditional_exceeds(
-    pg: np.ndarray, sizes: np.ndarray, matched: np.ndarray, threshold
+    pg: np.ndarray, sizes: np.ndarray, matched: np.ndarray, threshold, known=None
 ) -> np.ndarray:
     """Whether each pattern's statistic reaches ``threshold``, shape (K,).
 
@@ -302,6 +302,12 @@ def conditional_exceeds(
     bound over the current bracket falls short of the threshold by more
     than ``_BOUND_SLACK``. Rows refined to the end are decided by the fit's
     final comparison.
+
+    ``known``, if given, is a (K,) mask of rows the caller has proven to
+    reach ``threshold``. A known mixed row is decided extreme at the grid
+    check, with no ``c0`` call and no golden-section step, so where the
+    proof holds the result is the call's without the mask, OR the mask.
+    When no row is left open, nothing is evaluated past the grid.
     """
     pg, sizes, matched, ll0, full, full_stat, mixed, grid_ll = _conditional_stage(
         pg, sizes, matched)
@@ -315,7 +321,12 @@ def conditional_exceeds(
     best, lo, hi = _grid_bracket(grid_ll)
     grid_max = grid_ll[np.arange(best.size), best]
     decided = grid_max - ll0_mixed >= t_mixed + _BOUND_SLACK
+    if known is not None:
+        decided |= known[mixed]
     open_rows = np.flatnonzero(~decided)
+    if not open_rows.size:
+        exceeds[mixed] = decided
+        return exceeds
     c0 = _cond_loglik_rows(pg, _rows_of(s_mixed, open_rows, 1), m_mixed[open_rows],
                            _GRID[best[open_rows]])
     proven = np.maximum(c0 - ll0_mixed[open_rows], 0.0) >= _rows_of(t_mixed, open_rows, 0)

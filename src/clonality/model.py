@@ -67,18 +67,22 @@ def validate_xi(xi: float) -> float:
 class MarkerCatalog:
     """Maps each marker id to its marginal mutation probability.
 
-    Probabilities are clamped on construction; marker ids are opaque strings
-    compared by exact equality (no nomenclature normalization).
+    Probabilities are clamped on construction, as :func:`clamp_probability`
+    clamps each, in one array; marker ids are opaque strings compared by
+    exact equality (no nomenclature normalization). The first empty id or
+    non-finite probability, in key order, raises.
     """
 
     probabilities: Mapping[str, float]
 
     def __post_init__(self):
-        clean = {}
-        for marker, p in self.probabilities.items():
-            if not marker:
-                raise ValueError("marker ids must be nonempty strings")
-            clean[str(marker)] = clamp_probability(p)
+        p = np.array(list(self.probabilities.values()), dtype=float)
+        if not (all(self.probabilities) and np.isfinite(p).all()):
+            for marker, value in self.probabilities.items():  # raise at the first bad entry
+                if not marker:
+                    raise ValueError("marker ids must be nonempty strings")
+                clamp_probability(value)
+        clean = dict(zip(map(str, self.probabilities), np.clip(p, PROB_FLOOR, PROB_CEIL).tolist()))
         object.__setattr__(self, "probabilities", clean)
 
     def probability(self, marker: str) -> float:

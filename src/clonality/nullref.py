@@ -18,13 +18,15 @@ whether each pattern's statistic reaches the observed one, so the one
 decide-and-sum, :func:`_extreme_share`, settles what the bound tables prove
 (:func:`~clonality.inference.settle_by_bounds`) and passes the rest to
 :func:`~clonality.inference.conditional_exceeds`, which stops refining a
-pattern once its answer is proven. It returns the same float as
+pattern once its answer is proven. A pattern equal to the observed counts
+is the observed outcome itself, a tie, so it is passed on as known extreme
+and never refined. It returns the same float as
 :func:`p_value` on the null the one oracle, :func:`_fitted_null`, fits in
 full (:func:`exact_conditional_null`, :func:`sample_conditional_null`),
 which tests use as the reference. Memory follows count patterns, not
 atoms: a chunk holds its patterns and their bounds, the decide-and-sum one
-weight and multiplicity per extreme pattern, and :func:`_repeat_sum` sums
-the atoms without repeating them.
+weight per extreme pattern and a multiplicity only where one exceeds 1,
+and :func:`_repeat_sum` sums the atoms without repeating them.
 
 :func:`counts_test` is the one test core: it takes the match counts of one
 pair, or of K pairs sharing one set of probabilities, already grouped by
@@ -381,8 +383,22 @@ def _repeat_sum(w: np.ndarray, r: np.ndarray) -> float:
     return tree(0, atoms)
 
 
+def _ties(patterns, counts, owner):
+    """Which ``patterns`` equal their row's observed ``counts`` (K, G); None without counts.
+
+    Pattern j belongs to row ``owner[j]``, or to row 0 when ``owner`` is
+    None. Compared column by column, so no (n, G) copy of the counts is made.
+    """
+    if counts is None:
+        return None
+    tie = np.ones(len(patterns), dtype=bool)
+    for g, column in enumerate(patterns.T):
+        tie &= column == (counts[0, g] if owner is None else counts[owner, g])
+    return tie
+
+
 def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 1.0,
-                   row_of=None) -> np.ndarray:
+                   row_of=None, counts=None) -> np.ndarray:
     """Per row, the mass over ``total`` of its patterns with statistic >= its observed one.
 
     ``chunks`` yield the ``n_patterns`` patterns of K rows stacked in row
@@ -394,15 +410,23 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
     per 65,536-pattern exact chunk, against 6 µs).
     Each pattern is decided as the full fit would decide it: by its
     bound maxima where its chunk has them (one-row sources only), else
-    by :func:`conditional_exceeds`. The extreme patterns' weights and
-    multiplicities go into one buffer of ``n_patterns``, and a row's are
-    summed per atom as :func:`p_value` sums them (:func:`_repeat_sum`), so
+    by :func:`conditional_exceeds`. ``counts`` (K, G), if given, holds
+    the match counts whose statistics ``observed`` are: a pattern equal to
+    its row's counts is the observed outcome, a tie, so it is passed to
+    :func:`conditional_exceeds` as known extreme and never refined. Its fit
+    would give it the observed statistic up to the grid bracket's rounding,
+    far inside the tolerance, so this moves no decision. On an exact chunk
+    only the patterns the bounds leave open are compared.
+    The extreme patterns' weights go into one buffer of ``n_patterns``,
+    and their multiplicities into another from the first kept one above 1
+    on. A row's are summed per atom as :func:`p_value` sums them
+    (:func:`_repeat_sum`; ``w.sum()`` while every multiplicity is 1), so
     each of the K results is the same float as :func:`p_value` on that
     row's null alone.
     """
     thresholds = np.asarray(observed, dtype=float) - TIE_TOLERANCE
     k_rows = len(thresholds)
-    weights, reps = np.empty(n_patterns), np.empty(n_patterns, dtype=np.int64)
+    weights, reps = np.empty(n_patterns), None
     n_extreme, n_seen = np.zeros(k_rows, dtype=np.int64), np.zeros(k_rows, dtype=np.int64)
     start = filled = 0
     for patterns, weight, rep, bounds in chunks:
@@ -413,13 +437,21 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
             row_sizes, threshold = sizes[owner], thresholds[owner]
         start += rep.size
         if bounds is None:
-            extreme = conditional_exceeds(pg, row_sizes, patterns, threshold)
+            extreme = conditional_exceeds(pg, row_sizes, patterns, threshold,
+                                          _ties(patterns, counts, owner))
         else:
             extreme, open_rows = settle_by_bounds(bounds, threshold)
-            extreme[open_rows] = conditional_exceeds(pg, row_sizes, patterns[open_rows], threshold)
+            open_patterns = patterns[open_rows]
+            extreme[open_rows] = conditional_exceeds(pg, row_sizes, open_patterns, threshold,
+                                                     _ties(open_patterns, counts, owner))
         kept = np.count_nonzero(extreme)
         weights[filled:filled + kept] = weight[extreme]
-        reps[filled:filled + kept] = rep[extreme]
+        kept_reps = rep[extreme]
+        if reps is None and kept_reps.max(initial=1) > 1:
+            reps = np.empty(n_patterns, dtype=np.int64)
+            reps[:filled] = 1
+        if reps is not None:
+            reps[filled:filled + kept] = kept_reps
         filled += kept
         if owner is None:
             n_extreme[0] += kept
@@ -431,7 +463,8 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
     shares = np.ones(k_rows)
     for k in np.flatnonzero(n_extreme < n_seen):  # a row with every pattern extreme has 1
         atoms = slice(ends[k] - n_extreme[k], ends[k])
-        shares[k] = min(_repeat_sum(weights[atoms], reps[atoms]) / total, 1.0)
+        mass = weights[atoms].sum() if reps is None else _repeat_sum(weights[atoms], reps[atoms])
+        shares[k] = min(mass / total, 1.0)
     return shares
 
 
@@ -528,8 +561,9 @@ def counts_test(
     Monte Carlo). Every other row draws ``sims`` null patterns from its own
     stream ``(seed, stream_index[k])``, and one decision pass over all
     rows' patterns gives each row's p-value. The observed statistics come
-    from one fit of every row. Each result equals that of the row tested
-    alone.
+    from one fit of every row, and each row's observed counts go with it to
+    the decision, which counts a null pattern equal to them as a tie
+    without refining it. Each result equals that of the row tested alone.
 
     Raises ``ValueError`` before any fit unless ``sims`` is an integer >= 1, ``exact_max``
     an integer >= 0 (booleans are neither), ``pg`` is 1-D and strictly inside (0, 1),
@@ -565,14 +599,15 @@ def counts_test(
         present = sizes[k] > 0
         pg_k, sizes_k = pg[present], sizes[k, present]
         chunks = _exact_patterns(pg_k, sizes_k, exact_max)
-        p[k] = _extreme_share(pg_k, sizes_k[None, :], chunks, stat[k:k + 1], int(np.prod(sizes_k + 1)))[0]
+        p[k] = _extreme_share(pg_k, sizes_k[None, :], chunks, stat[k:k + 1], int(np.prod(sizes_k + 1)),
+                              counts=matched[k, present][None, :])[0]
     drawn = np.flatnonzero(~exact)
     if drawn.size:
         rows = [_drawn_rows(pg, sizes[k], sims, streams[k]) for k in drawn]
         patterns, draws = rows[0] if len(rows) == 1 else map(np.concatenate, zip(*rows))
         row_of = np.repeat(np.arange(len(rows)), [row_draws.size for _, row_draws in rows])
         p[drawn] = _extreme_share(pg, sizes[drawn], _drawn_chunks(patterns, draws),
-                                  stat[drawn], draws.size, sims, row_of)
+                                  stat[drawn], draws.size, sims, row_of, matched[drawn])
     results = [TestResult(statistic=float(stat[k]), xi_hat=float(xi_hat[k]), p_value=float(p[k]),
                           method="exact" if exact[k] else "monte-carlo",
                           n_sims=0 if exact[k] else int(sims), seed=None if exact[k] else int(seed),

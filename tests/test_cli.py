@@ -4,6 +4,8 @@ import json
 import os
 import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -89,6 +91,33 @@ def test_cmd_test_golden_json(capsys):
     assert out == GOLDEN_TEST_JSON
     # byte-identical on rerun
     assert run(capsys, *argv)[1] == out
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    """The golden bytes twice from one parser, then a usage error as a fresh parser reports it."""
+    argv = ("test", "--mutations", T1_MUT, "--probs", T1_PROB,
+            "--tumor-a", "T3", "--tumor-b", "Left/Mucinous")
+    bad = argv[:-2]
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(list(bad))
+    fresh_err = capsys.readouterr().err
+    assert fresh.value.code == 2 and "the following arguments are required: --tumor-b" in fresh_err
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert run(capsys, *argv) == (0, GOLDEN_TEST_JSON, "")
+    assert run(capsys, *argv) == (0, GOLDEN_TEST_JSON, "")
+    assert usage_error(capsys, *bad) == (2, fresh_err)
+    assert len(built) == 1
+    assert build() is not build()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    code = "import clonality.cli as cli; print(cli._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout == "0\n"
 
 
 def test_cmd_test_metastasis_pair_below_point_001(capsys):

@@ -402,6 +402,47 @@ def test_rows_with_zero_size_columns_equal_their_own_one_row_calls(batch):
         assert conditional_exceeds(*args, thresholds[row])[0] == decided[row]
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(batch=st.one_of(fit_batches(), padded_batches()), pick=st.integers(0, 10 ** 6))
+def test_known_rows_are_ored_into_the_decision(batch, pick):
+    """Rows known to reach the threshold: the call without the mask, OR the mask.
+
+    Shared (G,) sizes with one threshold and per-row (K, G) sizes with one
+    threshold per row, over the whole batch, a permutation and a subset.
+    """
+    pg, sizes, patterns, gen = batch
+    stats = fit_conditional_batch(pg, sizes, patterns)[1]
+    per_row = sizes.ndim == 2
+    if per_row:
+        thresholds = stats + gen.choice([0.0, -1e-9, 1e-9, 0.5, -0.5], stats.size)
+    else:
+        thresholds = float(stats[pick % stats.size])
+    reach = stats >= thresholds
+    for rows in (np.arange(stats.size), gen.permutation(stats.size),
+                 np.flatnonzero(gen.random(stats.size) < 0.3)):
+        args = (pg, sizes[rows] if per_row else sizes, patterns[rows],
+                thresholds[rows] if per_row else thresholds)
+        plain = conditional_exceeds(*args)
+        for known in (reach[rows], reach[rows] & (gen.random(rows.size) < 0.5)):
+            assert np.array_equal(conditional_exceeds(*args, known), plain | known)
+
+
+def test_known_rows_take_no_refinement(monkeypatch):
+    """Rows all known at their own statistics evaluate nothing past the grid."""
+    gen = np.random.default_rng(3203)
+    pg = np.sort(gen.uniform(1e-3, 0.4, 6))
+    sizes = np.array([3.0, 1.0, 2.0, 4.0, 1.0, 2.0])
+    patterns = np.floor(gen.random((400, 6)) * (sizes + 1))
+    stats = fit_conditional_batch(pg, sizes, patterns)[1]
+    calls = []
+    loglik = inference._cond_loglik_rows
+    monkeypatch.setattr(inference, "_cond_loglik_rows", lambda *a: calls.append(a) or loglik(*a))
+    assert conditional_exceeds(pg, sizes, patterns, stats).all() and calls
+    calls.clear()
+    assert conditional_exceeds(pg, sizes, patterns, stats, np.ones(stats.size, dtype=bool)).all()
+    assert not calls
+
+
 def stacked_cases(gen):
     """(pg, sizes, matched, xi) with xi (2, K): shared (G,) sizes, then per-row (K, G) ones.
 

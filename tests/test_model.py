@@ -1,8 +1,13 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from clonality.errors import CatalogMissError
 from clonality.model import (
+    PROB_CEIL,
+    PROB_FLOOR,
     MarkerCatalog,
     MutationProfile,
     PairObservation,
@@ -25,6 +30,39 @@ def test_catalog_rejects_bad_entries():
         MarkerCatalog({"": 0.1})
     with pytest.raises(ValueError):
         MarkerCatalog({"a": float("nan")})
+
+
+# the clamps, their float neighbours, signed zeros and subnormals, values past
+# the unit interval, and a numpy float and an int
+CATALOG_EDGES = [
+    (PROB_FLOOR, PROB_FLOOR), (PROB_CEIL, PROB_CEIL),
+    (np.nextafter(PROB_FLOOR, 0.0), PROB_FLOOR), (np.nextafter(PROB_FLOOR, 1.0), np.nextafter(PROB_FLOOR, 1.0)),
+    (np.nextafter(PROB_CEIL, 0.0), np.nextafter(PROB_CEIL, 0.0)), (np.nextafter(PROB_CEIL, 1.0), PROB_CEIL),
+    (-0.0, PROB_FLOOR), (0.0, PROB_FLOOR), (5e-324, PROB_FLOOR), (1e-310, PROB_FLOOR), (-5e-324, PROB_FLOOR),
+    (1.0, PROB_CEIL), (1.5, PROB_CEIL), (-3.0, PROB_FLOOR), (np.float64(0.081), 0.081), (1, PROB_CEIL),
+]
+
+
+def test_catalog_clamps_each_edge_value_as_clamp_probability_does():
+    cat = MarkerCatalog({f"m{k}": value for k, (value, _) in enumerate(CATALOG_EDGES)})
+    assert list(cat.probabilities) == [f"m{k}" for k in range(len(CATALOG_EDGES))]
+    for k, (value, expected) in enumerate(CATALOG_EDGES):
+        got = cat.probability(f"m{k}")
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", expected) == struct.pack(
+            "<d", clamp_probability(value)), (value, got)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"": 0.1}, "marker ids must be nonempty strings"),
+    ({"a": float("nan")}, "probability must be finite, got nan"),
+    ({"a": 0.1, "b": float("inf"), "": 0.2}, "probability must be finite, got inf"),
+    ({"a": 0.1, "": float("nan")}, "marker ids must be nonempty strings"),
+    ({"a": -np.inf, "b": np.nan}, "probability must be finite, got -inf"),
+], ids=["empty-id", "nan", "inf-before-empty-id", "empty-id-with-nan", "minus-inf-before-nan"])
+def test_catalog_raises_at_its_first_bad_entry(entries, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MarkerCatalog(entries)
 
 
 def test_catalog_miss_names_marker():

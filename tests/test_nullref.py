@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonality import nullref
+from clonality import inference, nullref
 from clonality.errors import ClonalityError
 from clonality.inference import (
     ConditionalData,
@@ -20,7 +20,14 @@ from clonality.inference import (
     group_by_probability,
     settle_by_bounds,
 )
-from clonality.model import PROB_CEIL, PROB_FLOOR, PairObservation, clamp_probability, outcome_cells
+from clonality.model import (
+    PROB_CEIL,
+    PROB_FLOOR,
+    PairObservation,
+    clamp_probability,
+    derive_pair_observation,
+    outcome_cells,
+)
 from clonality.nullref import (
     EXACT_ATOM_LIMIT,
     NullDistribution,
@@ -36,7 +43,7 @@ from clonality.nullref import (
 from clonality.rng import RngStream
 from clonality.simulation import preset_scenario
 
-from conftest import table_bounds, table_sums
+from conftest import profile, table_bounds, table_sums
 
 MUCINOUS_PS = [0.081] + [0.004] * 9
 
@@ -536,6 +543,98 @@ def test_counts_test_result_holds_python_scalars():
     assert result.method == "monte-carlo"
     assert json.loads(json.dumps(dataclasses.asdict(result)))["n_sims"] == 500
     assert type(result.n_sims) is int and type(result.seed) is int
+
+
+@pytest.fixture
+def golden_step_rows(monkeypatch):
+    """Match counts of every row that a golden-section step of a null decision evaluates.
+
+    A null decision is a ``_golden_max`` call with a ``keep`` rule; the
+    observed fit's call has none and is not recorded.
+    """
+    rows, stepping = set(), []
+    loglik, golden = inference._cond_loglik_rows, inference._golden_max
+
+    def loglik_spy(pg, sizes, matched, xi_rows, xi_miss=None):
+        if stepping:
+            rows.update(map(tuple, np.atleast_2d(matched).tolist()))
+        return loglik(pg, sizes, matched, xi_rows, xi_miss)
+
+    def golden_spy(loglik_rows, lo, hi, keep=None):
+        if keep is None:
+            return golden(loglik_rows, lo, hi)
+
+        def step(xi, sel=slice(None)):
+            stepping.append(True)
+            try:
+                return loglik_rows(xi, sel)
+            finally:
+                stepping.pop()
+
+        return golden(step, lo, hi, keep)
+
+    monkeypatch.setattr(inference, "_cond_loglik_rows", loglik_spy)
+    monkeypatch.setattr(inference, "_golden_max", golden_spy)
+    return rows
+
+
+def table1_golden_counts(table1):
+    """``(pg, sizes, matched)`` of the golden ``test`` pair, grouped as ``conditional_test`` groups it."""
+    tumors, catalog = table1
+    obs = derive_pair_observation(profile(tumors, "T3"), profile(tumors, "Left/Mucinous"), catalog)
+    ps = [p for _, p in obs.shared + obs.unshared]
+    return group_by_probability(ps, np.ones(len(ps)), np.arange(len(ps)) < obs.n_matches)
+
+
+# six probabilities over 24 markers: 2,000 draws hold the observed pattern, and
+# the decision refines some of the other drawn patterns
+SHARED_MC_PAIR = ([0.104, 0.112, 0.114, 0.162, 0.191, 0.296], [3, 2, 2, 5, 5, 7], [1, 0, 1, 0, 1, 2])
+
+
+@pytest.mark.parametrize("case", ["golden-exact", "golden-monte-carlo", "shared-monte-carlo"])
+def test_observed_pattern_never_enters_a_golden_step(case, table1, golden_step_rows):
+    """The observed pattern is a tie, decided extreme without being refined in its own null."""
+    if case == "shared-monte-carlo":
+        pg, sizes, matched = map(np.array, SHARED_MC_PAIR)
+    else:
+        pg, sizes, matched = table1_golden_counts(table1)
+    options = {} if case == "golden-exact" else dict(exact_max=0, sims=2000, seed=5)
+    if options:
+        drawn, _ = nullref._drawn_rows(pg, sizes.astype(float), 2000, RngStream(5, 0))
+        assert (drawn == matched).all(axis=1).any()
+    result = nullref.counts_test(pg, sizes, matched, **options)
+    ps = list(np.repeat(pg, sizes.astype(int)))
+    null = (exact_conditional_null(ps) if case == "golden-exact"
+            else sample_conditional_null(ps, 2000, RngStream(5, 0)))
+    assert result.p_value == p_value(result.statistic, null)
+    assert tuple(matched.tolist()) not in golden_step_rows
+    assert golden_step_rows or case != "shared-monte-carlo"  # other drawn patterns do step
+
+
+def test_extreme_share_stores_multiplicities_from_the_first_one_above_1(monkeypatch):
+    """Unit multiplicities are summed as ``w.sum()``; a buffer starts at the first kept one above 1.
+
+    The three-marker group leads the enumeration, so in chunks of 8 the
+    first chunk's patterns, all without a match in it, stand for one match
+    vector each, and the next two chunks' for three.
+    """
+    monkeypatch.setattr(nullref, "_FIT_CHUNK", 8)
+    repeat_sum, summed = nullref._repeat_sum, []
+
+    def spy(w, r):
+        summed.append(r.tolist())
+        return repeat_sum(w, r)
+
+    monkeypatch.setattr(nullref, "_repeat_sum", spy)
+    gen = np.random.default_rng(1606)
+    for ps in ([0.01] * 3 + [0.05, 0.1, 0.2], *(list(gen.uniform(0.002, 0.3, 6)) for _ in range(4))):
+        summed.clear()
+        null = exact_conditional_null(ps)
+        for s in np.unique(null.statistics):
+            for threshold in (s, np.nextafter(s, np.inf)):
+                assert exact_p_value(threshold, ps) == p_value(threshold, null)
+        distinct = len(set(ps)) == len(ps)
+        assert not summed if distinct else any(r[0] == 1 and 3 in r for r in summed)
 
 
 # --- p-values ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The standard-library tools under ``tools/`` that a test can run in well under a second."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -45,6 +46,36 @@ def test_ab_bench_flags_a_median_worse_beyond_the_bound(seconds, units, worse):
     verdict = load("ab_bench").verdict
     assert verdict([1.0] * 10, [seconds] * 10, "lower", 0.25) == (0, False, worse)
     assert verdict([100.0] * 10, [units] * 10, "higher", 0.25) == (0, False, worse)
+
+
+def test_ab_bench_workload_all_prints_one_table_per_workload(tmp_path, monkeypatch, capsys):
+    ab_bench = load("ab_bench")
+    benchmark = {"workloads": [{"name": name} for name in ("w1", "w2", "w3")],
+                 "end_to_end": [{"name": "units_per_s", "better": "higher", "bound": 0.25},
+                                {"name": "ok_ratio", "better": "higher", "bound": 0.01}]}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    calls = []
+
+    def run_bench(checkout, workload, args):
+        calls.append((checkout.name, workload))
+        return {"units_per_s": 2.0 if checkout == change else 1.0, "ok_ratio": 1.0, "unlisted": 5.0}
+
+    monkeypatch.setattr(ab_bench, "run_bench", run_bench)
+    assert ab_bench.main([str(parent), str(change), "--workload", "all", "--pairs", "2"]) == 0
+    order = ("parent", "change", "change", "parent")
+    assert calls == [(side, w) for w in ("w1", "w2", "w3") for side in order]
+    tables = [table.splitlines() for table in capsys.readouterr().out.split("\n\n")]
+    assert [table[0].split(",")[0] for table in tables] == ["workload w1", "workload w2", "workload w3"]
+    for table in tables:
+        assert [line.split()[0] for line in table[2:]] == ["units_per_s", "ok_ratio"]
+        assert table[2].split()[-3:] == ["2/2", "yes", "no"]
+    calls.clear()
+    assert ab_bench.main([str(parent), str(change), "--workload", "w2", "--pairs", "2"]) == 0
+    assert calls == [(side, "w2") for side in order]
+    assert capsys.readouterr().out.startswith("workload w2, seed 20150836")
 
 
 def test_src_lines_counts_code_only_lines():
