@@ -22,11 +22,13 @@ followed by golden-section refinement of the bracketing interval (absolute
 tolerance 1e-6). The scan/refinement is vectorized across many match
 patterns at once because the null-distribution builders need to fit
 thousands of simulated patterns; each golden-section step evaluates both
-of its points for every row in one likelihood call. Markers are grouped
-by distinct ``p`` in one function, :func:`group_by_probability`, which
-the observed fits, both nulls and the simulation harness share, so each
-likelihood evaluation is O(#groups). The batch kernels take their arrays
-as given: a test's counts are checked once, by
+of its points for every row in one likelihood call. The grid scan and the
+likelihood kernel work ``_ROW_SLAB`` rows at a time, so their temporaries
+do not grow with a batch's size. Markers are grouped by distinct ``p`` in
+one function, :func:`group_by_probability`, which the observed fits, both
+nulls and the simulation harness share, so each likelihood evaluation is
+O(#groups). The batch kernels take their arrays as given: a test's counts
+are checked once, by
 :func:`~clonality.nullref.counts_test`, before any fit.
 
 An exact p-value only needs to know, for each null pattern, whether its
@@ -68,6 +70,11 @@ _LOG_ZERO = -1e30
 _BOUND_SLACK = 1e-10
 # Points of the bound tables: every tenth grid point, xi = 0 first.
 _COARSE = _GRID[::10]
+# Rows per slab of the grid scan and of the conditional likelihood kernel, so
+# that no (K, 101) grid table or (K, G) kernel temporary of a large batch is
+# held at once. A row's values do not depend on its batch, so neither do they
+# on its slab.
+_ROW_SLAB = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -140,8 +147,16 @@ def _cond_loglik_rows(pg, sizes, matched, xi_rows, xi_miss=None):
     ``xi_rows``' shape, each plane with the bits of its own (K,) call.
     ``xi_miss``, if given, replaces ``xi_rows`` in the unmatched terms only.
     Since q rises with xi, ``xi_rows = hi`` with ``xi_miss = lo`` bounds the
-    log-likelihood from above over every xi in ``[lo, hi]``.
+    log-likelihood from above over every xi in ``[lo, hi]``. More than
+    ``_ROW_SLAB`` rows are evaluated ``_ROW_SLAB`` rows at a time.
     """
+    if matched.shape[0] > _ROW_SLAB:
+        out = np.empty(np.shape(xi_rows))
+        for start in range(0, matched.shape[0], _ROW_SLAB):
+            rows = slice(start, start + _ROW_SLAB)
+            out[..., rows] = _cond_loglik_rows(pg, _rows_of(sizes, rows, 1), matched[rows], xi_rows[..., rows],
+                                               None if xi_miss is None else xi_miss[..., rows])
+        return out
     q = match_probabilities(pg, xi_rows[..., None])
     q_miss = q if xi_miss is None else match_probabilities(pg, xi_miss[..., None])
     unmatched = sizes - matched
@@ -179,21 +194,38 @@ def _golden_max(loglik_rows, lo, hi, keep=None):
     return sel, (lo + hi) / 2.0
 
 
-def _grid_bracket(grid_ll):
-    """Grid argmax index of each row and the bracket of its two neighbours."""
-    best = np.argmax(grid_ll, axis=1)
-    lo = _GRID[np.maximum(best - 1, 0)]
-    hi = _GRID[np.minimum(best + 1, _COARSE_POINTS - 1)]
-    return best, lo, hi
+def _grid_scan(terms):
+    """``(best, value)``: each row's grid argmax and its value in ``sum(counts @ log_table.T)``.
 
-
-def _fit_rows(loglik_rows, grid_ll):
-    """Grid argmax + golden refinement + candidate comparison.
-
-    grid_ll: (K, len(_GRID)) log-likelihood at every coarse grid point.
-    Returns (xi_hat, ll_at_mle) with ll_at_mle >= every grid value.
+    ``terms`` pairs (K, G) counts with (len(_GRID), G) log tables. The (K,
+    len(_GRID)) sum is built ``_ROW_SLAB`` rows at a time, the first product
+    with each further one added in place, which gives the bits of the whole
+    sum; only each slab's argmax and its value are kept.
     """
-    best, lo, hi = _grid_bracket(grid_ll)
+    (counts, table), *rest = terms
+    best = np.empty(counts.shape[0], dtype=np.intp)
+    value = np.empty(counts.shape[0])
+    for start in range(0, counts.shape[0], _ROW_SLAB):
+        rows = slice(start, start + _ROW_SLAB)
+        grid = counts[rows] @ table.T
+        for more, more_table in rest:
+            grid += more[rows] @ more_table.T
+        best[rows] = np.argmax(grid, axis=1)
+        value[rows] = grid[np.arange(grid.shape[0]), best[rows]]
+    return best, value
+
+
+def _grid_bracket(best):
+    """The bracket of the two grid neighbours of each row's grid argmax ``best``."""
+    return _GRID[np.maximum(best - 1, 0)], _GRID[np.minimum(best + 1, _COARSE_POINTS - 1)]
+
+
+def _fit_rows(loglik_rows, best):
+    """Golden refinement from each row's grid argmax ``best``, and candidate comparison.
+
+    Returns (xi_hat, ll_at_mle) with ll_at_mle >= the row's grid value.
+    """
+    lo, hi = _grid_bracket(best)
     _, refined = _golden_max(loglik_rows, lo, hi)
     candidates = np.stack([_GRID[best], refined])
     cand_ll = loglik_rows(candidates)
@@ -207,11 +239,12 @@ def _conditional_stage(pg, sizes, matched):
 
     ``sizes`` is shared (G,) or per row (K, G); a zero-size column adds
     exact zeros to every sum of a row. Returns ``(pg, sizes, matched, ll0,
-    full, full_stat, mixed, grid_ll)`` as float arrays: ``ll0`` is each
+    full, full_stat, mixed, grid)`` as float arrays: ``ll0`` is each
     row's log-likelihood at xi = 0, ``full_stat`` the q-form limit
-    statistic of the fully matched rows ``full``, and ``grid_ll`` the
-    coarse-grid log-likelihood of the rows ``mixed`` that are neither fully
-    matched nor without any match (None when there are none).
+    statistic of the fully matched rows ``full``, and ``grid`` the
+    :func:`_grid_scan` of the coarse-grid log-likelihood of the rows
+    ``mixed`` that are neither fully matched nor without any match (None
+    when there are none).
     """
     pg = np.asarray(pg, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
@@ -233,7 +266,7 @@ def _conditional_stage(pg, sizes, matched):
     full_stat = _row_sums(matched[full] * np.log((2.0 - pg) / pg), _rows_of(sizes, full, 1))
 
     mixed = ~(none | full)
-    grid_ll = None
+    grid = None
     if mixed.any():
         m_mixed = matched[mixed]
         rem = _rows_of(sizes, mixed, 1) - m_mixed
@@ -242,8 +275,8 @@ def _conditional_stage(pg, sizes, matched):
             log_q = np.log(q_grid)
             log_1mq = np.log1p(-q_grid)
         log_1mq[np.isneginf(log_1mq)] = _LOG_ZERO
-        grid_ll = m_mixed @ log_q.T + rem @ log_1mq.T
-    return pg, sizes, matched, ll0, full, full_stat, mixed, grid_ll
+        grid = _grid_scan([(m_mixed, log_q), (rem, log_1mq)])
+    return pg, sizes, matched, ll0, full, full_stat, mixed, grid
 
 
 def fit_conditional_batch(
@@ -262,7 +295,7 @@ def fit_conditional_batch(
     with no matches pin ``xi_hat = 0``; fully matched patterns pin
     ``xi_hat = 1`` with the finite q-form limit statistic.
     """
-    pg, sizes, matched, ll0, full, full_stat, mixed, grid_ll = _conditional_stage(
+    pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(
         pg, sizes, matched)
     K = matched.shape[0]
 
@@ -271,13 +304,13 @@ def fit_conditional_batch(
     xi_hat[full] = 1.0
     stat[full] = full_stat
 
-    if grid_ll is not None:
+    if grid is not None:
         m_mixed, s_mixed = matched[mixed], _rows_of(sizes, mixed, 1)
 
         def rows(xi, sel=slice(None)):
             return _cond_loglik_rows(pg, _rows_of(s_mixed, sel, 1), m_mixed[sel], xi)
 
-        xi_m, ll_m = _fit_rows(rows, grid_ll)
+        xi_m, ll_m = _fit_rows(rows, grid[0])
         xi_hat[mixed] = xi_m
         stat[mixed] = np.maximum(ll_m - ll0[mixed], 0.0)
 
@@ -309,17 +342,17 @@ def conditional_exceeds(
     proof holds the result is the call's without the mask, OR the mask.
     When no row is left open, nothing is evaluated past the grid.
     """
-    pg, sizes, matched, ll0, full, full_stat, mixed, grid_ll = _conditional_stage(
+    pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(
         pg, sizes, matched)
     exceeds = np.full(matched.shape[0], 0.0 >= threshold)  # no match: statistic 0
     exceeds[full] = full_stat >= _rows_of(threshold, full, 0)
-    if grid_ll is None:
+    if grid is None:
         return exceeds
 
     m_mixed, ll0_mixed = matched[mixed], ll0[mixed]
     s_mixed, t_mixed = _rows_of(sizes, mixed, 1), _rows_of(threshold, mixed, 0)
-    best, lo, hi = _grid_bracket(grid_ll)
-    grid_max = grid_ll[np.arange(best.size), best]
+    best, grid_max = grid
+    lo, hi = _grid_bracket(best)
     decided = grid_max - ll0_mixed >= t_mixed + _BOUND_SLACK
     if known is not None:
         decided |= known[mixed]
@@ -439,12 +472,12 @@ def fit_unconditional_batch(
         b, s, n = outcome_cells(pg[None, :], _GRID[:, None])
         log_b, log_s, log_n = np.log(b), np.log(s), np.log(n)
     log_s[np.isneginf(log_s)] = _LOG_ZERO
-    grid_ll = matched @ log_b.T + single @ log_s.T + unmut @ log_n.T
+    best, _ = _grid_scan([(matched, log_b), (single, log_s), (unmut, log_n)])
 
     def rows(xi, sel=slice(None)):
         return _uncond_loglik_rows(pg, n_markers, matched[sel], single[sel], xi)
 
-    xi_hat, ll_mle = _fit_rows(rows, grid_ll)
+    xi_hat, ll_mle = _fit_rows(rows, best)
     ll0 = rows(np.zeros(matched.shape[0]))
     return xi_hat, np.maximum(ll_mle - ll0, 0.0)
 

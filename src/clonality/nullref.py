@@ -11,9 +11,10 @@ standing for ``reps`` atoms of weight ``weights``. For small E,
 :func:`_exact_patterns` enumerates all 2^|E| match vectors (up to
 ``EXACT_ATOM_LIMIT``) as patterns weighted by one vector's mass, with the
 (3, K) bounds that their sums of per-group bound tables give; otherwise
-:func:`_drawn_rows` deduplicates one table of Monte Carlo draws and
-:func:`_drawn_chunks` yields its distinct patterns, weight 1, their draw
-counts and no bounds. A p-value needs only
+:func:`_drawn_rows` deduplicates the keys of Monte Carlo draws that it
+takes block by block from :func:`_drawn_blocks`, and :func:`_drawn_chunks`
+yields its distinct patterns, weight 1, their draw counts and no bounds.
+A p-value needs only
 whether each pattern's statistic reaches the observed one, so the one
 decide-and-sum, :func:`_extreme_share`, settles what the bound tables prove
 (:func:`~clonality.inference.settle_by_bounds`) and passes the rest to
@@ -26,7 +27,10 @@ full (:func:`exact_conditional_null`, :func:`sample_conditional_null`),
 which tests use as the reference. Memory follows count patterns, not
 atoms: a chunk holds its patterns and their bounds, the decide-and-sum one
 weight per extreme pattern and a multiplicity only where one exceeds 1,
-and :func:`_repeat_sum` sums the atoms without repeating them.
+and :func:`_repeat_sum` sums the atoms without repeating them. A Monte
+Carlo null holds one int64 key per draw and one fill of at most
+``_DRAW_SLAB`` uniforms, not a (G, sims) table, and the fits and decisions
+work ``inference._ROW_SLAB`` rows at a time.
 
 :func:`counts_test` is the one test core: it takes the match counts of one
 pair, or of K pairs sharing one set of probabilities, already grouped by
@@ -84,16 +88,21 @@ TIE_TOLERANCE = 1e-9
 EXACT_MAX_DEFAULT = 20
 SIMS_DEFAULT = 100_000
 _FIT_CHUNK = 1 << 16
+# Uniforms per fill of the inverted Monte Carlo draws (8 MiB of float64): a
+# whole number of groups' rows, one row at least. 29 groups of 20,000 draws
+# stay one fill; fills of 2^17 cost page faults and system time there
+# without lowering the peak RSS.
+_DRAW_SLAB = 1 << 20
 _BOUND_SLAB = 1 << 12  # patterns per (21, n) table-sum temporary of an exact chunk
 _SUM_LEAF = 1 << 16  # atoms per repeated piece of _repeat_sum
 # Most atoms (2^|E|) an exact null may enumerate, for exact_p_value and the
 # oracle exact_conditional_null alike. At the limit the oracle's 16.8M atoms
 # take 256 MB as statistics and probabilities, and about 1 GB while being
-# built. exact_p_value keeps one weight and multiplicity per extreme pattern
-# and no atoms: in one process per case (about 36 MB of it imports), the
-# distinct-p worst case (p ~ U(0.002, 0.3), 30 % matched) peaked at 82, 131
-# and 290 MB RSS at |E| = 20, 22 and 24, and shared p at |E| = 24 over 4
-# levels at 37 MB.
+# built. exact_p_value keeps one weight per extreme pattern, a multiplicity
+# only where one exceeds 1, and no atoms: in one process per case (about 30 MB
+# of it imports), a distinct-p case (p ~ U(0.002, 0.3), 30 % matched, at its
+# observed statistic) peaked at 75, 101 and 177 MB RSS at |E| = 20, 22 and 24,
+# and shared p at |E| = 24 over 4 levels at 38 MB.
 EXACT_ATOM_LIMIT = 1 << 24
 
 
@@ -157,24 +166,39 @@ class CalibratedRule:
     calibrated_power: float
 
 
-def _distinct_rows(rows: np.ndarray, sizes: np.ndarray):
-    """``np.unique(rows.T, axis=0, return_counts=True)`` of (G, n) count rows, row g <= ``sizes[g]``.
+def _key_places(sizes: np.ndarray):
+    """``(place, radix)`` of count patterns' int64 keys in mixed radix ``sizes + 1``, row 0 most significant.
 
-    Patterns sort as their int64 keys in mixed radix (row 0 most significant,
-    radix ``sizes[g] + 1``) do, so a zero-size group's zero row adds nothing
-    to a key and decodes to a zero column. ``np.unique`` counts the keys by a
-    sort (``return_index`` or ``return_inverse`` would argsort); keys that
-    would leave int64 go to its row-wise form.
+    ``place`` is None when a key would leave int64.
     """
     radix = [int(size) + 1 for size in sizes]
     if math.prod(radix) >= 1 << 63:
+        return None, radix
+    return np.array([math.prod(radix[g + 1:]) for g in range(len(radix))], dtype=np.int64), radix
+
+
+def _distinct_rows(rows: np.ndarray, sizes: np.ndarray):
+    """``np.unique(rows.T, axis=0, return_counts=True)`` of (G, n) count rows, row g <= ``sizes[g]``.
+
+    Patterns sort as their int64 keys (:func:`_key_places`) do, so a
+    zero-size group's zero row adds nothing to a key and decodes to a zero
+    column. ``np.unique`` counts the keys by a sort (``return_index`` or
+    ``return_inverse`` would argsort); keys that would leave int64 go to its
+    row-wise form.
+    """
+    place, radix = _key_places(sizes)
+    if place is None:
         return np.unique(rows.T.astype(np.int64), axis=0, return_counts=True)
-    place = np.array([math.prod(radix[g + 1:]) for g in range(len(radix))], dtype=np.int64)
     keys = np.zeros(rows.shape[1], dtype=np.int64)
     for step, row in zip(place, rows):
         keys += step * row
     keys, draws = np.unique(keys, return_counts=True)
     return keys[:, None] // place % radix, draws
+
+
+def _by_btpe(n: np.ndarray, q: np.ndarray) -> bool:
+    """Whether numpy draws a binomial of some group ``(n, q)`` by BTPE: n·min(q, 1 − q) > 30."""
+    return bool((np.minimum(q, 1.0 - q) * n > 30.0).any())
 
 
 def _inverted_rows(gen: np.random.Generator, n: np.ndarray, q: np.ndarray, n_sims: int):
@@ -187,10 +211,10 @@ def _inverted_rows(gen: np.random.Generator, n: np.ndarray, q: np.ndarray, n_sim
     which end most draws, run over all draws. None where numpy uses BTPE, or restarts a
     draw past floor(min(n, np + 10·sqrt(np(1 − p) + 1))) on a fresh uniform.
     """
+    if _by_btpe(n, q):
+        return None
     flip = q > 0.5
     p = np.where(flip, 1.0 - q, q)
-    if (p * n > 30.0).any():
-        return None
     c = 1.0 - p
     px = np.array([math.exp(m * math.log(x)) for m, x in zip(n.tolist(), c.tolist())])
     bound = np.minimum(n, n * p + 10.0 * np.sqrt(n * p * c + 1))  # >= 1, so step 1 stays inside
@@ -220,28 +244,61 @@ def _inverted_rows(gen: np.random.Generator, n: np.ndarray, q: np.ndarray, n_sim
     return steps
 
 
+def _drawn_blocks(n: np.ndarray, q0: np.ndarray, n_sims: int, rng: RngStream):
+    """The null draws of groups ``(n, q0)`` on stream ``rng``, as ``(groups, rows)`` blocks.
+
+    ``groups`` is a slice of the groups and ``rows`` their (g, ``n_sims``)
+    counts. From 10^4 draws on, :func:`_inverted_rows` gives them from
+    consecutive ``gen.random((g, n_sims))`` fills of at most ``_DRAW_SLAB``
+    uniforms (one group's row at least) on one generator, which together are
+    the one row-major (G, n_sims) fill. Below that (where the calls cost
+    less), with a group numpy draws by BTPE, or where it gives up on any
+    fill, one ``gen.binomial`` call per group on a fresh generator gives the
+    rows from group 0 on; a block at group 0 starts the draws over.
+    """
+    if n.size * n_sims >= 10_000 and not _by_btpe(n, q0):
+        gen, step = rng.generator(), max(1, _DRAW_SLAB // n_sims)
+        for first in range(0, n.size, step):
+            groups = slice(first, first + step)
+            rows = _inverted_rows(gen, n[groups], q0[groups], n_sims)
+            if rows is None:
+                break
+            yield groups, rows
+        else:
+            return
+    gen = rng.generator()
+    for g, (size, q) in enumerate(zip(n, q0)):
+        yield slice(g, g + 1), gen.binomial(int(size), q, size=n_sims)[None]
+
+
 def _drawn_rows(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
     """``(patterns, draws)``: the distinct count patterns of ``n_sims`` null draws.
 
-    Draws one (G, n_sims) table over the groups of ``(pg, sizes)`` on stream
-    ``rng``, one ``gen.binomial(size, q0, n_sims)`` per nonzero-size group,
-    and deduplicates it whole; a zero-size group's row stays zero, so its
-    column of every pattern is 0. The draws come from :func:`_inverted_rows`
-    from 10^4 draws on, else (or where it gives up) from the calls, which
-    cost less below that.
+    Draws the nonzero-size groups of ``(pg, sizes)`` on stream ``rng`` as
+    ``gen.binomial(size, q0, n_sims)`` per group would, block by block
+    (:func:`_drawn_blocks`), and adds each group's row into the draws'
+    mixed-radix keys as :func:`_distinct_rows` builds them; a zero-size
+    group adds nothing, so its column of every pattern is 0. So the working
+    memory is the keys and one block, not a (G, n_sims) table. Keys that
+    would leave int64 keep that table and ``np.unique(axis=0)``.
     """
     validate_count("n_sims", n_sims, 1)
-    drawn = sizes > 0
-    n, q0 = sizes[drawn], match_probabilities(pg[drawn], 0.0)
-    rows = np.zeros((sizes.size, n_sims), dtype=np.min_scalar_type(int(n.max())))
-    inverted = _inverted_rows(rng.generator(), n, q0, n_sims) if n.size * n_sims >= 10_000 else None
-    if inverted is None:
-        gen = rng.generator()
-        for g, q in zip(np.flatnonzero(drawn), q0):
-            rows[g] = gen.binomial(int(sizes[g]), q, size=n_sims)
-    else:
-        rows[drawn] = inverted
-    return _distinct_rows(rows, sizes)
+    drawn = np.flatnonzero(sizes > 0)
+    blocks = _drawn_blocks(sizes[drawn], match_probabilities(pg[drawn], 0.0), n_sims, rng)
+    place, radix = _key_places(sizes)
+    if place is None:
+        rows = np.zeros((sizes.size, n_sims), dtype=np.int64)
+        for groups, block in blocks:
+            rows[drawn[groups]] = block
+        return np.unique(rows.T, axis=0, return_counts=True)
+    keys = np.zeros(n_sims, dtype=np.int64)
+    for groups, block in blocks:
+        if groups.start == 0:  # the draws start (over)
+            keys[:] = 0
+        for step, row in zip(place[drawn[groups]], block):
+            keys += step * row
+    keys, draws = np.unique(keys, return_counts=True)
+    return keys[:, None] // place % radix, draws
 
 
 def _drawn_chunks(patterns: np.ndarray, draws: np.ndarray):

@@ -364,6 +364,45 @@ def test_conditional_exceeds_does_not_depend_on_its_batch(batch, pick):
         assert conditional_exceeds(pg, sizes, patterns[row], threshold)[0] == decided[row]
 
 
+def test_row_slabs_give_the_results_of_one_slab(monkeypatch):
+    """Batches of 1-60 rows fitted and decided in slabs of 7 rows equal one slab's results.
+
+    The decisions take per-row sizes with zero-size columns, per-row
+    thresholds at or near each row's statistic and a ``known`` mask.
+    """
+    gen = np.random.default_rng(36)
+    cases = []
+    for trial in range(40):
+        n_groups, n_rows = int(gen.integers(1, 31)), int(gen.integers(1, 61))
+        pg = np.sort(gen.uniform(1e-4, 0.6, n_groups))
+        sizes = gen.integers(0, 5, (n_rows, n_groups)).astype(float)
+        sizes[np.arange(n_rows), gen.integers(0, n_groups, n_rows)] += 1  # no empty row
+        if trial % 2:
+            sizes = np.broadcast_to(sizes[0], sizes.shape)
+        matched = np.floor(gen.random(sizes.shape) * (sizes + 1))
+        stats = fit_conditional_batch(pg, sizes if trial % 2 == 0 else sizes[0], matched)[1]
+        thresholds = stats + gen.choice([0.0, -1e-9, 1e-9, -0.5, 0.5], n_rows)
+        known = (stats >= thresholds) & (gen.random(n_rows) < 0.3)
+        n_markers = gen.integers(1, 5000, n_groups).astype(float)
+        both = gen.binomial(n_markers.astype(int), pg, (n_rows, n_groups)).astype(float)
+        single = np.floor(gen.random(both.shape) * (n_markers - both + 1))
+        cases.append((pg, sizes, matched, thresholds, known, n_markers, both, single))
+
+    def results():
+        out = []
+        for pg, sizes, matched, thresholds, known, n_markers, both, single in cases:
+            out += fit_conditional_batch(pg, sizes[0], matched)
+            out += fit_conditional_batch(pg, sizes, matched)
+            out.append(conditional_exceeds(pg, sizes, matched, thresholds, known))
+            out.append(conditional_exceeds(pg, sizes, matched, thresholds))
+            out += fit_unconditional_batch(pg, n_markers, both, single)
+        return out
+
+    one_slab = results()
+    monkeypatch.setattr(inference, "_ROW_SLAB", 7)
+    assert all(np.array_equal(a, b) for a, b in zip(results(), one_slab, strict=True))
+
+
 @st.composite
 def padded_batches(draw):
     """Rows over their own probabilities, padded to up to 30 columns with zero sizes.

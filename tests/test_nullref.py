@@ -425,6 +425,75 @@ def test_inversion_past_its_bound_takes_the_calls():
     assert nullref._inverted_rows(Stub(), np.array([200.0]), np.array([0.001]), 5) is None
 
 
+@pytest.mark.parametrize("groups_per_fill", [1, 2, 5])
+def test_draws_across_fills_equal_numpy_binomial_calls(monkeypatch, groups_per_fill):
+    """Fills of 1, 2 or 5 groups' uniforms give the patterns and counts of the calls.
+
+    Zero-size groups sit among the drawn ones. The other cases: a group numpy
+    draws by BTPE in the last fill (no fill is made), the inversion giving up
+    on the second fill (both take the calls on a fresh generator), and 64
+    groups, whose keys leave int64.
+    """
+    inverted = nullref._inverted_rows
+    gen = np.random.default_rng(36 + groups_per_fill)
+    for trial in range(12):
+        kind = ("plain", "btpe", "gives up", "wide")[trial % 4]
+        n_groups = 64 if kind == "wide" else 12
+        pg = np.sort(gen.uniform(0.002, 0.98, n_groups))
+        sizes = np.ones(n_groups) if kind == "wide" else gen.integers(1, 9, n_groups).astype(float)
+        if kind != "wide":
+            sizes[[2, 7]] = 0.0  # 10 drawn groups
+        if kind == "btpe":
+            pg[-1], sizes[-1] = 0.3, 200.0  # n q0 = 35 > 30
+        n_sims = int(gen.integers(2000, 6000))
+        monkeypatch.setattr(nullref, "_DRAW_SLAB", groups_per_fill * n_sims + int(gen.integers(n_sims)))
+        fills = []
+
+        def spy(fill, n, q, sims):
+            fills.append(n.size)
+            return None if kind == "gives up" and len(fills) == 2 else inverted(fill, n, q, sims)
+
+        monkeypatch.setattr(nullref, "_inverted_rows", spy)
+        rng = RngStream(trial, 9)
+        patterns, draws = nullref._drawn_rows(pg, sizes, n_sims, rng)
+        matched = binomial_calls(pg, sizes, n_sims, rng.generator())
+        want_patterns, want_draws = np.unique(matched, axis=0, return_counts=True)
+        assert np.array_equal(patterns, want_patterns) and np.array_equal(draws, want_draws)
+        n_drawn = np.count_nonzero(sizes)
+        if kind == "btpe":
+            assert not fills
+            continue
+        assert max(fills) == min(groups_per_fill, n_drawn)
+        assert len(fills) == (2 if kind == "gives up" else -(-n_drawn // groups_per_fill))
+
+
+def test_monte_carlo_null_of_millions_of_draws_holds_no_draw_table():
+    gen = np.random.default_rng(29)
+    pg, sizes, matched = np.sort(gen.uniform(0.002, 0.3, 29)), np.ones(29), (gen.random(29) < 0.3) * 1.0
+    tracemalloc.start()
+    try:
+        result = nullref.counts_test(pg, sizes, matched, sims=4_000_000, exact_max=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.method == "monte-carlo" and result.n_sims == 4_000_000
+    assert peak < 128 << 20  # the (29, 4e6) uniform fill alone is 885 MiB
+
+
+def test_monte_carlo_decision_holds_no_grid_table():
+    gen = np.random.default_rng(0)
+    pg, sizes, matched = np.sort(gen.uniform(0.002, 0.3, 29)), np.ones(29), (gen.random(29) < 0.3) * 1.0
+    assert nullref._drawn_rows(pg, sizes, 20_000, RngStream(0))[0].shape[0] >= 3_500
+    nullref.counts_test(pg, sizes, matched, sims=20_000, exact_max=0)
+    tracemalloc.start()
+    try:
+        nullref.counts_test(pg, sizes, matched, sims=20_000, exact_max=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20  # a (K, 101) float64 grid table of its 6,516 patterns is 5 MiB
+
+
 def test_sampled_null_holds_the_fit_of_every_draw():
     gen = np.random.default_rng(2024)
     for trial in range(8):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -76,6 +77,28 @@ def test_ab_bench_workload_all_prints_one_table_per_workload(tmp_path, monkeypat
     assert ab_bench.main([str(parent), str(change), "--workload", "w2", "--pairs", "2"]) == 0
     assert calls == [(side, "w2") for side in order]
     assert capsys.readouterr().out.startswith("workload w2, seed 20150836")
+
+
+def test_ab_bench_runs_relative_checkouts_by_absolute_script_paths(tmp_path, monkeypatch, capsys):
+    ab_bench = load("ab_bench")
+    benchmark = {"workloads": [{"name": "w1"}],
+                 "end_to_end": [{"name": "ok_ratio", "better": "higher", "bound": 0.01}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    runs = []
+
+    def run(command, **options):
+        runs.append((pathlib.Path(command[1]), pathlib.Path(options["cwd"])))
+        return subprocess.CompletedProcess(command, 0, json.dumps({"metrics": {"ok_ratio": {"value": 1.0}}}), "")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", run)
+    assert ab_bench.main(["parent", "change", "--workload", "w1", "--pairs", "2"]) == 0
+    assert [cwd.name for _, cwd in runs] == ["parent", "change", "change", "parent"]
+    for script, cwd in runs:
+        assert script.is_absolute() and script == tmp_path / cwd.name / "bench" / "run.py"
+    capsys.readouterr()
 
 
 def test_src_lines_counts_code_only_lines():

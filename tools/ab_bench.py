@@ -102,6 +102,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    # each run's cwd is its checkout, so a relative script path would resolve twice
+    args.parent, args.change = args.parent.resolve(), args.change.resolve()
     with open(args.change / "BENCHMARK.json", encoding="utf-8") as handle:
         benchmark = json.load(handle)
     metrics = {m["name"]: m for m in benchmark["end_to_end"]}
