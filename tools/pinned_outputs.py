@@ -37,7 +37,11 @@ shared probabilities; ``exact_p_value`` and ``monte_carlo_p_value`` at the
 observed statistic s, at s/2 and at one ulp above s; ``exact_p_value`` at
 the observed statistic of each of the 112 ``case-exact`` pool cases of
 ``bench/workloads.py`` (distinct probabilities at |E| 8-16, shared ones at
-16-20); ``exact_p_value`` at s, s/2 and one ulp above s of a distinct-p
+16-20); exact ``counts_test`` results, and ``exact_p_value`` at s/2 and
+one ulp above s, at |E| 14-18 on distinct probabilities, on two shared
+pairs at the largest probabilities (from |E| = 17 on, 65,536-pattern
+chunks start inside a block of trailing patterns) and over four shared
+probabilities; ``exact_p_value`` at s, s/2 and one ulp above s of a distinct-p
 case at |E| = 18 (four full 65,536-pattern chunks) and of a shared-p case
 at |E| = 22 (2^22 atoms over 4 probabilities); for every preset kind
 at xi 0.25, the ``json.dumps`` of ``scenario_to_json_dict`` and whether
@@ -397,6 +401,25 @@ def large_exact_values():
             emit(f"exact_p_value {label} at {at}", exact_p_value(threshold, ps, exact_max=len(ps)))
 
 
+def exact_block_values():
+    gen = np.random.default_rng(1437)
+    for size in range(14, 19):
+        for kind in ("distinct", "two pairs", "four levels"):
+            if kind == "distinct":
+                ps = gen.uniform(0.002, 0.3, size)
+            elif kind == "two pairs":  # the two shared probabilities are the largest, so they trail
+                ps = np.concatenate([gen.uniform(0.002, 0.2, size - 4), np.repeat(gen.uniform(0.2, 0.3, 2), 2)])
+            else:
+                ps = gen.choice(gen.uniform(0.002, 0.3, 4), size)
+            ps = [float(p) for p in ps]
+            matched = [bool(x) for x in gen.random(size) < 0.3]
+            result = counts_test(*group_by_probability(ps, np.ones(size), matched))
+            emit(f"counts_test exact {kind} |E|={size}", sorted(dataclasses.asdict(result).items()))
+            s = result.statistic
+            for at, threshold in (("s/2", s / 2), ("s+ulp", float(np.nextafter(s, np.inf)))):
+                emit(f"exact_p_value {kind} |E|={size} at {at}", exact_p_value(threshold, ps))
+
+
 def exact_pool_values():
     for stratum in EXACT_STRATA:
         for variant in range(EXACT_POOL_VARIANTS):
@@ -416,5 +439,6 @@ if __name__ == "__main__":
     draw_values()
     counts_file_values()
     exact_pool_values()
+    exact_block_values()
     large_exact_values()
     scenario_values()
