@@ -22,13 +22,13 @@ followed by golden-section refinement of the bracketing interval (absolute
 tolerance 1e-6). The scan/refinement is vectorized across many match
 patterns at once because the null-distribution builders need to fit
 thousands of simulated patterns; each golden-section step evaluates both
-of its points for every row in one likelihood call. The grid scan and the
-likelihood kernel work ``_ROW_SLAB`` rows at a time, so their temporaries
-do not grow with a batch's size. Markers are grouped by distinct ``p`` in
-one function, :func:`group_by_probability`, which the observed fits, both
-nulls and the simulation harness share, so each likelihood evaluation is
-O(#groups). The batch kernels take their arrays as given: a test's counts
-are checked once, by
+of its points for every row in one likelihood call. The grid scan works
+``_GRID_SLAB`` rows at a time and the likelihood kernel ``_ROW_SLAB``, so
+their temporaries do not grow with a batch's size. Markers are grouped by
+distinct ``p`` in one function, :func:`group_by_probability`, which the
+observed fits, both nulls and the simulation harness share, so each
+likelihood evaluation is O(#groups). The batch kernels take their arrays
+as given: a test's counts are checked once, by
 :func:`~clonality.nullref.counts_test`, before any fit.
 
 An exact p-value only needs to know, for each null pattern, whether its
@@ -75,6 +75,10 @@ _COARSE = _GRID[::10]
 # held at once. A row's values do not depend on its batch, so neither do they
 # on its slab.
 _ROW_SLAB = 1 << 10
+# Rows per slab of the grid scan, never more than _ROW_SLAB: at 1,024 rows
+# its (rows, 101) table and product temporary took 1.6 MiB, at 256 rows
+# 0.4 MiB.
+_GRID_SLAB = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -198,15 +202,16 @@ def _grid_scan(terms):
     """``(best, value)``: each row's grid argmax and its value in ``sum(counts @ log_table.T)``.
 
     ``terms`` pairs (K, G) counts with (len(_GRID), G) log tables. The (K,
-    len(_GRID)) sum is built ``_ROW_SLAB`` rows at a time, the first product
+    len(_GRID)) sum is built ``_GRID_SLAB`` rows at a time, the first product
     with each further one added in place, which gives the bits of the whole
     sum; only each slab's argmax and its value are kept.
     """
     (counts, table), *rest = terms
     best = np.empty(counts.shape[0], dtype=np.intp)
     value = np.empty(counts.shape[0])
-    for start in range(0, counts.shape[0], _ROW_SLAB):
-        rows = slice(start, start + _ROW_SLAB)
+    step = min(_GRID_SLAB, _ROW_SLAB)
+    for start in range(0, counts.shape[0], step):
+        rows = slice(start, start + step)
         grid = counts[rows] @ table.T
         for more, more_table in rest:
             grid += more[rows] @ more_table.T

@@ -5,19 +5,24 @@ only the match indicators, each Bernoulli with the null match probability
 ``q_i = p_i / (2 - p_i)``. Markers sharing a probability are exchangeable,
 so the null works on per-probability match counts, over the groups that
 :func:`~clonality.inference.group_by_probability` makes once per pair and
-the observed fit shares. Two sources yield count patterns in chunks of up to
-``_FIT_CHUNK`` rows, ``(patterns, weights, reps, bounds)``, a pattern
-standing for ``reps`` atoms of weight ``weights``. For small E,
-:func:`_exact_patterns` enumerates all 2^|E| match vectors (up to
-``EXACT_ATOM_LIMIT``) as patterns weighted by one vector's mass, with the
-(3, K) bounds that their sums of per-group bound tables give; otherwise
-:func:`_drawn_rows` deduplicates the keys of Monte Carlo draws that it
-takes block by block from :func:`_drawn_blocks`, and :func:`_drawn_chunks`
-yields its distinct patterns, weight 1, their draw counts and no bounds.
-A p-value needs only
+the observed fit shares. Two sources yield count patterns in chunks,
+``(patterns, weights, reps, settle)``, a pattern standing for ``reps``
+atoms of weight ``weights`` (``reps`` is None where every one is 1). For
+small E, :func:`_exact_patterns` enumerates all 2^|E| match vectors (up to
+``EXACT_ATOM_LIMIT``) in chunks of ``_FIT_CHUNK`` patterns weighted by one
+vector's mass, with a closure ``settle(threshold)`` that proves what the
+sums of per-group bound tables prove. The patterns that share their leading
+groups' counts form a block, and one bound at the block's corner settles a
+whole block extreme: at the observed statistic of a distinct-p pair
+(p ~ U(0.002, 0.3), 30 % matched), 56-63 % of the blocks at |E| = 14-16,
+and 33-60 % over four shared probabilities. Otherwise :func:`_drawn_rows`
+deduplicates the keys of Monte Carlo draws that it takes block by block
+from :func:`_drawn_blocks`, and :func:`_drawn_chunks` yields its distinct
+patterns ``_DRAWN_CHUNK`` at a time, weight 1, their draw counts and no
+closure. A p-value needs only
 whether each pattern's statistic reaches the observed one, so the one
-decide-and-sum, :func:`_extreme_share`, settles what the bound tables prove
-(:func:`~clonality.inference.settle_by_bounds`) and passes the rest to
+decide-and-sum, :func:`_extreme_share`, settles what an exact chunk's
+closure proves and passes the rest to
 :func:`~clonality.inference.conditional_exceeds`, which stops refining a
 pattern once its answer is proven. A pattern equal to the observed counts
 is the observed outcome itself, a tie, so it is passed on as known extreme
@@ -25,12 +30,15 @@ and never refined. It returns the same float as
 :func:`p_value` on the null the one oracle, :func:`_fitted_null`, fits in
 full (:func:`exact_conditional_null`, :func:`sample_conditional_null`),
 which tests use as the reference. Memory follows count patterns, not
-atoms: a chunk holds its patterns and their bounds, the decide-and-sum one
-weight per extreme pattern and a multiplicity only where one exceeds 1,
-and :func:`_repeat_sum` sums the atoms without repeating them. A Monte
-Carlo null holds one int64 key per draw and one fill of at most
-``_DRAW_SLAB`` uniforms, not a (G, sims) table, and the fits and decisions
-work ``inference._ROW_SLAB`` rows at a time.
+atoms: the only chunk-sized arrays of an exact chunk are its (K, G)
+patterns, their masses and, over shared probabilities, their
+multiplicities; its closure reduces the table sums of at most
+``_BOUND_SLAB`` patterns at a time. The decide-and-sum keeps one weight per
+extreme pattern and a multiplicity only where one exceeds 1, and
+:func:`_repeat_sum` sums the atoms without repeating them. A Monte Carlo
+null holds one int64 key per draw and one fill of at most ``_DRAW_SLAB``
+uniforms, not a (G, sims) table, and the fits and decisions work
+``inference._ROW_SLAB`` rows at a time.
 
 :func:`counts_test` is the one test core: it takes the match counts of one
 pair, or of K pairs sharing one set of probabilities, already grouped by
@@ -64,6 +72,7 @@ apply the rule.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -88,6 +97,11 @@ TIE_TOLERANCE = 1e-9
 EXACT_MAX_DEFAULT = 20
 SIMS_DEFAULT = 100_000
 _FIT_CHUNK = 1 << 16
+# Patterns per drawn chunk. Deciding a chunk makes (K, G) float copies: a
+# counts_test of a 29-marker distinct-p pair at 10^6 sims peaked at 83.3 MiB
+# with chunks of 65,536 patterns and at 31.1 MiB with 8,192, in no more
+# time; 4,096 were no better.
+_DRAWN_CHUNK = 1 << 13
 # Uniforms per fill of the inverted Monte Carlo draws (8 MiB of float64): a
 # whole number of groups' rows, one row at least. 29 groups of 20,000 draws
 # stay one fill; fills of 2^17 cost page faults and system time there
@@ -101,8 +115,8 @@ _SUM_LEAF = 1 << 16  # atoms per repeated piece of _repeat_sum
 # built. exact_p_value keeps one weight per extreme pattern, a multiplicity
 # only where one exceeds 1, and no atoms: in one process per case (about 30 MB
 # of it imports), a distinct-p case (p ~ U(0.002, 0.3), 30 % matched, at its
-# observed statistic) peaked at 75, 101 and 177 MB RSS at |E| = 20, 22 and 24,
-# and shared p at |E| = 24 over 4 levels at 38 MB.
+# observed statistic) peaked at 68, 95 and 196 MB RSS at |E| = 20, 22 and 24,
+# and shared p at |E| = 24 over 4 levels at 37 MB.
 EXACT_ATOM_LIMIT = 1 << 24
 
 
@@ -302,13 +316,16 @@ def _drawn_rows(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
 
 
 def _drawn_chunks(patterns: np.ndarray, draws: np.ndarray):
-    """Drawn patterns as ``(patterns, ones, draws, None)`` per ``_FIT_CHUNK`` patterns.
+    """Drawn patterns as ``(patterns, ones, draws, None)`` per ``_DRAWN_CHUNK`` patterns.
 
-    Bound-table sums would leave about half of the drawn patterns open and
-    cost more time than they save.
+    A chunk is never longer than ``_FIT_CHUNK``. A drawn pattern's decision
+    does not depend on its batch, so the chunk only bounds the (K, G) copies
+    that deciding it makes. Bound-table sums would leave about half of the
+    drawn patterns open and cost more time than they save.
     """
-    for start in range(0, patterns.shape[0], _FIT_CHUNK):
-        rows = slice(start, start + _FIT_CHUNK)
+    step = min(_DRAWN_CHUNK, _FIT_CHUNK)
+    for start in range(0, patterns.shape[0], step):
+        rows = slice(start, start + step)
         yield patterns[rows], np.ones(draws[rows].size), draws[rows], None
 
 
@@ -333,23 +350,30 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
 
     Raises before allocating anything when ``|E| = sizes.sum()`` exceeds
     ``exact_max`` or 2^|E| exceeds ``EXACT_ATOM_LIMIT``. Yields
-    ``(patterns, weights, reps, bounds)`` for up to
-    ``_FIT_CHUNK`` patterns at a time, in one fixed order: the
-    per-probability match counts, the product-Bernoulli mass of one match
-    vector with those counts, the number of match vectors sharing them, and
-    each pattern's :func:`~clonality.inference.bound_maxima` of its sums of
-    its groups' columns of :func:`~clonality.inference.bound_tables`, shape
-    (3, K).
+    ``(patterns, weights, reps, settle)`` for up to ``_FIT_CHUNK`` patterns
+    at a time, in one fixed order: the per-probability match counts, the
+    product-Bernoulli mass of one match vector with those counts, the number
+    of match vectors sharing them (None when every group has one marker, so
+    every number is 1) and a closure ``settle(threshold) -> (extreme,
+    open_rows)``. It gives the chunk's patterns that the sums of their
+    groups' columns of :func:`~clonality.inference.bound_tables` prove to
+    reach ``threshold`` (a (K,) mask) and those they leave open (indices),
+    as :func:`~clonality.inference.settle_by_bounds` gives them pattern by
+    pattern, and more: the patterns of one leading row of
+    :func:`_split_patterns` form a block, and a block whose corner (next to
+    the trailing row without a match) is proven extreme is extreme whole.
 
     Patterns, multiplicities and table sums are computed once per row of
     each part of :func:`_split_patterns`; a chunk combines the two parts'
-    rows by broadcasting, and reduces the (21, n) table sums of at most
-    ``_BOUND_SLAB`` patterns at a time. The mass is one matrix-vector
-    product over the chunk's patterns and one over their misses, whose
-    rounding, and with it every p-value's, may depend on the batch, so the
-    chunks stay those of the flat enumeration. The misses ``sizes -
-    patterns`` are written into the pattern block and back, which is exact
-    for these whole numbers, so a chunk allocates one (K, G) block.
+    rows by broadcasting, and its closure reduces the (21, n) table sums of
+    at most ``_BOUND_SLAB`` patterns at a time, only over the blocks that
+    their corner leaves unsettled. The mass is one matrix-vector product over
+    the chunk's patterns and one over their misses, whose rounding, and with
+    it every p-value's, may depend on the batch, so the chunks stay those of
+    the flat enumeration. The misses ``sizes - patterns`` are written into
+    the pattern block and back, which is exact for these whole numbers, and
+    the masses are exponentiated in place, so a chunk allocates one (K, G)
+    block and one (K,) float array.
     """
     n = int(sizes.sum())
     if n > exact_max:
@@ -383,6 +407,36 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
     width = trail.shape[0]
     n_patterns = lead.shape[0] * width
     slab = max(1, _BOUND_SLAB // width)  # leading rows per table-sum slab
+    unit = lead_reps.max() == 1 and trail_reps.max() == 1  # every group of size 1
+
+    def settle(start, stop, threshold):
+        """``(extreme, open_rows)`` of patterns ``[start, stop)``, as the bound tables prove them.
+
+        A block's corner has the block's smallest coarse value above ``ll0``:
+        for xi > 0, ll(xi) - ll(0) rises with every group's match count. A
+        proof with the ``_BOUND_SLACK`` margin gives the fit's own answer, so
+        a corner proven extreme settles its whole block. Only the other
+        blocks' patterns get their table sums, ``slab`` leading rows at a
+        time.
+        """
+        top, skip = divmod(start, width)
+        corners = np.empty((3, -(-stop // width) - top))
+        bound_maxima(lead_sums[:, top:top + corners.shape[1]] + trail_sums[:, :1], corners)
+        whole = settle_by_bounds(corners, threshold)[0]
+        extreme, rest = np.repeat(whole, width), np.flatnonzero(~whole)  # over the chunk's blocks
+        open_rows = [np.empty(0, dtype=np.intp)]
+        for first in range(0, rest.size, slab):
+            rows = rest[first:first + slab]
+            sums = lead_sums[:, top + rows, None] + trail_sums[:, None, :]
+            bounds = np.empty((3, sums[0].size))
+            bound_maxima(sums.reshape(sums.shape[0], -1), bounds)
+            hit, left = settle_by_bounds(bounds, threshold)
+            at = (rows[:, None] * width + np.arange(width)).ravel()
+            extreme[at] = hit
+            open_rows.append(at[left])
+        open_rows = np.concatenate(open_rows) - skip
+        return (extreme[skip:skip + stop - start],
+                open_rows[(open_rows >= 0) & (open_rows < stop - start)])
 
     def chunks():
         for start in range(0, n_patterns, _FIT_CHUNK):
@@ -399,13 +453,9 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
             np.subtract(sizes, patterns, out=patterns)
             log_vector_prob += patterns @ log_miss
             np.subtract(sizes, patterns, out=patterns)
-            bounds = np.empty((3, block.shape[0] * width))
-            for row in range(top, rows.stop, slab):
-                sums = lead_sums[:, row:min(row + slab, rows.stop), None] + trail_sums[:, None, :]
-                at = (row - top) * width
-                bound_maxima(sums.reshape(sums.shape[0], -1), bounds[:, at:at + sums[0].size])
-            yield (patterns, np.exp(log_vector_prob),
-                   np.outer(lead_reps[rows], trail_reps).ravel()[span], bounds[:, span])
+            reps = None if unit else np.outer(lead_reps[rows], trail_reps).ravel()[span]
+            yield (patterns, np.exp(log_vector_prob, out=log_vector_prob), reps,
+                   functools.partial(settle, start, stop))
 
     return chunks()
 
@@ -466,45 +516,46 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
     whole, and ``count_nonzero`` counts it (``np.bincount`` took 0.70 ms
     per 65,536-pattern exact chunk, against 6 µs).
     Each pattern is decided as the full fit would decide it: by its
-    bound maxima where its chunk has them (one-row sources only), else
-    by :func:`conditional_exceeds`. ``counts`` (K, G), if given, holds
+    chunk's ``settle`` closure where it has one (exact chunks, which are
+    one row's, so the threshold is a scalar), else by
+    :func:`conditional_exceeds`. ``counts`` (K, G), if given, holds
     the match counts whose statistics ``observed`` are: a pattern equal to
     its row's counts is the observed outcome, a tie, so it is passed to
     :func:`conditional_exceeds` as known extreme and never refined. Its fit
     would give it the observed statistic up to the grid bracket's rounding,
     far inside the tolerance, so this moves no decision. On an exact chunk
-    only the patterns the bounds leave open are compared.
+    only the patterns the closure leaves open are compared.
     The extreme patterns' weights go into one buffer of ``n_patterns``,
-    and their multiplicities into another from the first kept one above 1
-    on. A row's are summed per atom as :func:`p_value` sums them
-    (:func:`_repeat_sum`; ``w.sum()`` while every multiplicity is 1), so
-    each of the K results is the same float as :func:`p_value` on that
-    row's null alone.
+    and their multiplicities (1 where a chunk has none) into another from
+    the first kept one above 1 on. A row's are summed per atom as
+    :func:`p_value` sums them (:func:`_repeat_sum`; ``w.sum()`` while every
+    multiplicity is 1), so each of the K results is the same float as
+    :func:`p_value` on that row's null alone.
     """
     thresholds = np.asarray(observed, dtype=float) - TIE_TOLERANCE
     k_rows = len(thresholds)
     weights, reps = np.empty(n_patterns), None
     n_extreme, n_seen = np.zeros(k_rows, dtype=np.int64), np.zeros(k_rows, dtype=np.int64)
     start = filled = 0
-    for patterns, weight, rep, bounds in chunks:
+    for patterns, weight, rep, settle in chunks:
         if k_rows == 1:
             owner, row_sizes, threshold = None, sizes[0], thresholds[0]
         else:
-            owner = row_of[start:start + rep.size]
+            owner = row_of[start:start + len(patterns)]
             row_sizes, threshold = sizes[owner], thresholds[owner]
-        start += rep.size
-        if bounds is None:
+        start += len(patterns)
+        if settle is None:
             extreme = conditional_exceeds(pg, row_sizes, patterns, threshold,
                                           _ties(patterns, counts, owner))
         else:
-            extreme, open_rows = settle_by_bounds(bounds, threshold)
+            extreme, open_rows = settle(threshold)
             open_patterns = patterns[open_rows]
             extreme[open_rows] = conditional_exceeds(pg, row_sizes, open_patterns, threshold,
                                                      _ties(open_patterns, counts, owner))
         kept = np.count_nonzero(extreme)
-        weights[filled:filled + kept] = weight[extreme]
-        kept_reps = rep[extreme]
-        if reps is None and kept_reps.max(initial=1) > 1:
+        np.compress(extreme, weight, out=weights[filled:filled + kept])
+        kept_reps = 1 if rep is None else rep[extreme]
+        if reps is None and np.max(kept_reps, initial=1) > 1:
             reps = np.empty(n_patterns, dtype=np.int64)
             reps[:filled] = 1
         if reps is not None:
@@ -512,7 +563,7 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
         filled += kept
         if owner is None:
             n_extreme[0] += kept
-            n_seen[0] += rep.size
+            n_seen[0] += len(patterns)
         else:
             n_extreme += np.bincount(owner[extreme], minlength=k_rows)
             n_seen += np.bincount(owner, minlength=k_rows)
@@ -527,14 +578,12 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
 
 def _fitted_null(pg, sizes, chunks, total: float = 1.0) -> NullDistribution:
     """The null of ``chunks`` fully fitted: each pattern's statistic once per atom."""
-    stats, weights, reps = [], [], []
+    stats, weights = [], []
     for patterns, weight, rep, _ in chunks:
-        stats.append(fit_conditional_batch(pg, sizes, patterns)[1])
-        weights.append(weight)
-        reps.append(rep)
-    reps = np.concatenate(reps)
-    return NullDistribution(np.repeat(np.concatenate(stats), reps),
-                            np.repeat(np.concatenate(weights), reps), total)
+        stat = fit_conditional_batch(pg, sizes, patterns)[1]
+        stats.append(stat if rep is None else np.repeat(stat, rep))
+        weights.append(weight if rep is None else np.repeat(weight, rep))
+    return NullDistribution(np.concatenate(stats), np.concatenate(weights), total)
 
 
 def exact_conditional_null(ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> NullDistribution:

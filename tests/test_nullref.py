@@ -173,9 +173,27 @@ def test_observed_pattern_atom_reproduces_observed_statistic():
 
 
 def test_exact_p_value_over_several_chunks_and_a_split(monkeypatch):
+    """Chunks that start inside a block, settled in several slabs, against per-pattern bounds.
+
+    At the observed statistic and 1e-9 either side of it, a chunk's settle
+    leaves open only patterns that their own bounds leave open, proves
+    extreme every pattern that they prove extreme, and rules out only
+    patterns that they rule out; each pattern it adds as extreme is extreme
+    by its fit. Whole blocks are settled by their corner alone, so fewer
+    columns are reduced than there are patterns. Unit multiplicities come
+    as None.
+    """
     monkeypatch.setattr(nullref, "_FIT_CHUNK", 1000)
     monkeypatch.setattr(nullref, "_BOUND_SLAB", 200)  # a chunk reduces its bounds in several slabs
+    reduced, maxima = [], nullref.bound_maxima
+
+    def spy(sums, out):
+        reduced.append(sums.shape[1])
+        maxima(sums, out)
+
+    monkeypatch.setattr(nullref, "bound_maxima", spy)
     gen = np.random.default_rng(1114)
+    cut_blocks = settled = 0
     for trial in range(8):
         m = int(gen.integers(11, 15))
         if trial % 2:
@@ -192,18 +210,32 @@ def test_exact_p_value_over_several_chunks_and_a_split(monkeypatch):
         enumerated = list(chunks)
         assert all(patterns.flags.c_contiguous for patterns, *_ in enumerated)
         assert np.array_equal(np.concatenate([patterns for patterns, *_ in enumerated]), flat)
+        assert all((reps is None) == (trial % 2 == 0) for _, _, reps, _ in enumerated)
+        cut_blocks += sum(start % trail.shape[0] > 0 for start in range(0, flat.shape[0], 1000))
+        s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
         cut = lead.shape[1]  # the parts' sums, added as the chunks add them
-        for patterns, _, _, bounds in enumerated:
+        for patterns, _, _, settle in enumerated:
             sums = (table_sums(pg[:cut], sizes[:cut], patterns[:, :cut])
                     + table_sums(pg[cut:], sizes[cut:], patterns[:, cut:]))
-            assert np.array_equal(bounds, table_bounds(sums))
+            for threshold in (s_obs, s_obs - 1e-9, s_obs + 1e-9):
+                want_extreme, want_open = settle_by_bounds(table_bounds(sums), threshold)
+                reduced.clear()
+                extreme, open_rows = settle(threshold)
+                settled += extreme.size - sum(reduced)
+                assert extreme.shape == want_extreme.shape and np.isin(open_rows, want_open).all()
+                assert not (want_extreme & ~extreme).any() and not extreme[open_rows].any()
+                ruled_out = np.ones(extreme.size, dtype=bool)
+                ruled_out[open_rows], ruled_out[extreme] = False, False
+                assert not ruled_out[want_open].any() and not ruled_out[want_extreme].any()
+                more = extreme & ~want_extreme
+                assert (fit_conditional_batch(pg, sizes, patterns[more])[1] >= threshold).all()
         assert trial % 2 or len(enumerated) > 2
         null = exact_conditional_null(ps)
-        s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
         atoms = np.unique(null.statistics)
         for s in (s_obs, np.nextafter(s_obs, np.inf), 0.0, float(atoms[len(atoms) // 2]),
                   float(atoms[-1]) + 1.0):
             assert exact_p_value(s, ps) == p_value(s, null)
+    assert cut_blocks and settled > 0
 
 
 def test_repeat_sum_equals_numpy_sum_of_the_repeat():
@@ -246,6 +278,22 @@ def test_exact_p_value_sums_shared_atoms_without_repeating_them():
     assert peak < 8 << 21  # half of the 2^22 atoms' float64 masses
 
 
+def test_exact_null_of_16_distinct_markers_holds_little_beside_its_mass_block():
+    for seed in range(3):
+        gen = np.random.default_rng(seed)
+        pg, sizes, matched = np.sort(gen.uniform(0.002, 0.25, 16)), np.ones(16), np.zeros(16)
+        matched[gen.choice(16, 5, replace=False)] = 1.0
+        nullref.counts_test(pg, sizes, matched)
+        tracemalloc.start()
+        try:
+            result = nullref.counts_test(pg, sizes, matched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.method == "exact"
+        assert peak < 12.5 * (1 << 20)  # the (65,536, 16) float64 mass block is 8 MiB
+
+
 def test_bound_tables_settle_most_exact_patterns():
     gen = np.random.default_rng(14)
     for shared in (False, True):
@@ -253,7 +301,7 @@ def test_bound_tables_settle_most_exact_patterns():
         matched = list(gen.random(14) < 0.3)
         s_obs = conditional_statistic(ConditionalData.from_pairs(zip(ps, matched))).statistic
         chunks = nullref._exact_patterns(*group_by_probability(ps, np.ones(len(ps))), 20)
-        settled = [settle_by_bounds(sums, s_obs - nullref.TIE_TOLERANCE) for *_, sums in chunks]
+        settled = [settle(s_obs - nullref.TIE_TOLERANCE) for *_, settle in chunks]
         n_patterns = sum(extreme.size for extreme, _ in settled)
         assert sum(open_rows.size for _, open_rows in settled) < 0.15 * n_patterns
 
@@ -478,6 +526,20 @@ def test_monte_carlo_null_of_millions_of_draws_holds_no_draw_table():
         tracemalloc.stop()
     assert result.method == "monte-carlo" and result.n_sims == 4_000_000
     assert peak < 128 << 20  # the (29, 4e6) uniform fill alone is 885 MiB
+
+
+def test_drawn_chunks_of_a_million_draws_are_decided_in_little_memory(monkeypatch):
+    gen = np.random.default_rng(29)
+    pg, sizes, matched = np.sort(gen.uniform(0.002, 0.3, 29)), np.ones(29), (gen.random(29) < 0.3) * 1.0
+    tracemalloc.start()
+    try:
+        result = nullref.counts_test(pg, sizes, matched, sims=1_000_000, exact_max=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20  # deciding 65,536 drawn patterns at a time peaked at 83 MiB
+    monkeypatch.setattr(nullref, "_DRAWN_CHUNK", 1 << 16)
+    assert nullref.counts_test(pg, sizes, matched, sims=1_000_000, exact_max=0) == result
 
 
 def test_monte_carlo_decision_holds_no_grid_table():
