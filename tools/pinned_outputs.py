@@ -47,6 +47,15 @@ at |E| = 22 (2^22 atoms over 4 probabilities); for every preset kind
 at xi 0.25, the ``json.dumps`` of ``scenario_to_json_dict`` and whether
 ``scenario_from_json_dict`` gives the scenario back.
 
+The small-batch cases: Monte Carlo ``counts_test`` results whose decisions
+refine near-ties to the last golden-section step (a six-probability shared
+pair and the 29-marker distinct-p pairs of the ``cohort-mc`` pool); one-row
+``fit_conditional_batch`` fits whose grid bracket touches xi = 0 or xi = 1,
+and ``conditional_exceeds`` of each row alone at its statistic and 1e-9
+either side; a batch with per-row sizes, zero-size columns and 8-14
+nonzero columns per row, fitted and decided whole and three rows at a
+time; ``calibrated_rejection`` on tied null p-values.
+
 The draw and parse cases: Monte Carlo ``counts_test`` results with
 probabilities above 2/3 (null match probability above 1/2), with a shared
 group of n*q > 30 (numpy draws it by BTPE, not by inversion), over 64 and
@@ -76,9 +85,16 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from clonality import cli  # noqa: E402
-from clonality.inference import ConditionalData, conditional_statistic, group_by_probability  # noqa: E402
+from clonality.inference import (  # noqa: E402
+    ConditionalData,
+    conditional_exceeds,
+    conditional_statistic,
+    fit_conditional_batch,
+    group_by_probability,
+)
 from clonality.model import clamp_probability  # noqa: E402
 from clonality.nullref import (  # noqa: E402
+    calibrated_rejection,
     counts_test,
     exact_p_value,
     monte_carlo_p_value,
@@ -100,7 +116,16 @@ from clonality.simulation import (  # noqa: E402
 )
 
 sys.path.insert(0, str(ROOT / "bench"))
-from workloads import EXACT_POOL_VARIANTS, EXACT_STRATA, exact_pool_case  # noqa: E402
+from workloads import (  # noqa: E402
+    COHORT_MC_SEED,
+    COHORT_POOL,
+    COHORT_SIMS,
+    EXACT_POOL_VARIANTS,
+    EXACT_STRATA,
+    cohort_pair_markers,
+    cohort_pool_entry,
+    exact_pool_case,
+)
 
 FIXTURES = ROOT / "tests" / "fixtures"
 HEADERS = {"probs": "marker\tprobability\n",
@@ -428,6 +453,72 @@ def exact_pool_values():
             emit(f"exact_p_value case-exact {stratum}/{variant}", exact_p_value(s, [p for p, _ in case]))
 
 
+# six probabilities over 24 markers whose 2,000 draws hold near-ties refined to the end
+SHARED_MC_PAIR = ([0.104, 0.112, 0.114, 0.162, 0.191, 0.296], [3, 2, 2, 5, 5, 7], [1, 0, 1, 0, 1, 2])
+
+
+def near_tie_values():
+    pg, sizes, matched = map(np.array, SHARED_MC_PAIR)
+    for seed in (5, 6, 7):
+        result = counts_test(pg, sizes, matched, sims=2000, exact_max=0, seed=seed)
+        emit(f"counts_test shared near-ties seed={seed}", sorted(dataclasses.asdict(result).items()))
+    for index in range(COHORT_POOL):
+        entry = cohort_pool_entry(index)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            markers = cohort_pair_markers(entry, i, j)
+            ps, hits = [p for p, _ in markers], [x for _, x in markers]
+            result = counts_test(*group_by_probability(ps, np.ones(len(ps)), hits), exact_max=0,
+                                 sims=COHORT_SIMS["full"], seed=COHORT_MC_SEED, stream_index=i + j)
+            emit(f"counts_test cohort-mc pool={index} pair={i},{j}", sorted(dataclasses.asdict(result).items()))
+
+
+def decisions(pg, sizes, matched, stats):
+    """``conditional_exceeds`` at each row's statistic and 1e-9 either side, as 0/1 strings."""
+    return ["".join(map(str, conditional_exceeds(pg, sizes, matched, stats + shift).astype(int)))
+            for shift in (-1e-9, 0.0, 1e-9)]
+
+
+def small_batch_values():
+    gen = np.random.default_rng(3915)
+    for edge in (0, 1):  # one-row fits whose grid bracket touches xi = 0 or xi = 1
+        found = 0
+        while found < 12:
+            size = int(gen.integers(2, 17 if edge == 0 else 8))
+            pg = np.sort(gen.uniform(0.002, 0.5, size))
+            sizes = gen.integers(1, 4, size).astype(float)
+            matched = np.zeros(size)
+            if edge == 0:  # one match among many markers
+                matched[gen.integers(size)] = 1.0
+            else:  # a large fully matched group and one miss
+                sizes[0] = gen.integers(20, 90)
+                matched[:] = sizes
+                matched[gen.integers(1, size)] -= 1.0
+            xi, stat = fit_conditional_batch(pg, sizes, matched[None, :])
+            if (0.0 < xi[0] <= 0.02) if edge == 0 else xi[0] >= 0.98:
+                found += 1
+                emit(f"one-row fit at xi={edge} case={found}",
+                     (xi.tolist(), stat.tolist(), decisions(pg, sizes, matched[None, :], stat)))
+    pg = np.sort(gen.uniform(0.002, 0.6, 14))
+    sizes = (gen.integers(1, 5, (40, 14)) * (gen.random((40, 14)) < 0.8)).astype(float)
+    sizes[:, :8] = np.maximum(sizes[:, :8], 1.0)  # every row has 8 or more nonzero columns
+    matched = np.floor(gen.random(sizes.shape) * (sizes + 1) * 0.6)
+    xi, stat = fit_conditional_batch(pg, sizes, matched)
+    emit("per-row sizes batch fit", (xi.tolist(), stat.tolist()))
+    emit("per-row sizes batch decisions", decisions(pg, sizes, matched, stat))
+    emit("per-row sizes batch decisions at other rows' statistics",
+         decisions(pg, sizes, matched, np.roll(stat, 1)))
+    for start in range(0, 12, 3):
+        rows = slice(start, start + 3)
+        emit(f"per-row sizes rows {start}-{start + 2} decisions",
+             decisions(pg, sizes[rows], matched[rows], stat[rows]))
+    for label, null, alt, alpha in (
+            ("ties", np.repeat([0.01, 0.04, 0.2, 0.5, 1.0], [3, 4, 10, 20, 13]),
+             [0.001, 0.01, 0.03, 0.04, 0.04, 0.2, 0.7], 0.1),
+            ("ties below alpha", np.repeat([0.002, 0.03, 0.3, 1.0], [2, 1, 30, 7]), [0.03, 0.002, 0.5], 0.05),
+            ("smallest above alpha", np.repeat([0.2, 0.6, 1.0], [30, 40, 30]), [0.2, 0.1, 0.9], 0.05)):
+        emit(f"calibrated_rejection {label}", calibrated_rejection(null.tolist(), list(alt), alpha))
+
+
 if __name__ == "__main__":
     print(header())
     cli_values()
@@ -442,3 +533,5 @@ if __name__ == "__main__":
     exact_block_values()
     large_exact_values()
     scenario_values()
+    near_tie_values()
+    small_batch_values()
