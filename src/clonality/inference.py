@@ -21,8 +21,11 @@ The constrained MLE of ``xi`` on [0, 1] is found by a 101-point grid scan
 followed by golden-section refinement of the bracketing interval (absolute
 tolerance 1e-6). The scan/refinement is vectorized across many match
 patterns at once because the null-distribution builders need to fit
-thousands of simulated patterns; each golden-section step evaluates both
-of its points for every row in one likelihood call. The grid scan works
+thousands of simulated patterns. A batch of many rows takes one
+golden-section step per likelihood call, both of its points for every row;
+a batch of a few rows takes its steps in rounds, one likelihood call
+evaluating every point (and bracket bound) the next several steps can
+reach, which the steps then walk. The grid scan works
 ``_GRID_SLAB`` rows at a time and the likelihood kernel ``_ROW_SLAB``, so
 their temporaries do not grow with a batch's size. Markers are grouped by
 distinct ``p`` in one function, :func:`group_by_probability`, which the
@@ -75,10 +78,16 @@ _COARSE = _GRID[::10]
 # held at once. A row's values do not depend on its batch, so neither do they
 # on its slab.
 _ROW_SLAB = 1 << 10
-# Rows per slab of the grid scan, never more than _ROW_SLAB: at 1,024 rows
-# its (rows, 101) table and product temporary took 1.6 MiB, at 256 rows
-# 0.4 MiB.
+# Rows per slab of the grid scan and of ll0, never more than _ROW_SLAB: at
+# 1,024 rows the grid's (rows, 101) table and product temporary took 1.6 MiB,
+# at 256 rows 0.4 MiB; ll0 over 1,024-row slabs raised case-exact peak RSS by
+# about 0.2 MB, over 256-row slabs it did not.
 _GRID_SLAB = 1 << 8
+# Row-points per golden-section round: while a batch's rows times the points
+# of two or more levels of their bracket trees fit, one kernel call evaluates
+# them all (at most 6 levels, 126 points, for one row). A larger batch takes
+# one step per call and holds no more than that step needs.
+_ROUND_POINTS = 1 << 7
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,7 @@ def _row_sums(terms, sizes):
     present = sizes > 0
     width = present.sum(axis=1)
     sums = np.zeros(terms.shape[:-1])
-    for w in np.unique(width[width > 0]):
+    for w in set(width[width > 0].tolist()):  # a set: plain np.unique imports numpy.ma
         rows = width == w
         # a stacked pick comes out in Fortran order, and numpy sums that in another order
         picked = np.ascontiguousarray(terms[..., rows, :][..., present[rows]])
@@ -171,20 +180,35 @@ def _cond_loglik_rows(pg, sizes, matched, xi_rows, xi_miss=None):
 
 
 def _golden_max(loglik_rows, lo, hi, keep=None):
-    """Vectorized golden-section maximization over per-row brackets.
+    """Vectorized golden-section maximization over per-row brackets, in rounds.
 
-    ``loglik_rows(xi, sel)`` evaluates the rows ``sel`` (an index array, or
-    ``slice(None)`` for all) each at its own xi, (K,) or (2, K); a step
-    evaluates both golden points in one (2, K) call. ``keep(sel, lo, hi)``,
-    if given, runs before every iteration and says which of the remaining
-    rows still need refining; the others are dropped. A kept row's bracket takes
-    exactly the steps it takes without ``keep``, and brackets nest.
-    Returns ``(sel, xi)``: the rows refined to the end and their maximizers.
+    ``loglik_rows(xi, sel, xi_miss=None)`` evaluates the rows ``sel`` (an
+    index array, or ``slice(None)`` for all) each at its own xi, (P, K) for
+    P points per row, as :func:`_cond_loglik_rows` does. ``keep(sel,
+    bound)``, if given, says which rows still need refining from each row's
+    log-likelihood bound over its bracket (any leading axes); it runs before
+    every step, and the rows it drops take no further step. A round takes
+    as many steps as ``_ROUND_POINTS`` allows in one kernel call, which
+    evaluates both points of every bracket the steps can reach, and under
+    ``keep`` every such bracket's bound; the steps then walk that tree.
+    Every bracket and point is computed as a one-step loop computes it, so
+    a kept row's bracket takes exactly the steps it takes without ``keep``,
+    and brackets nest. A batch too large for a round of two steps takes one
+    step per call, its bound in a call of its own. Returns ``(sel, xi)``:
+    the rows refined to the end and their maximizers.
     """
     sel = slice(None) if keep is None else np.arange(lo.size)
-    for _ in range(_GOLDEN_ITER):
+    per_bracket = 2 if keep is None else 3
+    steps = 0
+    while steps < _GOLDEN_ITER and lo.size:
+        levels = min(_GOLDEN_ITER - steps, (_ROUND_POINTS // (per_bracket * lo.size) + 1).bit_length() - 1)
+        if levels > 1:
+            sel, lo, hi = _golden_round(loglik_rows, lo, hi, sel, levels, keep)
+            steps += levels
+            continue
+        steps += 1
         if keep is not None:
-            kept = keep(sel, lo, hi)
+            kept = keep(sel, loglik_rows(hi, sel, lo))
             sel, lo, hi = sel[kept], lo[kept], hi[kept]
             if not sel.size:
                 break
@@ -196,6 +220,48 @@ def _golden_max(loglik_rows, lo, hi, keep=None):
         hi = np.where(left, x2, hi)
         lo = np.where(left, lo, x1)
     return sel, (lo + hi) / 2.0
+
+
+def _golden_round(loglik_rows, lo, hi, sel, levels, keep):
+    """``levels`` golden-section steps of each row in one kernel call: ``(sel, lo, hi)`` after them.
+
+    Each row's bracket tree is built and walked in Python floats, whose
+    ``+``, ``-`` and ``*`` round as numpy's float64 ufuncs do, so every
+    bracket and point has the bits of the one-step loop; every
+    log-likelihood still comes from the kernel. A tree lists its brackets
+    in heap order: bracket b's children are 2b + 1, its left bracket
+    ``[lo, x2]``, and 2b + 2, its right bracket ``[x1, hi]``.
+    """
+    n = (1 << levels) - 1
+    trees, xi, xi_miss = [], [], []  # per row; a bound takes hi on matches, lo on misses
+    for row_lo, row_hi in zip(lo.tolist(), hi.tolist()):
+        los, his, x1s, x2s = [row_lo], [row_hi], [], []
+        for b in range(n):
+            h = his[b] - los[b]
+            x1s.append(los[b] + _INVPHI2 * h)
+            x2s.append(los[b] + _INVPHI * h)
+            los += [los[b], x1s[b]]
+            his += [x2s[b], his[b]]
+        trees.append((los, his))
+        xi.append(x1s + x2s + his[:n])
+        xi_miss.append(x1s + x2s + los[:n])
+    if keep is None:
+        ll = loglik_rows(np.array(xi)[:, :2 * n].T, sel)
+    else:
+        ll = loglik_rows(np.array(xi).T, sel, np.array(xi_miss).T)
+        kept = keep(sel, ll[2 * n:]).T.tolist()
+    alive, lo, hi = [], [], []
+    for row, (row_ll, (los, his)) in enumerate(zip(ll.T.tolist(), trees)):
+        b = 0
+        for _ in range(levels):
+            if keep is not None and not kept[row][b]:
+                break
+            b = 2 * b + (1 if row_ll[b] >= row_ll[n + b] else 2)  # NaN goes right
+        else:
+            alive.append(row)
+            lo.append(los[b])
+            hi.append(his[b])
+    return (sel if keep is None else sel[alive]), np.array(lo), np.array(hi)
 
 
 def _grid_scan(terms):
@@ -256,13 +322,17 @@ def _conditional_stage(pg, sizes, matched):
     matched = np.atleast_2d(np.asarray(matched, dtype=float))
 
     q0 = match_probabilities(pg, 0.0)
-    # summed per row, not by a matrix product: BLAS rounds a row differently
-    # in batches of different sizes, and a pattern's statistic must not
-    # depend on which other patterns share its batch. Column by column, no
-    # (K, G) temporary is allocated.
-    ll0 = np.zeros(matched.shape[0])
-    for g, (log_q, log_miss) in enumerate(zip(np.log(q0), np.log1p(-q0))):
-        ll0 += matched[:, g] * log_q + (sizes[..., g] - matched[:, g]) * log_miss
+    log_q0, log_miss0 = np.log(q0), np.log1p(-q0)
+    # summed per row left to right, not by a matrix product: BLAS rounds a
+    # row differently in batches of different sizes, and a pattern's
+    # statistic must not depend on which other patterns share its batch.
+    # _GRID_SLAB rows at a time, no (K, G) temporary is allocated.
+    ll0 = np.empty(matched.shape[0])
+    step = min(_GRID_SLAB, _ROW_SLAB)
+    for start in range(0, matched.shape[0], step):
+        rows = slice(start, start + step)
+        terms = matched[rows] * log_q0 + (_rows_of(sizes, rows, 1) - matched[rows]) * log_miss0
+        ll0[rows] = np.cumsum(terms, axis=1, out=terms)[:, -1]
 
     total_matched = matched.sum(axis=1)
     none = total_matched == 0
@@ -312,8 +382,8 @@ def fit_conditional_batch(
     if grid is not None:
         m_mixed, s_mixed = matched[mixed], _rows_of(sizes, mixed, 1)
 
-        def rows(xi, sel=slice(None)):
-            return _cond_loglik_rows(pg, _rows_of(s_mixed, sel, 1), m_mixed[sel], xi)
+        def rows(xi, sel=slice(None), xi_miss=None):
+            return _cond_loglik_rows(pg, _rows_of(s_mixed, sel, 1), m_mixed[sel], xi, xi_miss)
 
         xi_m, ll_m = _fit_rows(rows, grid[0])
         xi_hat[mixed] = xi_m
@@ -373,11 +443,10 @@ def conditional_exceeds(
     m_open, ll0_open = m_mixed[open_rows], ll0_mixed[open_rows]
     s_open, t_open = _rows_of(s_mixed, open_rows, 1), _rows_of(t_mixed, open_rows, 0)
 
-    def rows(xi, sel=slice(None)):
-        return _cond_loglik_rows(pg, _rows_of(s_open, sel, 1), m_open[sel], xi)
+    def rows(xi, sel=slice(None), xi_miss=None):
+        return _cond_loglik_rows(pg, _rows_of(s_open, sel, 1), m_open[sel], xi, xi_miss)
 
-    def keep(sel, lo, hi):
-        bound = _cond_loglik_rows(pg, _rows_of(s_open, sel, 1), m_open[sel], hi, lo)
+    def keep(sel, bound):
         return bound - ll0_open[sel] >= _rows_of(t_open, sel, 0) - _BOUND_SLACK
 
     left, refined = _golden_max(rows, lo[open_rows], hi[open_rows], keep)
@@ -405,12 +474,18 @@ def bound_tables(pg: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
         log_q = np.log(q)
         log_miss = np.log1p(-q)
     log_miss[np.isneginf(log_miss)] = _LOG_ZERO  # xi = 1 with a miss
-    tables = []
-    for g, size in enumerate(np.asarray(sizes, dtype=int)):
+    # per group, the factors of the table's rows, (G, 21, 1): the 11 coarse
+    # points, then each interval's hi for matches and lo for misses
+    log_q = np.hstack([log_q, log_q[:, 1:]])[..., None]
+    log_miss = np.hstack([log_miss, log_miss[:, :-1]])[..., None]
+    sizes = np.asarray(sizes, dtype=int)
+    tables = [None] * sizes.size
+    for size in set(sizes.tolist()):  # a set: plain np.unique imports numpy.ma
+        groups = np.flatnonzero(sizes == size)
         matched = np.arange(size + 1.0)
-        missed = size - matched
-        tables.append(np.vstack([np.outer(log_q[g], matched) + np.outer(log_miss[g], missed),
-                                 np.outer(log_q[g, 1:], matched) + np.outer(log_miss[g, :-1], missed)]))
+        block = log_q[groups] * matched + log_miss[groups] * (size - matched)
+        for g, table in zip(groups.tolist(), block):
+            tables[g] = table
     return tables
 
 

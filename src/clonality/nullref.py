@@ -783,8 +783,9 @@ def calibrated_rejection(
     if null_p.size == 0 or alt_p.size == 0:
         raise ValueError("both p-value samples must be nonempty")
 
-    values = np.unique(null_p)
-    frac_at_or_below = np.searchsorted(null_p, values, side="right") / null_p.size
+    # with counts, np.unique sorts; its plain form imports numpy.ma
+    values, counts = np.unique(null_p, return_counts=True)
+    frac_at_or_below = np.cumsum(counts) / null_p.size
     eligible = frac_at_or_below <= alpha
     if eligible.any():
         threshold = float(values[eligible][-1])

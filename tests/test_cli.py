@@ -120,6 +120,39 @@ def test_importing_the_cli_builds_no_parser():
     assert done.stdout == "0\n"
 
 
+NO_NUMPY_MA = """
+import contextlib, dataclasses, io, sys
+import numpy as np
+from clonality import cli
+from clonality.inference import fit_conditional_batch
+from clonality.nullref import calibrated_rejection
+from clonality.rng import RngStream
+from clonality.simulation import preset_scenario, run_calibrated_comparison, run_size_power
+
+t1, t5 = sys.argv[1:3]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["test", "--mutations", t1 + "_mutations.tsv", "--probs", t1 + "_probs.tsv",
+                     "--tumor-a", "T3", "--tumor-b", "Left/Mucinous"]) == 0
+    assert cli.main(["pairs", "--mutations", t5 + "_mutations.tsv", "--probs", t5 + "_probs.tsv",
+                     "--exact-max", "0", "--sims", "500"]) == 0
+sizes = np.array([[2.0, 0.0, 1.0, 3.0, 1.0, 1.0, 2.0, 1.0, 1.0], [1.0, 2.0, 0.0, 1.0, 1.0, 4.0, 1.0, 2.0, 1.0]])
+fit_conditional_batch(np.linspace(0.01, 0.4, 9), sizes, np.floor(sizes / 2))
+spec = dataclasses.replace(preset_scenario("table2-m5", 0.25), replicates=10, sims=100)
+run_size_power(spec, RngStream(1))
+run_calibrated_comparison(spec, RngStream(2))
+calibrated_rejection([0.1, 0.1, 0.5, 0.5, 1.0], [0.1, 0.3], 0.2)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_package_never_imports_numpy_ma():
+    """``numpy.ma`` stays out of a process that runs every command path; plain ``np.unique`` imports it."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY_MA, str(FIXTURES / "table1"), str(FIXTURES / "table5")],
+                          capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout == "False\n"
+
+
 def test_cmd_test_metastasis_pair_below_point_001(capsys):
     code, out, _ = run(capsys, "test", "--mutations", T5_MUT, "--probs", T5_PROB,
                        "--tumor-a", "M5", "--tumor-b", "M38")

@@ -520,6 +520,140 @@ def test_stacked_kernels_equal_their_two_one_point_calls():
                 [inference._uncond_loglik_rows(pg, n_markers, matched, single, xi[j]) for j in (0, 1)]))
 
 
+def round_cases(gen):
+    """(pg, sizes, matched) batches of 1 to 120 rows for the golden-section rounds.
+
+    Shared (G,) sizes first, then per-row (K, G) ones with zero-size columns
+    and 8 or more nonzero columns per row, which take ``_row_sums``'
+    per-width path. Row 0 has one match, so its grid bracket often touches
+    xi = 0; in a third of the batches column 0 holds 20-80 markers and row
+    1 (or row 0 alone) misses one marker of another column, so its bracket
+    touches xi = 1.
+    """
+    for per_row in (False, True):
+        for case in range(36):
+            n_groups = int(gen.integers(8, 20) if per_row else gen.integers(2, 16))
+            n_rows = int(gen.choice([1, 1, 2, 3, 5, 12, 29, 60, 120]))
+            pg = np.sort(gen.uniform(1e-3, 0.6, n_groups))
+            shape = (n_rows, n_groups) if per_row else (n_groups,)
+            sizes = gen.integers(1, 5, shape) * (gen.random(shape) < 0.7)
+            sizes[..., :8] = np.maximum(sizes[..., :8], 1)
+            if case % 3 == 0:
+                sizes[..., 0] = gen.integers(20, 81)
+            sizes = sizes.astype(float)
+            matched = np.floor(gen.random((n_rows, n_groups)) * (sizes + 1))
+            if case % 3 == 0:
+                row = min(1, n_rows - 1)
+                matched[row] = sizes if sizes.ndim == 1 else sizes[row]
+                matched[row, int(gen.integers(1, min(8, n_groups)))] -= 1.0
+            if case % 3 != 0 or n_rows > 1:
+                matched[0] = 0.0
+                matched[0, int(gen.integers(0, n_groups))] = 1.0
+            yield pg, sizes, matched
+
+
+def round_outputs(gen, pg, sizes, matched):
+    """Fits, decisions at thresholds at and 1e-9 from fitted statistics, with and without ``known``."""
+    xi, stat = fit_conditional_batch(pg, sizes, matched)
+    out = [xi, stat]
+    for shift in (-1e-9, 0.0, 1e-9):
+        thresholds = stat + shift
+        out.append(conditional_exceeds(pg, sizes, matched, thresholds))
+        out.append(conditional_exceeds(pg, sizes, matched, float(thresholds[gen.integers(stat.size)])))
+        known = (stat >= thresholds) & (gen.random(stat.size) < 0.5)
+        out.append(conditional_exceeds(pg, sizes, matched, thresholds, known))
+    if sizes.ndim == 1:
+        n_markers = sizes + gen.integers(0, 40, sizes.size)
+        single = np.floor(gen.random(matched.shape) * (n_markers - matched + 1))
+        out.extend(fit_unconditional_batch(pg, n_markers, matched, single))
+    return out
+
+
+def test_golden_rounds_equal_the_one_step_loop(monkeypatch):
+    """Fits and decisions in rounds are ``==`` those of one golden-section step per kernel call.
+
+    With ``_ROUND_POINTS`` at 0 every step is one call, and a ``keep``
+    rule's bound one more, as before rounds. Batches of up to 21 rows take
+    rounds, larger ones single steps until ``keep`` drops enough rows.
+    """
+    gen = np.random.default_rng(3911)
+    near_0 = near_1 = False
+    golden, refined = inference._golden_max, []
+
+    def golden_spy(loglik_rows, lo, hi, keep=None):
+        sel, xi = golden(loglik_rows, lo, hi, keep)
+        refined.extend([np.arange(lo.size)[sel], xi])  # which rows were refined to the end, too
+        return sel, xi
+
+    monkeypatch.setattr(inference, "_golden_max", golden_spy)
+    for pg, sizes, matched in round_cases(gen):
+        seed = int(gen.integers(2 ** 32))
+        with monkeypatch.context() as one_step:
+            one_step.setattr(inference, "_ROUND_POINTS", 0)
+            want = round_outputs(np.random.default_rng(seed), pg, sizes, matched) + refined
+        refined.clear()
+        got = round_outputs(np.random.default_rng(seed), pg, sizes, matched) + refined
+        refined.clear()
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        xi = want[0][want[1] > 0]
+        near_0 |= bool((xi <= 0.02).any())
+        near_1 |= bool((xi >= 0.98).any())
+    assert near_0 and near_1
+
+
+def test_golden_rounds_break_ties_left_and_send_nan_right(monkeypatch):
+    """On log-likelihoods with plateaus and NaN, rounds walk each bracket as the one-step loop does."""
+    def loglik(xi, sel=slice(None), xi_miss=None):
+        values = np.round(-(xi - 0.3) ** 2, 3)  # plateaus: ll1 == ll2 goes left
+        values[np.floor(xi * 1e4) % 7 == 0] = np.nan  # NaN goes right
+        return values
+
+    def keep(sel, bound):
+        return bound >= -0.02
+
+    gen = np.random.default_rng(3913)
+    for n_rows in (1, 2, 3, 7, 50):
+        lo = gen.uniform(0.0, 0.5, n_rows)
+        hi = np.minimum(lo + gen.uniform(0.001, 0.5, n_rows), 1.0)
+        for rule in (None, keep):
+            with monkeypatch.context() as one_step:
+                one_step.setattr(inference, "_ROUND_POINTS", 0)
+                want_sel, want_xi = inference._golden_max(loglik, lo, hi, rule)
+            sel, xi = inference._golden_max(loglik, lo, hi, rule)
+            assert np.array_equal(np.arange(n_rows)[sel], np.arange(n_rows)[want_sel])
+            assert np.array_equal(xi, want_xi)
+
+
+def test_one_row_fit_takes_a_few_kernel_calls(monkeypatch):
+    """A one-row fit's 21 golden-section steps take four rounds, then one call for the candidates."""
+    calls = []
+    loglik = inference._cond_loglik_rows
+    monkeypatch.setattr(inference, "_cond_loglik_rows", lambda *a: calls.append(a) or loglik(*a))
+    xi, _ = fit_conditional_batch(np.array([0.01, 0.05, 0.2]), np.array([2.0, 3.0, 1.0]),
+                                  np.array([[1.0, 1.0, 0.0]]))
+    assert 0.0 < xi[0] < 1.0
+    assert len(calls) == 5
+    assert [a[3].shape for a in calls] == [(126, 1)] * 3 + [(14, 1), (2, 1)]
+
+
+def test_bound_tables_equal_their_outer_products():
+    """Each group's table is built by outer products of its coarse log terms and counts."""
+    gen = np.random.default_rng(3912)
+    pg = np.sort(gen.uniform(1e-3, 0.9, 9))
+    sizes = np.array([0, 1, 3, 1, 0, 7, 3, 12, 1])
+    tables = inference.bound_tables(pg, sizes)
+    with np.errstate(divide="ignore"):
+        q = inference.match_probabilities(pg[:, None], inference._COARSE[None, :])
+        log_q, log_miss = np.log(q), np.log1p(-q)
+    log_miss[np.isneginf(log_miss)] = inference._LOG_ZERO
+    for g, size in enumerate(sizes):
+        matched = np.arange(size + 1.0)
+        want = np.vstack([np.outer(log_q[g], matched) + np.outer(log_miss[g], size - matched),
+                          np.outer(log_q[g, 1:], matched) + np.outer(log_miss[g, :-1], size - matched)])
+        assert tables[g].shape == (21, size + 1) and np.array_equal(tables[g], want)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(batch=st.one_of(pattern_batches(), fit_batches().map(lambda b: b[:3])),
        pick=st.integers(0, 10 ** 6))

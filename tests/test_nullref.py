@@ -681,7 +681,8 @@ def golden_step_rows(monkeypatch):
     """Match counts of every row that a golden-section step of a null decision evaluates.
 
     A null decision is a ``_golden_max`` call with a ``keep`` rule; the
-    observed fit's call has none and is not recorded.
+    observed fit's call has none and is not recorded. The bracket bounds
+    that ``keep`` reads are evaluated by the same calls and recorded too.
     """
     rows, stepping = set(), []
     loglik, golden = inference._cond_loglik_rows, inference._golden_max
@@ -695,10 +696,10 @@ def golden_step_rows(monkeypatch):
         if keep is None:
             return golden(loglik_rows, lo, hi)
 
-        def step(xi, sel=slice(None)):
+        def step(xi, sel=slice(None), xi_miss=None):
             stepping.append(True)
             try:
-                return loglik_rows(xi, sel)
+                return loglik_rows(xi, sel, xi_miss)
             finally:
                 stepping.pop()
 
