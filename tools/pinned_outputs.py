@@ -3,7 +3,11 @@
     python3 tools/pinned_outputs.py > tests/fixtures/pinned_outputs.txt
 
 The first line, ``# python <x.y.z> numpy <v> blas <name> <version>``, names
-the versions the values came from. Each other line is
+the versions the values came from, and the second, ``# numpy targets
+<name> ...``, the dispatch targets numpy enabled for its kernels (on x86,
+``X86_V3 X86_V4 AVX512_ICL AVX512_SPR`` with AVX512 and ``X86_V3`` under
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``), whose
+rounding some values follow. Each other line is
 ``name<TAB>repr(value)``. Floats print by ``repr``, which round-trips, and
 numpy scalars print with their type, so a ``diff`` against the committed
 fixture shows every moved bit; ``tests/test_pinned_outputs.py`` makes that
@@ -162,13 +166,19 @@ def emit(name, value):
 
 
 def header():
-    """``# python <x.y.z> numpy <v> blas <name> <version>``; ``unknown`` where numpy < 1.26 cannot say."""
+    """The versions line and the dispatch targets line; ``unknown`` where numpy < 1.26 cannot say."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26: show_config takes no mode
         blas = {}
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    targets = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
     return (f"# python {platform.python_version()} numpy {np.__version__} "
-            f"blas {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}")
+            f"blas {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}\n"
+            f"# numpy targets {' '.join(targets) or 'none'}")
 
 
 def cli_output(*argv):
