@@ -43,8 +43,8 @@ and :func:`fit_conditional_batch` run the one golden-section loop.
 Before it, :func:`bound_tables` and :func:`settle_by_bounds` settle most
 patterns of an exact null without the grid: per group and match count, the
 log-likelihood term at every tenth grid point and its upper bound between
-them, summed per pattern and reduced by :func:`bound_maxima` to three
-values, prove many patterns extreme or not.
+them, summed per pattern, prove many patterns extreme or not by the sum at
+xi = 0 and the largest coarse value and interval bound.
 """
 
 from __future__ import annotations
@@ -465,8 +465,7 @@ def bound_tables(pg: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
     11-20 hold ``c log q(hi) + (size_g - c) log1p(-q(lo))`` for each
     interval [lo, hi] between them: q rises with xi, so this bounds the
     term over the interval from above, as the refinement's bound does. A
-    pattern's sums of its groups' columns go through :func:`bound_maxima`
-    to :func:`settle_by_bounds`.
+    pattern's sums of its groups' columns go to :func:`settle_by_bounds`.
     """
     pg = np.asarray(pg, dtype=float)
     with np.errstate(divide="ignore"):
@@ -489,37 +488,25 @@ def bound_tables(pg: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
     return tables
 
 
-def bound_maxima(sums: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` (3, K) what :func:`settle_by_bounds` reads of (21, K) table sums.
-
-    Column k of ``sums`` is pattern k's sum of its groups' columns of
-    :func:`bound_tables`; the rows of ``out`` become its value at xi = 0
-    (``ll0``), its largest coarse value and its largest interval bound.
-    """
-    out[0] = sums[0]
-    sums[:_COARSE.size].max(axis=0, out=out[1])
-    sums[_COARSE.size:].max(axis=0, out=out[2])
-
-
-def settle_by_bounds(bounds: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def settle_by_bounds(sums: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Patterns whose answer the bound tables prove: ``(extreme, open_rows)``.
 
-    ``bounds`` (3, K) holds in column k, as :func:`bound_maxima` writes it,
-    pattern k's table sum at xi = 0, which stands in for ``ll0``, its
-    largest coarse value and its largest interval bound. A pattern is
-    extreme, statistic >= ``threshold``, when its largest coarse value
-    reaches ``ll0 + threshold + _BOUND_SLACK``: coarse points are grid
-    points, and the fit is at least as good as its best grid point. It is
-    not extreme when its largest interval bound falls below ``ll0 +
-    threshold - _BOUND_SLACK``. Both hold as well for patterns with no
-    match and fully matched ones, and the slack is far above the rounding
-    by which the sums differ from the fit's. ``extreme`` marks the proven
-    extreme patterns; ``open_rows`` indexes the rest, for
-    :func:`conditional_exceeds`.
+    Column k of ``sums`` (21, K) is pattern k's sum of its groups' columns
+    of :func:`bound_tables`: its row 0, the value at xi = 0, stands in for
+    ``ll0``, rows 0-10 give its largest coarse value and rows 11-20 its
+    largest interval bound. A pattern is extreme, statistic >=
+    ``threshold``, when its largest coarse value reaches ``ll0 + threshold +
+    _BOUND_SLACK``: coarse points are grid points, and the fit is at least
+    as good as its best grid point. It is not extreme when its largest
+    interval bound falls below ``ll0 + threshold - _BOUND_SLACK``. Both
+    hold as well for patterns with no match and fully matched ones, and the
+    slack is far above the rounding by which the sums differ from the
+    fit's. ``extreme`` marks the proven extreme patterns; ``open_rows``
+    indexes the rest, for :func:`conditional_exceeds`.
     """
-    ll0, coarse, interval = bounds
-    extreme = coarse - ll0 >= threshold + _BOUND_SLACK
-    ruled_out = interval - ll0 < threshold - _BOUND_SLACK
+    ll0 = sums[0]
+    extreme = sums[:_COARSE.size].max(axis=0) - ll0 >= threshold + _BOUND_SLACK
+    ruled_out = sums[_COARSE.size:].max(axis=0) - ll0 < threshold - _BOUND_SLACK
     return extreme, np.flatnonzero(~(extreme | ruled_out))
 
 

@@ -16,8 +16,9 @@ groups' counts form a block, and one bound at the block's corner settles a
 whole block extreme: at the observed statistic of a distinct-p pair
 (p ~ U(0.002, 0.3), 30 % matched), 56-63 % of the blocks at |E| = 14-16,
 and 33-60 % over four shared probabilities. Otherwise :func:`_drawn_rows`
-deduplicates the keys of Monte Carlo draws that it takes block by block
-from :func:`_drawn_blocks`, and :func:`_drawn_chunks` yields its distinct
+counts the distinct patterns of Monte Carlo draws that it takes block by
+block from :func:`_drawn_blocks`, by their keys (:func:`_pattern_counts`),
+and :func:`_drawn_chunks` yields its distinct
 patterns ``_DRAWN_CHUNK`` at a time, weight 1, their draw counts and no
 closure. A p-value needs only
 whether each pattern's statistic reaches the observed one, so the one
@@ -55,8 +56,10 @@ counts it draws.
 The unconditional null simulates whole tumor pairs over ``(p, n_markers)``
 groups under zero clonality signal; it does not depend on the observed
 data, so a caller builds it once and passes it to every p-value. It, too,
-deduplicates its draws with :func:`_distinct_rows` and fits each distinct
-pattern once.
+counts its draws with :func:`_pattern_counts`, each group's multinomial
+draws one block (matched counts in column g, single counts in column G +
+g), so wherever the keys fit int64 it holds them and one group's draws,
+not a (2G, sims) table; it fits each distinct pattern once.
 
 Every null is a :class:`NullDistribution` of weighted atoms: an exact null
 weights each outcome vector by its probability, a Monte Carlo null each
@@ -82,7 +85,6 @@ import numpy as np
 
 from .errors import ClonalityError
 from .inference import (
-    bound_maxima,
     bound_tables,
     conditional_exceeds,
     fit_conditional_batch,
@@ -180,33 +182,38 @@ class CalibratedRule:
     calibrated_power: float
 
 
-def _key_places(sizes: np.ndarray):
-    """``(place, radix)`` of count patterns' int64 keys in mixed radix ``sizes + 1``, row 0 most significant.
+def _pattern_counts(sizes: np.ndarray, blocks, n: int):
+    """``(patterns, draws)``: the distinct (G,) count patterns of ``n`` draws and how often each came.
 
-    ``place`` is None when a key would leave int64.
+    ``blocks`` yield ``(columns, rows)``: the draws' counts of the columns
+    ``columns`` (indices), as (len(columns), n) rows, column g <=
+    ``sizes[g]``. A column that no block names is 0 in every pattern; a
+    block that names a column a second time starts the draws over. Each row
+    is added into the draws' int64 keys in mixed radix ``sizes + 1``, column
+    0 most significant, so the working memory is the keys and one block, and
+    patterns come in the order of their keys, as
+    ``np.unique(table, axis=0, return_counts=True)`` of the (n, G) table
+    gives them. ``np.unique`` counts the keys by a sort (``return_index`` or
+    ``return_inverse`` would argsort). Keys that would leave int64 fill that
+    table and take its row-wise form.
     """
     radix = [int(size) + 1 for size in sizes]
-    if math.prod(radix) >= 1 << 63:
-        return None, radix
-    return np.array([math.prod(radix[g + 1:]) for g in range(len(radix))], dtype=np.int64), radix
-
-
-def _distinct_rows(rows: np.ndarray, sizes: np.ndarray):
-    """``np.unique(rows.T, axis=0, return_counts=True)`` of (G, n) count rows, row g <= ``sizes[g]``.
-
-    Patterns sort as their int64 keys (:func:`_key_places`) do, so a
-    zero-size group's zero row adds nothing to a key and decodes to a zero
-    column. ``np.unique`` counts the keys by a sort (``return_index`` or
-    ``return_inverse`` would argsort); keys that would leave int64 go to its
-    row-wise form.
-    """
-    place, radix = _key_places(sizes)
-    if place is None:
-        return np.unique(rows.T.astype(np.int64), axis=0, return_counts=True)
-    keys = np.zeros(rows.shape[1], dtype=np.int64)
-    for step, row in zip(place, rows):
-        keys += step * row
-    keys, draws = np.unique(keys, return_counts=True)
+    wide = math.prod(radix) >= 1 << 63
+    place = None if wide else np.array([math.prod(radix[g + 1:]) for g in range(len(radix))], dtype=np.int64)
+    drawn = np.zeros((len(radix), n) if wide else n, dtype=np.int64)  # the (G, n) table, or the keys
+    named = np.zeros(len(radix), dtype=bool)
+    for columns, rows in blocks:
+        if named[columns].any():  # the draws start over
+            drawn[:], named[:] = 0, False
+        named[columns] = True
+        if wide:
+            drawn[columns] = rows
+        else:
+            for step, row in zip(place[columns], rows):
+                drawn += step * row
+    if wide:
+        return np.unique(drawn.T, axis=0, return_counts=True)
+    keys, draws = np.unique(drawn, return_counts=True)
     return keys[:, None] // place % radix, draws
 
 
@@ -268,7 +275,8 @@ def _drawn_blocks(n: np.ndarray, q0: np.ndarray, n_sims: int, rng: RngStream):
     the one row-major (G, n_sims) fill. Below that (where the calls cost
     less), with a group numpy draws by BTPE, or where it gives up on any
     fill, one ``gen.binomial`` call per group on a fresh generator gives the
-    rows from group 0 on; a block at group 0 starts the draws over.
+    rows from group 0 on, so its first block names a group already drawn
+    where a fill was, which starts the draws over (:func:`_pattern_counts`).
     """
     if n.size * n_sims >= 10_000 and not _by_btpe(n, q0):
         gen, step = rng.generator(), max(1, _DRAW_SLAB // n_sims)
@@ -290,29 +298,15 @@ def _drawn_rows(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
 
     Draws the nonzero-size groups of ``(pg, sizes)`` on stream ``rng`` as
     ``gen.binomial(size, q0, n_sims)`` per group would, block by block
-    (:func:`_drawn_blocks`), and adds each group's row into the draws'
-    mixed-radix keys as :func:`_distinct_rows` builds them; a zero-size
-    group adds nothing, so its column of every pattern is 0. So the working
-    memory is the keys and one block, not a (G, n_sims) table. Keys that
-    would leave int64 keep that table and ``np.unique(axis=0)``.
+    (:func:`_drawn_blocks`), and counts them by :func:`_pattern_counts`: a
+    zero-size group is named by no block, so its column of every pattern is
+    0, and the fallback's blocks, which name group 0 again, start the draws
+    over.
     """
     validate_count("n_sims", n_sims, 1)
     drawn = np.flatnonzero(sizes > 0)
     blocks = _drawn_blocks(sizes[drawn], match_probabilities(pg[drawn], 0.0), n_sims, rng)
-    place, radix = _key_places(sizes)
-    if place is None:
-        rows = np.zeros((sizes.size, n_sims), dtype=np.int64)
-        for groups, block in blocks:
-            rows[drawn[groups]] = block
-        return np.unique(rows.T, axis=0, return_counts=True)
-    keys = np.zeros(n_sims, dtype=np.int64)
-    for groups, block in blocks:
-        if groups.start == 0:  # the draws start (over)
-            keys[:] = 0
-        for step, row in zip(place[drawn[groups]], block):
-            keys += step * row
-    keys, draws = np.unique(keys, return_counts=True)
-    return keys[:, None] // place % radix, draws
+    return _pattern_counts(sizes, ((drawn[groups], rows) for groups, rows in blocks), n_sims)
 
 
 def _drawn_chunks(patterns: np.ndarray, draws: np.ndarray):
@@ -409,34 +403,29 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
     slab = max(1, _BOUND_SLAB // width)  # leading rows per table-sum slab
     unit = lead_reps.max() == 1 and trail_reps.max() == 1  # every group of size 1
 
-    def settle(start, stop, threshold):
-        """``(extreme, open_rows)`` of patterns ``[start, stop)``, as the bound tables prove them.
+    def settle(rows, span, threshold):
+        """``(extreme, open_rows)`` of a chunk's patterns, as the bound tables prove them.
 
-        A block's corner has the block's smallest coarse value above ``ll0``:
-        for xi > 0, ll(xi) - ll(0) rises with every group's match count. A
-        proof with the ``_BOUND_SLACK`` margin gives the fit's own answer, so
-        a corner proven extreme settles its whole block. Only the other
-        blocks' patterns get their table sums, ``slab`` leading rows at a
-        time.
+        The chunk is ``span`` of the flattened (leading ``rows``) x (every
+        trailing row) patterns, as ``chunks`` computes both. A block's corner has the block's smallest
+        coarse value above ``ll0``: for xi > 0, ll(xi) - ll(0) rises with
+        every group's match count. A proof with the ``_BOUND_SLACK`` margin
+        gives the fit's own answer, so a corner proven extreme settles its
+        whole block. Only the other blocks' patterns get their table sums,
+        ``slab`` leading rows at a time.
         """
-        top, skip = divmod(start, width)
-        corners = np.empty((3, -(-stop // width) - top))
-        bound_maxima(lead_sums[:, top:top + corners.shape[1]] + trail_sums[:, :1], corners)
-        whole = settle_by_bounds(corners, threshold)[0]
+        whole = settle_by_bounds(lead_sums[:, rows] + trail_sums[:, :1], threshold)[0]
         extreme, rest = np.repeat(whole, width), np.flatnonzero(~whole)  # over the chunk's blocks
         open_rows = [np.empty(0, dtype=np.intp)]
         for first in range(0, rest.size, slab):
-            rows = rest[first:first + slab]
-            sums = lead_sums[:, top + rows, None] + trail_sums[:, None, :]
-            bounds = np.empty((3, sums[0].size))
-            bound_maxima(sums.reshape(sums.shape[0], -1), bounds)
-            hit, left = settle_by_bounds(bounds, threshold)
-            at = (rows[:, None] * width + np.arange(width)).ravel()
+            lead_rows = rest[first:first + slab]
+            sums = lead_sums[:, rows.start + lead_rows, None] + trail_sums[:, None, :]
+            hit, left = settle_by_bounds(sums.reshape(sums.shape[0], -1), threshold)
+            at = (lead_rows[:, None] * width + np.arange(width)).ravel()
             extreme[at] = hit
             open_rows.append(at[left])
-        open_rows = np.concatenate(open_rows) - skip
-        return (extreme[skip:skip + stop - start],
-                open_rows[(open_rows >= 0) & (open_rows < stop - start)])
+        open_rows = np.concatenate(open_rows) - span.start
+        return extreme[span], open_rows[(open_rows >= 0) & (open_rows < span.stop - span.start)]
 
     def chunks():
         for start in range(0, n_patterns, _FIT_CHUNK):
@@ -455,7 +444,7 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
             np.subtract(sizes, patterns, out=patterns)
             reps = None if unit else np.outer(lead_reps[rows], trail_reps).ravel()[span]
             yield (patterns, np.exp(log_vector_prob, out=log_vector_prob), reps,
-                   functools.partial(settle, start, stop))
+                   functools.partial(settle, rows, span))
 
     return chunks()
 
@@ -488,6 +477,16 @@ def _repeat_sum(w: np.ndarray, r: np.ndarray) -> float:
         return np.add.reduce(np.repeat(w[first:last + 1], runs), initial=0.0)
 
     return tree(0, atoms)
+
+
+def _share(weights: np.ndarray, reps, total: float) -> float:
+    """``min(mass / total, 1)``, an extreme mass's share, as :func:`p_value` and :func:`_extreme_share` take it.
+
+    The mass is that of atoms ``weights`` repeated ``reps`` times (None:
+    once each): ``weights.sum()``, or ``np.repeat(weights, reps).sum()`` as
+    :func:`_repeat_sum` gives it bit for bit.
+    """
+    return min((weights.sum() if reps is None else _repeat_sum(weights, reps)) / total, 1.0)
 
 
 def _ties(patterns, counts, owner):
@@ -527,10 +526,9 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
     only the patterns the closure leaves open are compared.
     The extreme patterns' weights go into one buffer of ``n_patterns``,
     and their multiplicities (1 where a chunk has none) into another from
-    the first kept one above 1 on. A row's are summed per atom as
-    :func:`p_value` sums them (:func:`_repeat_sum`; ``w.sum()`` while every
-    multiplicity is 1), so each of the K results is the same float as
-    :func:`p_value` on that row's null alone.
+    the first kept one above 1 on. A row's share is :func:`_share` of
+    them, the rule :func:`p_value` applies to its atoms, so each of the K
+    results is the same float as :func:`p_value` on that row's null alone.
     """
     thresholds = np.asarray(observed, dtype=float) - TIE_TOLERANCE
     k_rows = len(thresholds)
@@ -571,8 +569,7 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
     shares = np.ones(k_rows)
     for k in np.flatnonzero(n_extreme < n_seen):  # a row with every pattern extreme has 1
         atoms = slice(ends[k] - n_extreme[k], ends[k])
-        mass = weights[atoms].sum() if reps is None else _repeat_sum(weights[atoms], reps[atoms])
-        shares[k] = min(mass / total, 1.0)
+        shares[k] = _share(weights[atoms], None if reps is None else reps[atoms], total)
     return shares
 
 
@@ -620,7 +617,7 @@ def p_value(observed: float, null: NullDistribution) -> float:
     extreme = null.statistics >= observed - TIE_TOLERANCE
     if extreme.all():
         return 1.0  # avoids 1-ulp shortfalls from float atom sums
-    return float(min(null.weights[extreme].sum() / null.total, 1.0))
+    return float(_share(null.weights[extreme], None, null.total))
 
 
 def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> float:
@@ -756,11 +753,10 @@ def sample_unconditional_null(
     pg = np.array([validate_probability(p) for p, _ in universe])
     ng = np.array([n for _, n in universe], dtype=float)
     gen = rng.generator()
-    counts = np.empty((2 * ng.size, n_sims), dtype=np.int64)  # matched rows, then single rows
-    for g, (p, n) in enumerate(zip(pg, ng)):
-        cells = gen.multinomial(int(n), outcome_cells(p, 0.0), size=n_sims)
-        counts[g], counts[ng.size + g] = cells[:, 0], cells[:, 1]
-    patterns, draws = _distinct_rows(counts, np.concatenate([ng, ng]))
+    # per group, its matched counts in column g and its single counts in column G + g
+    blocks = (([g, ng.size + g], gen.multinomial(int(n), outcome_cells(p, 0.0), size=n_sims)[:, :2].T)
+              for g, (p, n) in enumerate(zip(pg, ng)))
+    patterns, draws = _pattern_counts(np.concatenate([ng, ng]), blocks, n_sims)
     stats = fit_unconditional_batch(pg, ng, patterns[:, :ng.size], patterns[:, ng.size:])[1]
     return NullDistribution(np.repeat(stats, draws), np.ones(n_sims), n_sims)
 

@@ -41,8 +41,3 @@ def table_sums(pg, sizes, patterns):
     """Each pattern's (21,) sums of its groups' bound-table columns, gathered group by group."""
     tables = bound_tables(pg, sizes)
     return sum(table[:, patterns[:, g].astype(int)] for g, table in enumerate(tables))
-
-
-def table_bounds(sums):
-    """``settle_by_bounds``' (3, K) rows of (21, K) table sums: ll0 and two maxima."""
-    return np.vstack([sums[0], sums[:11].max(axis=0), sums[11:].max(axis=0)])

@@ -17,7 +17,7 @@ from clonality.inference import (
     weight_form_statistic,
 )
 
-from conftest import table_bounds, table_sums
+from conftest import table_sums
 
 
 # --- independent oracles -------------------------------------------------
@@ -660,7 +660,7 @@ def test_bound_tables_equal_their_outer_products():
 def test_bound_tables_settle_only_what_the_fit_decides(batch, pick):
     pg, sizes, patterns = batch
     stats = fit_conditional_batch(pg, sizes, patterns)[1]
-    bounds = table_bounds(table_sums(pg, sizes, patterns))
+    bounds = table_sums(pg, sizes, patterns)
     s = float(stats[pick % stats.size])
     for threshold in (s, s - 1e-9, s + 1e-9, np.nextafter(s, np.inf), np.nextafter(s, -np.inf), 0.0):
         extreme, open_rows = settle_by_bounds(bounds, threshold)
@@ -676,7 +676,7 @@ def test_bound_tables_settle_rows_without_match_and_fully_matched():
     patterns = np.array([[0.0, 0.0, 0.0], sizes])
     stats = fit_conditional_batch(pg, sizes, patterns)[1]
     assert stats[0] == 0.0 and stats[1] > 10.0
-    bounds = table_bounds(table_sums(pg, sizes, patterns))
+    bounds = table_sums(pg, sizes, patterns)
     for threshold, extreme_rows in ((-1.0, [0, 1]), (1.0, [1]), (stats[1] + 1e-9, [])):
         extreme, open_rows = settle_by_bounds(bounds, threshold)
         assert np.flatnonzero(extreme).tolist() == extreme_rows and open_rows.size == 0

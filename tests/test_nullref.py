@@ -43,7 +43,7 @@ from clonality.nullref import (
 from clonality.rng import RngStream
 from clonality.simulation import preset_scenario
 
-from conftest import profile, table_bounds, table_sums
+from conftest import profile, table_sums
 
 MUCINOUS_PS = [0.081] + [0.004] * 9
 
@@ -185,13 +185,13 @@ def test_exact_p_value_over_several_chunks_and_a_split(monkeypatch):
     """
     monkeypatch.setattr(nullref, "_FIT_CHUNK", 1000)
     monkeypatch.setattr(nullref, "_BOUND_SLAB", 200)  # a chunk reduces its bounds in several slabs
-    reduced, maxima = [], nullref.bound_maxima
+    reduced = []
 
-    def spy(sums, out):
+    def spy(sums, threshold):
         reduced.append(sums.shape[1])
-        maxima(sums, out)
+        return settle_by_bounds(sums, threshold)
 
-    monkeypatch.setattr(nullref, "bound_maxima", spy)
+    monkeypatch.setattr(nullref, "settle_by_bounds", spy)
     gen = np.random.default_rng(1114)
     cut_blocks = settled = 0
     for trial in range(8):
@@ -218,7 +218,7 @@ def test_exact_p_value_over_several_chunks_and_a_split(monkeypatch):
             sums = (table_sums(pg[:cut], sizes[:cut], patterns[:, :cut])
                     + table_sums(pg[cut:], sizes[cut:], patterns[:, cut:]))
             for threshold in (s_obs, s_obs - 1e-9, s_obs + 1e-9):
-                want_extreme, want_open = settle_by_bounds(table_bounds(sums), threshold)
+                want_extreme, want_open = settle_by_bounds(sums, threshold)
                 reduced.clear()
                 extreme, open_rows = settle(threshold)
                 settled += extreme.size - sum(reduced)
@@ -408,7 +408,7 @@ def raw_draws(ps, n_sims, rng):
 
 
 @pytest.mark.parametrize("n_distinct", [1, 5, 62, 63, 64])
-def test_distinct_rows_equal_numpy_unique(n_distinct):
+def test_pattern_counts_equal_numpy_unique(n_distinct):
     gen = np.random.default_rng(n_distinct)
     for shared in (False, True):
         ps = list(gen.uniform(0.05, 0.9, n_distinct))
@@ -417,7 +417,7 @@ def test_distinct_rows_equal_numpy_unique(n_distinct):
         pg, sizes, matched = raw_draws(ps, 1000, RngStream(n_distinct))
         if not shared:  # from 63 distinct probabilities on, the mixed-radix key leaves int64
             assert (math.prod(int(n) + 1 for n in sizes) >= 2 ** 63) == (n_distinct >= 63)
-        patterns, counts = nullref._distinct_rows(matched.T, sizes)
+        patterns, counts = nullref._pattern_counts(sizes, [(np.arange(sizes.size), matched.T)], 1000)
         want_patterns, want_counts = np.unique(matched, axis=0, return_counts=True)
         assert np.array_equal(patterns, want_patterns)
         assert np.array_equal(counts, want_counts)
@@ -426,6 +426,36 @@ def test_distinct_rows_equal_numpy_unique(n_distinct):
         s = float(np.quantile(null.statistics, 0.8))
         assert monte_carlo_p_value(s, ps, 1000, RngStream(n_distinct)) == p_value(s, null)
 
+
+@pytest.mark.parametrize("n_groups", [4, 64])  # int64 keys, then the table (keys would leave int64)
+def test_pattern_counts_start_over_where_a_block_names_a_column_again(n_groups):
+    """A second pass over some columns gives its own patterns alone: the other columns are 0."""
+    gen = np.random.default_rng(n_groups)
+    sizes = gen.integers(1, 4, n_groups)
+    assert (math.prod(int(n) + 1 for n in sizes) >= 2 ** 63) == (n_groups == 64)
+    first, second = (gen.integers(0, sizes[:, None] + 1, (n_groups, 300)) for _ in range(2))
+    again = np.arange(0, n_groups, 2)
+    blocks = ([([g], first[[g]]) for g in range(n_groups)]
+              + [(again[:1], second[again[:1]]), (again[1:], second[again[1:]])])
+    patterns, draws = nullref._pattern_counts(sizes.astype(float), blocks, 300)
+    table = np.zeros_like(second)
+    table[again] = second[again]
+    want_patterns, want_draws = np.unique(table.T, axis=0, return_counts=True)
+    assert np.array_equal(patterns, want_patterns) and np.array_equal(draws, want_draws)
+
+
+@pytest.mark.parametrize("n_groups", [2, 32])  # at 32 groups the keys would leave int64
+def test_pattern_counts_of_matched_and_single_blocks_equal_numpy_unique(n_groups):
+    """Blocks ``[g, G + g]`` of multinomial draws, as the unconditional null passes them."""
+    gen = np.random.default_rng(n_groups)
+    ng = gen.integers(1, 6, n_groups)
+    assert (math.prod(int(n) + 1 for n in ng) ** 2 >= 2 ** 63) == (n_groups == 32)
+    cells = [gen.multinomial(int(n), [0.1, 0.3, 0.6], size=400) for n in ng]
+    blocks = [([g, n_groups + g], c[:, :2].T) for g, c in enumerate(cells)]
+    patterns, draws = nullref._pattern_counts(np.concatenate([ng, ng]).astype(float), blocks, 400)
+    table = np.vstack([[c[:, 0] for c in cells], [c[:, 1] for c in cells]])  # (2G, n)
+    want_patterns, want_draws = np.unique(table.T, axis=0, return_counts=True)
+    assert np.array_equal(patterns, want_patterns) and np.array_equal(draws, want_draws)
 
 def test_one_fill_draws_equal_numpy_binomial_calls():
     """The inversion kernel gives each call's integers and leaves the stream where the calls do.
