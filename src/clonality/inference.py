@@ -21,11 +21,11 @@ The constrained MLE of ``xi`` on [0, 1] is found by a 101-point grid scan
 followed by golden-section refinement of the bracketing interval (absolute
 tolerance 1e-6). The scan/refinement is vectorized across many match
 patterns at once because the null-distribution builders need to fit
-thousands of simulated patterns. A batch of many rows takes one
+thousands of simulated patterns. A fit of many rows takes one
 golden-section step per likelihood call, both of its points for every row;
-a batch of a few rows takes its steps in rounds, one likelihood call
-evaluating every point (and bracket bound) the next several steps can
-reach, which the steps then walk. The grid scan works
+a fit of a few rows takes its steps in rounds, one likelihood call
+evaluating every point the next several steps can reach, which the steps
+then walk. The grid scan works
 ``_GRID_SLAB`` rows at a time and the likelihood kernel ``_ROW_SLAB``, so
 their temporaries do not grow with a batch's size. Markers are grouped by
 distinct ``p`` in one function, :func:`group_by_probability`, which the
@@ -36,10 +36,11 @@ as given: a test's counts are checked once, by
 
 An exact p-value only needs to know, for each null pattern, whether its
 statistic reaches the observed one. :func:`conditional_exceeds` answers that
-exactly as the fit would, but stops refining a pattern as soon as its answer
-is proven: by the grid value from below, or by a bound on the
-log-likelihood over the current golden-section bracket from above. Both it
-and :func:`fit_conditional_batch` run the one golden-section loop.
+by the fit's own refinement and final comparison, plus one rule: a pattern
+proven extreme by its grid value takes no step, and one whose
+log-likelihood bound over its current golden-section bracket, checked in a
+call of its own before each step, falls short of the threshold takes no
+further step.
 Before it, :func:`bound_tables` and :func:`settle_by_bounds` settle most
 patterns of an exact null without the grid: per group and match count, the
 log-likelihood term at every tenth grid point and its upper bound between
@@ -83,10 +84,10 @@ _ROW_SLAB = 1 << 10
 # at 256 rows 0.4 MiB; ll0 over 1,024-row slabs raised case-exact peak RSS by
 # about 0.2 MB, over 256-row slabs it did not.
 _GRID_SLAB = 1 << 8
-# Row-points per golden-section round: while a batch's rows times the points
-# of two or more levels of their bracket trees fit, one kernel call evaluates
-# them all (at most 6 levels, 126 points, for one row). A larger batch takes
-# one step per call and holds no more than that step needs.
+# Row-points per golden-section round of a fit: while a batch's rows times the
+# points of two or more levels of their bracket trees fit, one kernel call
+# evaluates them all (at most 6 levels, 126 points, for one row). A larger
+# batch, and every null decision, takes one step per call.
 _ROUND_POINTS = 1 << 7
 
 
@@ -180,30 +181,26 @@ def _cond_loglik_rows(pg, sizes, matched, xi_rows, xi_miss=None):
 
 
 def _golden_max(loglik_rows, lo, hi, keep=None):
-    """Vectorized golden-section maximization over per-row brackets, in rounds.
+    """Vectorized golden-section maximization over per-row brackets.
 
     ``loglik_rows(xi, sel, xi_miss=None)`` evaluates the rows ``sel`` (an
     index array, or ``slice(None)`` for all) each at its own xi, (P, K) for
     P points per row, as :func:`_cond_loglik_rows` does. ``keep(sel,
     bound)``, if given, says which rows still need refining from each row's
-    log-likelihood bound over its bracket (any leading axes); it runs before
-    every step, and the rows it drops take no further step. A round takes
-    as many steps as ``_ROUND_POINTS`` allows in one kernel call, which
-    evaluates both points of every bracket the steps can reach, and under
-    ``keep`` every such bracket's bound; the steps then walk that tree.
-    Every bracket and point is computed as a one-step loop computes it, so
-    a kept row's bracket takes exactly the steps it takes without ``keep``,
-    and brackets nest. A batch too large for a round of two steps takes one
-    step per call, its bound in a call of its own. Returns ``(sel, xi)``:
-    the rows refined to the end and their maximizers.
+    log-likelihood bound over its bracket; the bound takes a call of its
+    own before every step, and the rows it drops take no further step.
+    Without ``keep``, a batch takes its steps in rounds
+    (:func:`_golden_round`) while ``_ROUND_POINTS`` allows two or more steps
+    in one call, and one step per call after that. Every bracket and point
+    is computed as a one-step loop computes it. Returns ``(sel, xi)``: the
+    rows refined to the end and their maximizers.
     """
     sel = slice(None) if keep is None else np.arange(lo.size)
-    per_bracket = 2 if keep is None else 3
     steps = 0
     while steps < _GOLDEN_ITER and lo.size:
-        levels = min(_GOLDEN_ITER - steps, (_ROUND_POINTS // (per_bracket * lo.size) + 1).bit_length() - 1)
-        if levels > 1:
-            sel, lo, hi = _golden_round(loglik_rows, lo, hi, sel, levels, keep)
+        levels = min(_GOLDEN_ITER - steps, (_ROUND_POINTS // (2 * lo.size) + 1).bit_length() - 1)
+        if keep is None and levels > 1:
+            lo, hi = _golden_round(loglik_rows, lo, hi, levels)
             steps += levels
             continue
         steps += 1
@@ -215,15 +212,15 @@ def _golden_max(loglik_rows, lo, hi, keep=None):
         h = hi - lo
         x1 = lo + _INVPHI2 * h
         x2 = lo + _INVPHI * h
-        ll1, ll2 = loglik_rows(np.stack([x1, x2]), sel)
+        ll1, ll2 = loglik_rows(np.array([x1, x2]), sel)
         left = ll1 >= ll2
         hi = np.where(left, x2, hi)
         lo = np.where(left, lo, x1)
     return sel, (lo + hi) / 2.0
 
 
-def _golden_round(loglik_rows, lo, hi, sel, levels, keep):
-    """``levels`` golden-section steps of each row in one kernel call: ``(sel, lo, hi)`` after them.
+def _golden_round(loglik_rows, lo, hi, levels):
+    """``levels`` golden-section steps of every row in one kernel call: ``(lo, hi)`` after them.
 
     Each row's bracket tree is built and walked in Python floats, whose
     ``+``, ``-`` and ``*`` round as numpy's float64 ufuncs do, so every
@@ -233,7 +230,7 @@ def _golden_round(loglik_rows, lo, hi, sel, levels, keep):
     ``[lo, x2]``, and 2b + 2, its right bracket ``[x1, hi]``.
     """
     n = (1 << levels) - 1
-    trees, xi, xi_miss = [], [], []  # per row; a bound takes hi on matches, lo on misses
+    trees, xi = [], []  # per row
     for row_lo, row_hi in zip(lo.tolist(), hi.tolist()):
         los, his, x1s, x2s = [row_lo], [row_hi], [], []
         for b in range(n):
@@ -243,25 +240,15 @@ def _golden_round(loglik_rows, lo, hi, sel, levels, keep):
             los += [los[b], x1s[b]]
             his += [x2s[b], his[b]]
         trees.append((los, his))
-        xi.append(x1s + x2s + his[:n])
-        xi_miss.append(x1s + x2s + los[:n])
-    if keep is None:
-        ll = loglik_rows(np.array(xi)[:, :2 * n].T, sel)
-    else:
-        ll = loglik_rows(np.array(xi).T, sel, np.array(xi_miss).T)
-        kept = keep(sel, ll[2 * n:]).T.tolist()
-    alive, lo, hi = [], [], []
-    for row, (row_ll, (los, his)) in enumerate(zip(ll.T.tolist(), trees)):
+        xi.append(x1s + x2s)
+    lo, hi = [], []
+    for row_ll, (los, his) in zip(loglik_rows(np.array(xi).T).T.tolist(), trees):
         b = 0
         for _ in range(levels):
-            if keep is not None and not kept[row][b]:
-                break
             b = 2 * b + (1 if row_ll[b] >= row_ll[n + b] else 2)  # NaN goes right
-        else:
-            alive.append(row)
-            lo.append(los[b])
-            hi.append(his[b])
-    return (sel if keep is None else sel[alive]), np.array(lo), np.array(hi)
+        lo.append(los[b])
+        hi.append(his[b])
+    return np.array(lo), np.array(hi)
 
 
 def _grid_scan(terms):
@@ -291,18 +278,21 @@ def _grid_bracket(best):
     return _GRID[np.maximum(best - 1, 0)], _GRID[np.minimum(best + 1, _COARSE_POINTS - 1)]
 
 
-def _fit_rows(loglik_rows, best):
-    """Golden refinement from each row's grid argmax ``best``, and candidate comparison.
+def _fit_rows(loglik_rows, best, keep=None):
+    """Golden refinement from each row's grid argmax ``best``, then the final comparison.
 
-    Returns (xi_hat, ll_at_mle) with ll_at_mle >= the row's grid value.
+    ``keep`` goes to :func:`_golden_max`. Returns ``(sel, xi_hat, ll)`` for
+    the rows ``sel`` refined to the end: of each row's grid argmax and
+    golden-section result, evaluated in one call, the one with the larger
+    log-likelihood, and that log-likelihood.
     """
     lo, hi = _grid_bracket(best)
-    _, refined = _golden_max(loglik_rows, lo, hi)
-    candidates = np.stack([_GRID[best], refined])
-    cand_ll = loglik_rows(candidates)
+    sel, refined = _golden_max(loglik_rows, lo, hi, keep)
+    candidates = np.stack([_GRID[best[sel]], refined])
+    cand_ll = loglik_rows(candidates, sel)
     pick = np.argmax(cand_ll, axis=0)
     rows = np.arange(len(pick))
-    return candidates[pick, rows], cand_ll[pick, rows]
+    return sel, candidates[pick, rows], cand_ll[pick, rows]
 
 
 def _conditional_stage(pg, sizes, matched):
@@ -385,7 +375,7 @@ def fit_conditional_batch(
         def rows(xi, sel=slice(None), xi_miss=None):
             return _cond_loglik_rows(pg, _rows_of(s_mixed, sel, 1), m_mixed[sel], xi, xi_miss)
 
-        xi_m, ll_m = _fit_rows(rows, grid[0])
+        _, xi_m, ll_m = _fit_rows(rows, grid[0])
         xi_hat[mixed] = xi_m
         stat[mixed] = np.maximum(ll_m - ll0[mixed], 0.0)
 
@@ -401,21 +391,19 @@ def conditional_exceeds(
     :func:`fit_conditional_batch`, and ``threshold`` a scalar or one per
     pattern (K,). Row for row equal to ``fit_conditional_batch(pg, sizes,
     matched)[1] >= threshold``, but a row is refined only until its answer
-    is proven. The fitted log-likelihood of a mixed row is the larger of
-    its values at the grid argmax (``c0``) and at the golden-section
-    result, so ``c0`` alone can prove a row extreme; the grid value, which
-    differs from ``c0`` only by summation rounding, does so for most rows
-    with a ``_BOUND_SLACK`` margin. The other rows take the fit's own
-    golden-section steps, and a row is dropped once its log-likelihood
-    bound over the current bracket falls short of the threshold by more
-    than ``_BOUND_SLACK``. Rows refined to the end are decided by the fit's
-    final comparison.
+    is proven. A mixed row whose grid value, which differs from the fit's
+    value there only by summation rounding, reaches the threshold with a
+    ``_BOUND_SLACK`` margin is extreme. The other rows take the fit's own
+    golden-section steps, and a row is dropped, not extreme, once its
+    log-likelihood bound over the current bracket falls short of the
+    threshold by more than ``_BOUND_SLACK``. Rows refined to the end are
+    decided by the fit's final comparison.
 
     ``known``, if given, is a (K,) mask of rows the caller has proven to
     reach ``threshold``. A known mixed row is decided extreme at the grid
-    check, with no ``c0`` call and no golden-section step, so where the
-    proof holds the result is the call's without the mask, OR the mask.
-    When no row is left open, nothing is evaluated past the grid.
+    check, with no golden-section step, so where the proof holds the
+    result is the call's without the mask, OR the mask. When no row is
+    left open, nothing is evaluated past the grid.
     """
     pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(
         pg, sizes, matched)
@@ -424,34 +412,24 @@ def conditional_exceeds(
     if grid is None:
         return exceeds
 
-    m_mixed, ll0_mixed = matched[mixed], ll0[mixed]
-    s_mixed, t_mixed = _rows_of(sizes, mixed, 1), _rows_of(threshold, mixed, 0)
+    ll0_mixed, t_mixed = ll0[mixed], _rows_of(threshold, mixed, 0)
     best, grid_max = grid
-    lo, hi = _grid_bracket(best)
     decided = grid_max - ll0_mixed >= t_mixed + _BOUND_SLACK
     if known is not None:
         decided |= known[mixed]
     open_rows = np.flatnonzero(~decided)
-    if not open_rows.size:
-        exceeds[mixed] = decided
-        return exceeds
-    c0 = _cond_loglik_rows(pg, _rows_of(s_mixed, open_rows, 1), m_mixed[open_rows],
-                           _GRID[best[open_rows]])
-    proven = np.maximum(c0 - ll0_mixed[open_rows], 0.0) >= _rows_of(t_mixed, open_rows, 0)
-    decided[open_rows[proven]] = True
-    open_rows, c0_open = open_rows[~proven], c0[~proven]
-    m_open, ll0_open = m_mixed[open_rows], ll0_mixed[open_rows]
-    s_open, t_open = _rows_of(s_mixed, open_rows, 1), _rows_of(t_mixed, open_rows, 0)
+    if open_rows.size:
+        m_open, ll0_open = matched[mixed][open_rows], ll0_mixed[open_rows]
+        s_open, t_open = _rows_of(_rows_of(sizes, mixed, 1), open_rows, 1), _rows_of(t_mixed, open_rows, 0)
 
-    def rows(xi, sel=slice(None), xi_miss=None):
-        return _cond_loglik_rows(pg, _rows_of(s_open, sel, 1), m_open[sel], xi, xi_miss)
+        def rows(xi, sel=slice(None), xi_miss=None):
+            return _cond_loglik_rows(pg, _rows_of(s_open, sel, 1), m_open[sel], xi, xi_miss)
 
-    def keep(sel, bound):
-        return bound - ll0_open[sel] >= _rows_of(t_open, sel, 0) - _BOUND_SLACK
+        def keep(sel, bound):
+            return bound - ll0_open[sel] >= _rows_of(t_open, sel, 0) - _BOUND_SLACK
 
-    left, refined = _golden_max(rows, lo[open_rows], hi[open_rows], keep)
-    ll_left = np.maximum(c0_open[left], rows(refined, left))
-    decided[open_rows[left]] = np.maximum(ll_left - ll0_open[left], 0.0) >= _rows_of(t_open, left, 0)
+        left, _, ll = _fit_rows(rows, best[open_rows], keep)
+        decided[open_rows[left]] = np.maximum(ll - ll0_open[left], 0.0) >= _rows_of(t_open, left, 0)
     exceeds[mixed] = decided
     return exceeds
 
@@ -544,7 +522,7 @@ def fit_unconditional_batch(
     def rows(xi, sel=slice(None)):
         return _uncond_loglik_rows(pg, n_markers, matched[sel], single[sel], xi)
 
-    xi_hat, ll_mle = _fit_rows(rows, best)
+    _, xi_hat, ll_mle = _fit_rows(rows, best)
     ll0 = rows(np.zeros(matched.shape[0]))
     return xi_hat, np.maximum(ll_mle - ll0, 0.0)
 

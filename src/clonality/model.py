@@ -21,6 +21,7 @@ set mutated in exactly one.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -43,8 +44,17 @@ def clamp_probability(p: float) -> float:
     return min(max(float(p), PROB_FLOOR), PROB_CEIL)
 
 
+def check_real(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def validate_probability(p: float, name: str = "p") -> float:
-    """Require p strictly inside (0, 1)."""
+    """Require a number p strictly inside (0, 1)."""
+    check_real(name, p)
     if not (0.0 < p < 1.0):
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {p}")
     return float(p)
@@ -57,7 +67,8 @@ def validate_count(name: str, value, least: int) -> None:
 
 
 def validate_xi(xi: float) -> float:
-    """Require a clonality signal in [0, 1]."""
+    """Require a clonality signal, a number in [0, 1]."""
+    check_real("xi", xi)
     if not (0.0 <= xi <= 1.0):
         raise ValueError(f"clonality signal must lie in [0, 1], got {xi}")
     return float(xi)

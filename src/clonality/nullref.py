@@ -129,7 +129,8 @@ class NullDistribution:
     Weighted atoms: ``statistics[k]`` carries ``weights[k]`` of a mass
     ``total``. An exact null has one atom per outcome vector weighted by its
     probability (total 1); a Monte Carlo null has one atom per draw with
-    weight 1 (total n, the number of draws).
+    weight 1 (total n, the number of draws). Weights are finite and
+    non-negative, and the total is finite and positive.
     """
 
     statistics: np.ndarray
@@ -143,6 +144,10 @@ class NullDistribution:
             raise ValueError("null distribution is empty")
         if weights.shape != stats.shape:
             raise ValueError("atom weights must align with statistics")
+        if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+            raise ValueError("atom weights must be finite and non-negative")
+        if not (math.isfinite(self.total) and self.total > 0.0):
+            raise ValueError(f"total mass must be finite and positive, got {self.total}")
         if abs(weights.sum() - self.total) > 1e-9 * self.total:
             raise ValueError(f"atom weights sum to {weights.sum()}, not {self.total}")
         object.__setattr__(self, "statistics", stats)
@@ -607,13 +612,21 @@ def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) ->
     return _fitted_null(pg, sizes, _drawn_chunks(*_drawn_rows(pg, sizes, n_sims, rng)), n_sims)
 
 
+def _require_statistic(observed: float) -> None:
+    """Raise ``ValueError`` for a NaN observed statistic, which no p-value can be taken of."""
+    if math.isnan(observed):
+        raise ValueError("the observed statistic is NaN")
+
+
 def p_value(observed: float, null: NullDistribution) -> float:
     """Share of the null's mass at statistics >= observed (ties count as extreme).
 
     On a Monte Carlo null this is the share b/n of the n draws that reach
     the observed statistic, as in the paper. So 0 means that fewer than 1
-    in n draws did, i.e. p < 1/n, not that p is 0.
+    in n draws did, i.e. p < 1/n, not that p is 0. A NaN statistic raises
+    ``ValueError``: no atom compares with it.
     """
+    _require_statistic(observed)
     extreme = null.statistics >= observed - TIE_TOLERANCE
     if extreme.all():
         return 1.0  # avoids 1-ulp shortfalls from float atom sums
@@ -622,6 +635,7 @@ def p_value(observed: float, null: NullDistribution) -> float:
 
 def exact_p_value(observed: float, ps: Sequence[float], exact_max: int = EXACT_MAX_DEFAULT) -> float:
     """``p_value(observed, exact_conditional_null(ps, exact_max))``, deciding, not fitting."""
+    _require_statistic(observed)
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     chunks = _exact_patterns(pg, sizes, exact_max)
     return float(_extreme_share(pg, sizes[None, :], chunks, [observed], int(np.prod(sizes + 1)))[0])
@@ -633,6 +647,7 @@ def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: 
     Like :func:`p_value`, this is the paper's b/n: 0 means that none of the
     ``n_sims`` draws reached the observed statistic, i.e. p < 1/n_sims.
     """
+    _require_statistic(observed)
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     patterns, draws = _drawn_rows(pg, sizes, n_sims, rng)
     chunks = _drawn_chunks(patterns, draws)

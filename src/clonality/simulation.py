@@ -31,7 +31,6 @@ preserves each marker's marginal frequency.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 import statistics
 from dataclasses import asdict, dataclass, field, replace
@@ -44,6 +43,7 @@ from .inference import fit_unconditional_batch, group_by_probability
 from .model import (
     MarkerCatalog,
     MutationProfile,
+    check_real,
     clamp_probability,
     validate_count,
     validate_probability,
@@ -69,14 +69,6 @@ _NULL_RUN_OFFSET = 1 << 40
 _UNCOND_NULL_STREAM = (1 << 41) + 1
 
 
-def _check_real(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is a finite real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MarkerGroup:
     """A homogeneous slice of the marker universe."""
@@ -92,9 +84,8 @@ class MarkerGroup:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}; expected one of {self._KINDS}")
         validate_count("n_markers", self.n_markers, 1)
-        _check_real("p", self.p)
-        _check_real("rho", self.rho)
         validate_probability(self.p, "p")
+        check_real("rho", self.rho)
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.kind == "exclusive-block" and self.n_markers * self.p > 1.0 + 1e-12:
@@ -121,7 +112,7 @@ class Perturbation:
         if self.kind not in _PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation {self.kind!r}; expected one of {_PERTURBATION_KINDS}")
         for name in ("sigma", "factor", "threshold"):
-            _check_real(name, getattr(self, name))
+            check_real(name, getattr(self, name))
         if self.kind == "logit-noise" and self.sigma <= 0.0:
             raise ValueError("logit-noise requires sigma > 0")
         if self.kind == "rare-inflation" and self.factor <= 1.0:
@@ -147,9 +138,8 @@ class ScenarioSpec:
         object.__setattr__(self, "groups", tuple(self.groups))
         if not self.groups:
             raise ValueError("a scenario needs at least one marker group")
-        _check_real("xi", self.xi)
-        _check_real("alpha", self.alpha)
         validate_xi(self.xi)
+        check_real("alpha", self.alpha)
         validate_count("replicates", self.replicates, 1)
         validate_count("sims", self.sims, 1)
         if not (0.0 < self.alpha < 1.0):
@@ -224,7 +214,7 @@ def perturb_probabilities_logit(
     ps: Sequence[float], sigma: float, rng: RngStream
 ) -> list[float]:
     """Additive N(0, sigma) noise on the logit scale (sigma is the SD)."""
-    _check_real("sigma", sigma)
+    check_real("sigma", sigma)
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     ps = [validate_probability(p) for p in ps]
@@ -237,8 +227,8 @@ def perturb_probabilities_logit(
 
 def inflate_rare(ps: Sequence[float], factor: float, threshold: float) -> list[float]:
     """Multiply every probability below ``threshold`` by ``factor``."""
-    _check_real("factor", factor)
-    _check_real("threshold", threshold)
+    check_real("factor", factor)
+    check_real("threshold", threshold)
     if factor < 1.0:
         raise ValueError(f"factor must be >= 1, got {factor}")
     return [

@@ -570,11 +570,12 @@ def round_outputs(gen, pg, sizes, matched):
 
 
 def test_golden_rounds_equal_the_one_step_loop(monkeypatch):
-    """Fits and decisions in rounds are ``==`` those of one golden-section step per kernel call.
+    """Fits in rounds, and decisions, are ``==`` those of one golden-section step per kernel call.
 
-    With ``_ROUND_POINTS`` at 0 every step is one call, and a ``keep``
-    rule's bound one more, as before rounds. Batches of up to 21 rows take
-    rounds, larger ones single steps until ``keep`` drops enough rows.
+    With ``_ROUND_POINTS`` at 0 every step is one call, as before rounds.
+    Fits of up to 21 rows take rounds, larger ones single steps; a
+    decision's ``keep`` rule takes single steps at any size, its bound in
+    a call before each.
     """
     gen = np.random.default_rng(3911)
     near_0 = near_1 = False
@@ -635,6 +636,44 @@ def test_one_row_fit_takes_a_few_kernel_calls(monkeypatch):
     assert 0.0 < xi[0] < 1.0
     assert len(calls) == 5
     assert [a[3].shape for a in calls] == [(126, 1)] * 3 + [(14, 1), (2, 1)]
+
+
+def test_a_decision_calls_the_kernel_for_one_bound_or_two_points_per_row(monkeypatch):
+    """Each kernel call of a null decision is a bracket bound or a step's (or the final) two points.
+
+    Batches of at most 14 rows, near ties over per-row sizes, with and
+    without a ``known`` mask: a bound is one plane with ``xi_miss``, points
+    are two planes without it. No call evaluates the grid argmax alone or
+    several steps' points and bounds at once.
+    """
+    gen = np.random.default_rng(4301)
+    calls = []
+    loglik = inference._cond_loglik_rows
+
+    def spy(pg, sizes, matched, xi_rows, xi_miss=None):
+        calls.append((np.shape(xi_rows), None if xi_miss is None else np.shape(xi_miss), matched.shape[0]))
+        return loglik(pg, sizes, matched, xi_rows, xi_miss)
+
+    for case in range(24):
+        n_groups, n_rows = int(gen.integers(2, 12)), int(gen.integers(1, 15))
+        pg = np.sort(gen.uniform(1e-3, 0.5, n_groups))
+        sizes = gen.integers(1, 5, (n_rows, n_groups)) * (gen.random((n_rows, n_groups)) < 0.7)
+        sizes[:, 0] += 1
+        sizes = sizes.astype(float)
+        matched = np.floor(gen.random(sizes.shape) * (sizes + 1))
+        stats = fit_conditional_batch(pg, sizes, matched)[1]
+        thresholds = stats + gen.choice([0.0, -1e-9, 1e-9, 1e-3], n_rows)
+        known = (stats >= thresholds) & (gen.random(n_rows) < 0.3) if case % 2 else None
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "_cond_loglik_rows", spy)
+            decided = conditional_exceeds(pg, sizes, matched, thresholds, known)
+        assert np.array_equal(decided, stats >= thresholds)
+    bounds = [(xi, rows) for xi, miss, rows in calls if miss is not None]
+    points = [(xi, rows) for xi, miss, rows in calls if miss is None]
+    assert bounds and points
+    assert all(xi == (rows,) for xi, rows in bounds)
+    assert all(xi == (2, rows) for xi, rows in points)
+    assert all(miss in (None, xi) for xi, miss, _ in calls)
 
 
 def test_bound_tables_equal_their_outer_products():

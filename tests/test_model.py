@@ -15,6 +15,8 @@ from clonality.model import (
     derive_pair_observation,
     match_probabilities,
     outcome_cells,
+    validate_probability,
+    validate_xi,
 )
 
 
@@ -86,6 +88,27 @@ CASE_CATALOG = MarkerCatalog({
     "IKZF1 M301I": 0.004, "PRKDC R364H": 0.004, "ZNF521 L1136V": 0.004,
     "ALK E405*": 0.004,
 })
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "must be a number, got True"), ("0.1", "must be a number, got '0.1'"),
+    (None, "must be a number, got None"), (float("nan"), "must be finite, got nan"),
+    (float("inf"), "must be finite, got inf"),
+], ids=["bool", "str", "None", "nan", "inf"])
+def test_scalar_validators_refuse_non_numbers(value, message):
+    with pytest.raises(ValueError, match=f"^p {re.escape(message)}"):
+        validate_probability(value)
+    with pytest.raises(ValueError, match=f"^xi {re.escape(message)}"):
+        validate_xi(value)
+
+
+def test_scalar_validators_take_numbers_in_range():
+    assert validate_probability(np.float64(0.25)) == 0.25 and validate_probability(0.5, "q") == 0.5
+    assert validate_xi(0) == 0.0 and type(validate_xi(1)) is float
+    with pytest.raises(ValueError, match="strictly inside"):
+        validate_probability(1)
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        validate_xi(1.5)
 
 
 def test_derive_pair_observation_colon_lung_case():

@@ -344,6 +344,12 @@ def test_sampled_null_requires_positive_sims():
             sample_unconditional_null([(0.1, 5)], n_sims, RngStream(0))
 
 
+def test_unconditional_null_refuses_a_probability_that_is_not_a_number():
+    for p in ("0.1", True, None):
+        with pytest.raises(ValueError, match=rf"^p must be a number, got {re.escape(repr(p))}"):
+            sample_unconditional_null([(p, 3)], 10, RngStream(1))
+
+
 def large_case(gen, shared):
     """(probabilities, match indicators) of a random pair past the exact limit."""
     m = int(gen.integers(21, 36))
@@ -712,7 +718,7 @@ def golden_step_rows(monkeypatch):
 
     A null decision is a ``_golden_max`` call with a ``keep`` rule; the
     observed fit's call has none and is not recorded. The bracket bounds
-    that ``keep`` reads are evaluated by the same calls and recorded too.
+    that ``keep`` reads, each in a call before its step, are recorded too.
     """
     rows, stepping = set(), []
     loglik, golden = inference._cond_loglik_rows, inference._golden_max
@@ -811,6 +817,12 @@ def test_p_value_examples():
     expected = (0.004 / 1.996) * (0.008 / 1.992) * (0.023 / 1.977)
     assert p_value(s, metastasis_null) == pytest.approx(expected, rel=1e-9)
     assert p_value(s, metastasis_null) < 0.001
+
+    # a NaN statistic reaches no atom; it is refused, not taken as the most significant
+    for take in (lambda: p_value(math.nan, null), lambda: exact_p_value(math.nan, [0.1, 0.2]),
+                 lambda: monte_carlo_p_value(math.nan, [0.1, 0.2], 100, RngStream(1))):
+        with pytest.raises(ValueError, match="statistic is NaN"):
+            take()
 
 
 def test_p_value_is_one_without_matches():
@@ -1050,3 +1062,9 @@ def test_null_distribution_validation():
         NullDistribution(np.array([0.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="empty"):
         NullDistribution(np.array([]), np.array([]), 0)
+    for weights in ([0.5, math.nan], [1.5, -0.5], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            NullDistribution(np.array([0.0, 1.0]), np.array(weights))
+    for total in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="total mass must be finite and positive"):
+            NullDistribution(np.array([0.0, 1.0]), np.zeros(2), total)

@@ -1,13 +1,17 @@
-"""The standard-library tools under ``tools/`` that a test can run in well under a second."""
+"""The tools under ``tools/`` that a test can run in well under a second."""
 
 import importlib.util
 import json
 import pathlib
+import pickle
+import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
-TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 def load(name):
@@ -112,3 +116,41 @@ def f(x):
             1)
 '''
     assert load("src_lines").counts(source) == (8, 3)
+
+
+def recorded_calls():
+    """Pickled ``(args, kwargs)`` of a few ``conditional_exceeds`` calls, as ``ab_calls`` records them."""
+    gen = np.random.default_rng(4302)
+    calls = []
+    for n_rows in (1, 5, 30):
+        pg = np.sort(gen.uniform(1e-3, 0.5, 4))
+        sizes = gen.integers(1, 4, (n_rows, 4)).astype(float)
+        matched = np.floor(gen.random(sizes.shape) * (sizes + 1))
+        calls.append(pickle.dumps(((pg, sizes, matched, gen.uniform(0.0, 3.0, n_rows)), {})))
+    return calls
+
+
+def test_ab_calls_replays_a_checkout_against_itself():
+    times, differs = load("ab_calls").replay(ROOT, ROOT, "inference.conditional_exceeds", recorded_calls(), 2)
+    assert differs is None
+    assert [len(times[side]) for side in ("parent", "change")] == [2, 2]
+
+
+def test_ab_calls_exits_2_when_an_output_differs(tmp_path, monkeypatch, capsys):
+    ab_calls = load("ab_calls")
+    shutil.copytree(ROOT / "src" / "clonality", tmp_path / "src" / "clonality",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "clonality" / "inference.py", "a", encoding="utf-8") as handle:
+        handle.write("\n_exceeds = conditional_exceeds\n\n\n"
+                     "def conditional_exceeds(*args):\n    return ~_exceeds(*args)\n")
+
+    def record_in_child(args, path):
+        path.write_bytes(pickle.dumps(recorded_calls()))
+        return True
+
+    monkeypatch.setattr(ab_calls, "record_in_child", record_in_child)
+    argv = ["--workload", "case-exact", "--call", "inference.conditional_exceeds", "--passes", "2"]
+    assert ab_calls.main([str(ROOT), str(ROOT), *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "outputs: all 3 =="
+    assert ab_calls.main([str(ROOT), str(tmp_path), *argv]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "outputs: call 0 of 3 differs"
