@@ -57,16 +57,18 @@ def _read_rows(path: str):
     # undecodable bytes become lone surrogates, which cannot be re-encoded;
     # a leading byte-order mark is dropped
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(raw[exc.start]) - 0xDC00
-                raise FileFormatError(path, lineno, f"byte 0x{byte:02x} is not valid UTF-8") from None
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, line.split("\t")
+        text = handle.read()
+    try:
+        text.encode("utf-8")
+        bad_line = 0
+    except UnicodeEncodeError as exc:  # raised in file order, once the rows before it are read
+        bad_line, byte = text.count("\n", 0, exc.start) + 1, ord(text[exc.start]) - 0xDC00
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if lineno == bad_line:
+            raise FileFormatError(path, lineno, f"byte 0x{byte:02x} is not valid UTF-8")
+        if line.lstrip()[:1] in ("", "#"):  # blank or comment
+            continue
+        yield lineno, line.split("\t")
 
 
 def _parse_header(path: str, rows, *expected: list[str]) -> list[str]:
@@ -149,34 +151,36 @@ def _marker_rows(path: str, rows, width: int):
         yield lineno, marker, fields
 
 
-def _pooled_columns(path: str) -> Optional[dict[str, float]]:
-    """:func:`read_counts_file` of a well-formed counts file, read in columns; else None.
+def _pooled_counts(path: str, rows, default_study_total: Optional[int], missing_total: str) -> dict[str, float]:
+    """Marker -> pooled probability of each data row that ``rows`` yields after a counts header.
 
-    Well formed: strict UTF-8, rows of 5 fields, unique markers, counts of 1-18
-    ASCII digits, mutated <= total and a pooled numerator >= 1 over at most
-    2^53, so ``int`` and numpy read the same counts and divide them alike.
+    A row with counts in range and a pooled numerator >= 1 is divided here;
+    any other row goes to ``estimate_marginal_probability``, which raises or
+    warns about it. Both give the same float, clamped at the end.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            lines = [line for line in handle.read().split("\n")
-                     if line.strip() and not line.lstrip().startswith("#")]
-    except (OSError, ValueError):
-        return None
-    rows = [line.split("\t") for line in lines[1:]]
-    if not rows or lines[0].split("\t") != _COUNT_HEADER or any(len(fields) != 5 for fields in rows):
-        return None
-    markers = [fields[0].strip() for fields in rows]
-    cells = [cell for fields in rows for cell in fields[1:]]
-    digits = "".join(cells)
-    if not (all(markers) and len(set(markers)) == len(markers) and all(cells)
-            and max(map(len, cells)) <= 18 and digits.isascii() and digits.isdigit()):
-        return None
-    ref_mutated, ref_total, study_mutated, study_total = np.array(cells, dtype=np.int64).reshape(-1, 4).T
-    numerator, denominator = ref_mutated + study_mutated, ref_total + study_total
-    if not (np.all(ref_mutated <= ref_total) and np.all(study_mutated <= study_total)
-            and numerator.min() >= 1 and denominator.max() <= 1 << 53):
-        return None
-    return dict(zip(markers, np.clip(numerator / denominator, PROB_FLOOR, PROB_CEIL).tolist()))
+    markers, pooled = [], []
+    for lineno, marker, fields in _marker_rows(path, rows, 5):
+        study_total_text = fields[4].strip()
+        if not study_total_text and default_study_total is None:
+            raise FileFormatError(path, lineno, missing_total)
+        study_total = (_parse_int(path, lineno, study_total_text, "study_total")
+                       if study_total_text else default_study_total)
+        ref_mutated = _parse_int(path, lineno, fields[1], "ref_mutated")
+        ref_total = _parse_int(path, lineno, fields[2], "ref_total")
+        study_mutated = _parse_int(path, lineno, fields[3], "study_mutated")
+        numerator = ref_mutated + study_mutated
+        if 0 <= ref_mutated <= ref_total and 0 <= study_mutated <= study_total and numerator >= 1:
+            pooled.append(numerator / (ref_total + study_total))
+        else:
+            try:
+                pooled.append(estimate_marginal_probability(FrequencyRecord(
+                    marker, ref_mutated, ref_total, study_mutated, study_total)))
+            except ValueError as exc:
+                raise FileFormatError(path, lineno, str(exc)) from None
+        markers.append(marker)
+    if not markers:
+        raise FileFormatError(path, 0, "no count records found")
+    return dict(zip(markers, np.clip(pooled, PROB_FLOOR, PROB_CEIL).tolist()))
 
 
 def read_counts_file(
@@ -186,45 +190,27 @@ def read_counts_file(
 ) -> dict[str, float]:
     """Counts-mode probability file pooled into marker -> probability.
 
-    Each row is pooled by ``estimate_marginal_probability``. Empty
-    study_total cells inherit the default; without one, an empty cell raises
-    ``FileFormatError`` with the message ``missing_total``. Files that
-    :func:`_pooled_columns` reads give its floats; others are read by rows.
+    Each row is pooled as it is read, to the float
+    ``estimate_marginal_probability`` gives it, and the first faulty line
+    raises ``FileFormatError``. Empty study_total cells inherit the default;
+    without one, an empty cell raises with the message ``missing_total``.
     """
-    probabilities = _pooled_columns(path)
-    if probabilities is not None:
-        return probabilities
     rows = _read_rows(path)
     _parse_header(path, rows, _COUNT_HEADER)
-    probabilities: dict[str, float] = {}
-    for lineno, marker, fields in _marker_rows(path, rows, 5):
-        study_total_text = fields[4].strip()
-        if not study_total_text and default_study_total is None:
-            raise FileFormatError(path, lineno, missing_total)
-        study_total = (_parse_int(path, lineno, study_total_text, "study_total")
-                       if study_total_text else default_study_total)
-        try:
-            probabilities[marker] = estimate_marginal_probability(FrequencyRecord(
-                marker=marker,
-                ref_mutated=_parse_int(path, lineno, fields[1], "ref_mutated"),
-                ref_total=_parse_int(path, lineno, fields[2], "ref_total"),
-                study_mutated=_parse_int(path, lineno, fields[3], "study_mutated"),
-                study_total=study_total,
-            ))
-        except ValueError as exc:
-            raise FileFormatError(path, lineno, str(exc)) from None
-    if not probabilities:
-        raise FileFormatError(path, 0, "no count records found")
-    return probabilities
+    return _pooled_counts(path, rows, default_study_total, missing_total)
 
 
 def read_probability_file(path: str) -> MarkerCatalog:
-    """Probability file in either mode, reduced to a catalog."""
+    """Probability file in either mode, reduced to a catalog; the file is opened once.
+
+    A counts-mode file is pooled as :func:`read_counts_file` pools it, with
+    no default study_total.
+    """
     rows = _read_rows(path)
     if _parse_header(path, rows, _PROB_HEADER, _COUNT_HEADER) == _COUNT_HEADER:
-        return MarkerCatalog(read_counts_file(
-            path, missing_total="empty study_total; fill it in, or pool the file first "
-                                "with estimate-probs --study-size N"))
+        return MarkerCatalog(_pooled_counts(
+            path, rows, None, "empty study_total; fill it in, or pool the file first "
+                              "with estimate-probs --study-size N"))
     entries: dict[str, float] = {}
     for lineno, marker, fields in _marker_rows(path, rows, 2):
         try:

@@ -92,7 +92,9 @@ from .inference import (
     group_by_probability,
     settle_by_bounds,
 )
-from .model import PairObservation, match_probabilities, outcome_cells, validate_count, validate_probability
+from .model import (
+    PairObservation, check_real, match_probabilities, outcome_cells, validate_count, validate_probability,
+)
 from .rng import DEFAULT_SEED, RngStream
 
 TIE_TOLERANCE = 1e-9
@@ -787,12 +789,17 @@ def calibrated_rejection(
     p-value, the boundary, are rejected, and the boundary with exactly the
     probability that brings the size to alpha.
     """
+    check_real("alpha", alpha)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     null_p = np.sort(np.asarray(null_pvalues, dtype=float))
     alt_p = np.asarray(alt_pvalues, dtype=float)
     if null_p.size == 0 or alt_p.size == 0:
         raise ValueError("both p-value samples must be nonempty")
+    for name, sample in (("null", null_p), ("alternative", alt_p)):
+        outside = ~((sample >= 0.0) & (sample <= 1.0))  # NaN too
+        if outside.any():
+            raise ValueError(f"{name} p-values must lie in [0, 1], got {sample[outside][0]}")
 
     # with counts, np.unique sorts; its plain form imports numpy.ma
     values, counts = np.unique(null_p, return_counts=True)

@@ -20,6 +20,7 @@ from clonality import cli
 from clonality.cli import main, read_mutations_file, read_probability_file
 from clonality.errors import FileFormatError
 from clonality.model import MutationProfile, derive_pair_observation
+from clonality.priors import FrequencyRecord, estimate_marginal_probability
 
 from conftest import FIXTURES
 
@@ -621,44 +622,102 @@ def _generated_counts(rows: int, seed: int) -> str:
 
 
 _PLAIN_COUNTS = "X\t1\t10\t0\t1\nY\t12\t1000\t3\t40\n"
+# (name, body, whether the file reads)
 COLUMN_CASES = [
     ("generated", _generated_counts(400, 1), True),
     ("comments blank lines crlf bom", "# note\n\n" + _PLAIN_COUNTS + " \n", True),
     ("denominator 2^53", f"X\t1\t{2 ** 53 - 1}\t0\t1\n", True),
-    ("denominator above 2^53", f"X\t1\t{2 ** 53}\t0\t1\n", False),
-    ("sum past int64", f"X\t1\t{2 ** 63 - 1}\t0\t1\n", False),
-    ("cell past int64", f"X\t1\t{10 ** 20}\t0\t1\n", False),
-    ("cell space-12", "X\t 12\t1000\t0\t1\n", False),
-    ("cell +5", "X\t+5\t1000\t0\t1\n", False),
-    ("cell arabic-indic 12", "X\t\u0661\u0662\t1000\t0\t1\n", False),
-    ("zero numerator", _PLAIN_COUNTS + "Z\t0\t1000\t0\t1\n", False),
-    ("empty study_total", _PLAIN_COUNTS + "Z\t3\t1000\t0\t\n", False),
+    ("denominator above 2^53", f"X\t1\t{2 ** 53}\t0\t1\n", True),
+    ("sum past int64", f"X\t1\t{2 ** 63 - 1}\t0\t1\n", True),
+    ("cell past int64", f"X\t1\t{10 ** 20}\t0\t1\n", True),
+    ("cell space-12", "X\t 12\t1000\t0\t1\n", True),
+    ("cell +5", "X\t+5\t1000\t0\t1\n", True),
+    ("cell arabic-indic 12", "X\t\u0661\u0662\t1000\t0\t1\n", True),
+    ("zero numerator", _PLAIN_COUNTS + "Z\t0\t1000\t0\t1\n", True),
+    ("empty study_total", _PLAIN_COUNTS + "Z\t3\t1000\t0\t\n", True),
     *[(name, body, False) for name, body, *_ in _COUNT_CHECKS],
     ("undecodable byte", _PLAIN_COUNTS + "Z\t3\t1000\t0\t1 \udcff\n", False),
 ]
 
 
-@pytest.mark.parametrize("name, body, columns", COLUMN_CASES, ids=[case[0] for case in COLUMN_CASES])
-def test_counts_columns_equal_the_row_loop(tmp_path, monkeypatch, name, body, columns):
-    """A well-formed counts file read in columns gives the row loop's floats in file order; others go to the loop."""
+def _priors_row_loop(body: str, default_study_total: int):
+    """``estimate_marginal_probability`` of each data row of a readable counts body, in file order.
+
+    Also the markers whose pooled numerator is zero, also in file order.
+    """
+    pooled, zero = {}, []
+    for line in body.split("\n"):
+        if line.strip() and not line.lstrip().startswith("#"):
+            marker, *cells = line.split("\t")
+            counts = [int(cell) if cell.strip() else default_study_total for cell in cells]
+            pooled[marker] = estimate_marginal_probability(FrequencyRecord(marker, *counts))
+            if counts[0] + counts[2] == 0:
+                zero.append(marker)
+    return pooled, zero
+
+
+def _warned(read):
+    """``read()`` and its warnings as (category, message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = read()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("name, body, reads", COLUMN_CASES, ids=[case[0] for case in COLUMN_CASES])
+def test_counts_columns_equal_the_row_loop(tmp_path, name, body, reads):
+    """A counts file reads to what ``estimate_marginal_probability`` gives and warns on each row.
+
+    The floats come in file order as Python floats, with one
+    ``RuntimeWarning``, the ``priors`` message, per marker whose pooled
+    numerator is zero; a file that breaks a row rule raises.
+    """
     table = tmp_path / "counts.tsv"
     text = _TABLE_HEADERS["counts"] + body
     if "crlf bom" in name:
         text = "\ufeff" + text.replace("\n", "\r\n")
     table.write_bytes(text.encode("utf-8", "surrogateescape"))
-    pooled = cli._pooled_columns(str(table))
-    assert (pooled is not None) == columns
-    monkeypatch.setattr(cli, "_pooled_columns", lambda path: None)
-    with warnings.catch_warnings(record=True):
+    if not reads:
+        with pytest.raises(FileFormatError):
+            _warned(lambda: cli.read_counts_file(str(table), default_study_total=3))
+        return
+    pooled, warned = _warned(lambda: cli.read_counts_file(str(table), default_study_total=3))
+    (expected, zero), expected_warned = _warned(lambda: _priors_row_loop(body, 3))
+    assert list(pooled.items()) == list(expected.items())
+    assert all(type(p) is float for p in pooled.values())
+    assert warned == expected_warned
+    assert [category for category, _ in warned] == [RuntimeWarning] * len(zero)
+
+
+def test_counts_reader_raises_and_warns_in_file_order(tmp_path):
+    """The first faulty line raises, and a zero-numerator row before it has already warned."""
+    table = tmp_path / "counts.tsv"
+    table.write_bytes((_TABLE_HEADERS["counts"] + "X\t1\t10\t0\t1\nY\t1\t10\t0\n"
+                       "Z\t1\t10\t0\t1\nW\t1\t10\t0\t1 \udcff\n").encode("utf-8", "surrogateescape"))
+    with pytest.raises(FileFormatError) as raised:
+        cli.read_counts_file(str(table))
+    assert str(raised.value) == f"{table}:3: expected 5 fields, got 4"
+    table.write_text(_TABLE_HEADERS["counts"] + "X\t0\t10\t0\t1\nY\t1\t10\t0\t1\nX\t1\t10\t0\t1\n")
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(FileFormatError) as raised:
         warnings.simplefilter("always")
-        try:
-            by_rows = cli.read_counts_file(str(table), default_study_total=3)
-        except FileFormatError:
-            assert not columns
-            return
-    if columns:
-        assert list(pooled.items()) == list(by_rows.items())
-        assert all(type(p) is float for p in pooled.values())
+        cli.read_counts_file(str(table))
+    assert str(raised.value) == f"{table}:4: duplicate marker: X"
+    assert [str(w.message) for w in caught] == ["marker 'X' has zero pooled mutation count; probability floored"]
+
+
+@pytest.mark.parametrize("cell", ["12", " 12"])
+def test_probability_reader_opens_a_counts_file_once(tmp_path, monkeypatch, cell):
+    table = tmp_path / "counts.tsv"
+    table.write_text(_TABLE_HEADERS["counts"] + f"X\t{cell}\t1000\t0\t1\n")
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    assert read_probability_file(str(table)).probabilities == {"X": 12 / 1001}
+    assert opened == [str(table)]
 
 
 # --- estimate-probs -------------------------------------------------------------------

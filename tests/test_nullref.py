@@ -1049,6 +1049,16 @@ def test_calibrated_rejection_validation():
         calibrated_rejection([], [0.1], 0.05)
     with pytest.raises(ValueError):
         calibrated_rejection([0.1], [0.1], 1.5)
+    for alpha in (math.nan, "0.05", True):
+        with pytest.raises(ValueError, match="alpha must be"):
+            calibrated_rejection([0.1], [0.1], alpha)
+    for bad in ([math.nan] * 3, [0.1, math.nan], [1.5], [-0.1]):
+        with pytest.raises(ValueError, match=r"null p-values must lie in \[0, 1\]"):
+            calibrated_rejection(bad, [0.1], 0.05)
+        with pytest.raises(ValueError, match=r"alternative p-values must lie in \[0, 1\]"):
+            calibrated_rejection([0.1], bad, 0.05)
+    rule = calibrated_rejection([0.0, 1.0], [0.0, 1.0], 0.5)  # the ends of [0, 1] are p-values
+    assert rule.threshold == 0.0
 
 
 # --- NullDistribution validation ------------------------------------------------------

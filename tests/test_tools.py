@@ -154,3 +154,21 @@ def test_ab_calls_exits_2_when_an_output_differs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "outputs: all 3 =="
     assert ab_calls.main([str(ROOT), str(tmp_path), *argv]) == 2
     assert capsys.readouterr().out.splitlines()[-1] == "outputs: call 0 of 3 differs"
+
+
+def test_ab_calls_keeps_recorded_paths_until_the_replay_ends(monkeypatch, capsys):
+    ab_calls = load("ab_calls")
+    made = []
+
+    def record_in_child(args, path):
+        table = args.work / "probs.tsv"
+        table.write_text("marker\tprobability\nX\t0.25\n")
+        made.append(table)
+        path.write_bytes(pickle.dumps([pickle.dumps(((str(table),), {}))]))
+        return True
+
+    monkeypatch.setattr(ab_calls, "record_in_child", record_in_child)
+    argv = ["--workload", "cohort-mc", "--call", "cli.read_probability_file", "--passes", "2"]
+    assert ab_calls.main([str(ROOT), str(ROOT), *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "outputs: all 1 =="
+    assert not made[0].exists()  # removed once the replay is over

@@ -2,13 +2,16 @@
 
     python3 tools/ab_calls.py PARENT CHANGE --workload case-exact --call inference.conditional_exceeds
     python3 tools/ab_calls.py PARENT CHANGE --workload cohort-mc --call inference.conditional_exceeds --cycles 4 --passes 15
+    python3 tools/ab_calls.py PARENT CHANGE --workload cohort-mc --call cli.read_probability_file --cycles 1
 
 Whole benchmark runs in separate processes (``tools/ab_bench.py``) spread
 by several percent on a shared host, more than a change to one function
 may move. This tool runs ``--cycles`` cycles of the workload once, in a
 child process on PARENT's ``src/`` and ``bench/``, with ``MODULE.NAME``
 replaced in every ``clonality`` module that holds it by a wrapper that
-pickles each call's arguments. It then imports both checkouts' packages
+pickles each call's arguments. The workload's input files stay on disk
+until the replay ends, so a call that takes a file's path (a reader) can
+be replayed. It then imports both checkouts' packages
 in one process under distinct names and replays every recorded call on
 each side inside ``one_blas_thread``, ``--passes`` times, alternating which
 side goes first. It prints the minimum, lower quartile and median of each
@@ -35,11 +38,13 @@ import numpy as np
 SIDES = ("parent", "change")
 
 
-def record(checkout: Path, workload: str, call: str, cycles: int, seed: int) -> list[bytes]:
+def record(checkout: Path, workload: str, call: str, cycles: int, seed: int, work: Path) -> list[bytes]:
     """The pickled ``(args, kwargs)`` of every ``call`` in ``cycles`` cycles of ``workload``.
 
-    Imports ``clonality`` from ``checkout``'s ``src/`` as the process's own
-    package, so it runs in a child process (see ``main``).
+    The workload writes its input files into ``work``, which must outlive
+    the replay of calls that take their paths. Imports ``clonality`` from
+    ``checkout``'s ``src/`` as the process's own package, so it runs in a
+    child process (see ``main``).
     """
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import clonality
@@ -55,26 +60,26 @@ def record(checkout: Path, workload: str, call: str, cycles: int, seed: int) -> 
         calls.append(pickle.dumps((args, kwargs)))
         return target(*args, **kwargs)
 
-    with tempfile.TemporaryDirectory() as work:
-        bench = workloads.WORKLOADS[workload](seed, "full", Path(work))
-        bench.setup()
-        for module in list(sys.modules.values()):
-            if module.__name__.split(".")[0] == "clonality" and getattr(module, name, None) is target:
-                setattr(module, name, wrapper)
-        for c in range(cycles):
-            for op in bench.cycle(c):
-                error = op.check(op.run())
-                if error is not None:
-                    raise RuntimeError(f"{workload} cycle {c}, op {op.kind}: {error}")
+    bench = workloads.WORKLOADS[workload](seed, "full", work)
+    bench.setup()
+    for module in list(sys.modules.values()):
+        if module.__name__.split(".")[0] == "clonality" and getattr(module, name, None) is target:
+            setattr(module, name, wrapper)
+    for c in range(cycles):
+        for op in bench.cycle(c):
+            error = op.check(op.run())
+            if error is not None:
+                raise RuntimeError(f"{workload} cycle {c}, op {op.kind}: {error}")
     return calls
 
 
 def record_in_child(args, path: Path) -> bool:
-    """Record ``args.call``'s calls on ``args.parent`` into ``path``; False (and a message) on failure."""
+    """Record ``args.call``'s calls on ``args.parent`` into ``path``, the workload's files into
+    ``args.work``; False (and a message) on failure."""
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), str(args.parent), str(args.parent),
          "--workload", args.workload, "--call", args.call, "--cycles", str(args.cycles),
-         "--seed", str(args.seed), "--record-into", str(path)],
+         "--seed", str(args.seed), "--record-into", str(path), "--work", str(args.work)],
         capture_output=True, text=True, check=False,
     )
     if done.returncode != 0:
@@ -156,24 +161,27 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, default=15, help="replays of the recorded calls per side")
     parser.add_argument("--seed", type=int, default=20150836)
     parser.add_argument("--record-into", type=Path, help=argparse.SUPPRESS)  # the child's output
+    parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)  # the child's workload files
     args = parser.parse_args(argv)
     if args.passes < 2:
         parser.error("--passes must be at least 2")
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
     if args.record_into is not None:
-        calls = record(args.parent, args.workload, args.call, args.cycles, args.seed)
+        calls = record(args.parent, args.workload, args.call, args.cycles, args.seed, args.work)
         args.record_into.write_bytes(pickle.dumps(calls))
         return 0
-    with tempfile.TemporaryDirectory() as work:
-        path = Path(work) / "calls.pickle"
+    # the recorded calls may name the workload's files, so they live until the replay ends
+    with tempfile.TemporaryDirectory() as tmp:
+        path, args.work = Path(tmp) / "calls.pickle", Path(tmp) / "work"
+        args.work.mkdir()
         if not record_in_child(args, path):
             return 2
         calls = pickle.loads(path.read_bytes())
-    try:
-        times, differs = replay(args.parent, args.change, args.call, calls, args.passes)
-    except Exception as exc:  # a call that raises on either side is a failed run
-        print(f"error: replaying {args.call}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        try:
+            times, differs = replay(args.parent, args.change, args.call, calls, args.passes)
+        except Exception as exc:  # a call that raises on either side is a failed run
+            print(f"error: replaying {args.call}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
     print(f"workload {args.workload}, seed {args.seed}, {args.call}: {len(calls)} calls from "
           f"{args.cycles} cycles, {args.passes} alternating passes, process time per pass in ms")
     print(f"{'side':<8}{'min':>10}{'q1':>10}{'median':>10}")
