@@ -21,31 +21,32 @@ The constrained MLE of ``xi`` on [0, 1] is found by a 101-point grid scan
 followed by golden-section refinement of the bracketing interval (absolute
 tolerance 1e-6). The scan/refinement is vectorized across many match
 patterns at once because the null-distribution builders need to fit
-thousands of simulated patterns. A fit of many rows takes one
-golden-section step per likelihood call, both of its points for every row;
-a fit of a few rows takes its steps in rounds, one likelihood call
-evaluating every point the next several steps can reach, which the steps
-then walk. The grid scan works
-``_GRID_SLAB`` rows at a time and the likelihood kernel ``_ROW_SLAB``, so
-their temporaries do not grow with a batch's size. Markers are grouped by
+thousands of simulated patterns. A fit of many rows takes one golden-section
+step per likelihood call, both of its points for every row; a fit of a few
+rows takes its steps in rounds, one likelihood call evaluating every point
+the next several steps can reach, which the steps then walk. The grid scan
+works ``_GRID_SLAB`` rows at a time and the likelihood kernel ``_ROW_SLAB``,
+so their temporaries do not grow with a batch's size. Markers are grouped by
 distinct ``p`` in one function, :func:`group_by_probability`, which the
 observed fits, both nulls and the simulation harness share, so each
-likelihood evaluation is O(#groups). The batch kernels take their arrays
-as given: a test's counts are checked once, by
+likelihood evaluation is O(#groups). The batch kernels take their arrays as
+given: a test's counts are checked once, by
 :func:`~clonality.nullref.counts_test`, before any fit.
 
-An exact p-value only needs to know, for each null pattern, whether its
-statistic reaches the observed one. :func:`conditional_exceeds` answers that
-by the fit's own refinement and final comparison, plus one rule: a pattern
-proven extreme by its grid value takes no step, and one whose
-log-likelihood bound over its current golden-section bracket, checked in a
-call of its own before each step, falls short of the threshold takes no
-further step.
-Before it, :func:`bound_tables` and :func:`settle_by_bounds` settle most
-patterns of an exact null without the grid: per group and match count, the
-log-likelihood term at every tenth grid point and its upper bound between
-them, summed per pattern, prove many patterns extreme or not by the sum at
-xi = 0 and the largest coarse value and interval bound.
+A p-value only needs to know whether each null pattern's statistic
+reaches the observed one, and l is concave in xi: with a = 1 - p and D =
+2 - p - a xi, q = (p + a xi) / D and 1 - q = 2a(1 - xi) / D, so (log q)''
+= a^2/D^2 - a^2/(p + a xi)^2 and (log(1 - q))'' = a^2/D^2 - 1/(1 - xi)^2,
+both <= 0 since D >= p + a xi and D >= a(1 - xi). So l lies below each of
+its tangents, and l, l' at an interval's two ends bound it there by where
+the tangents meet (:func:`_tangent_bound`). A pattern is proven extreme
+when a grid value, which the fit is at least as good as, reaches the
+threshold, and not extreme when such a bound falls short of it, each to a
+margin far above the rounding of the sums. :func:`bound_tables` and
+:func:`settle_by_bounds` prove most patterns of a null from sums of
+per-group columns at every tenth grid point; :func:`conditional_exceeds`
+decides the rest by the fit's own steps, dropping a pattern once the
+tangents at its golden-section bracket's ends prove it.
 """
 
 from __future__ import annotations
@@ -68,12 +69,14 @@ _GRID = np.linspace(0.0, 1.0, _COARSE_POINTS)
 # Finite stand-in for log(0) so matrix products stay NaN-free; any row that
 # actually has weight on such a cell ends up astronomically negative.
 _LOG_ZERO = -1e30
-# Margin on the bounds used by conditional_exceeds and settle_by_bounds: far
-# above the rounding error of a log-likelihood sum, far below the 1e-9 tie
-# tolerance.
-_BOUND_SLACK = 1e-10
-# Points of the bound tables: every tenth grid point, xi = 0 first.
-_COARSE = _GRID[::10]
+# Margin on the proofs of conditional_exceeds and settle_by_bounds, far above
+# a log-likelihood sum's rounding and far below the 1e-9 tie tolerance, plus
+# _MAGNITUDE_ULP of a row's magnitude: near p = 1e-6, q'/q is about 1e6.
+_BOUND_SLACK, _MAGNITUDE_ULP = 1e-10, 2.0 ** -40
+# Points of the bound tables: every tenth grid point short of xi = 1, and
+# their rows: l there, l' there, the misses and the magnitude.
+_COARSE = _GRID[:-1:10]
+_VALUES, _SLOPES, _MISSES, _MAGNITUDE = slice(0, 10), slice(10, 20), 20, 21
 # Rows per slab of the grid scan and of the conditional likelihood kernel, so
 # that no (K, 101) grid table or (K, G) kernel temporary of a large batch is
 # held at once. A row's values do not depend on its batch, so neither do they
@@ -153,49 +156,72 @@ def _row_sums(terms, sizes):
     return sums
 
 
-def _cond_loglik_rows(pg, sizes, matched, xi_rows, xi_miss=None):
+def _slope_factors(pg, xi):
+    """``(q'/q, q'/(1 - q))`` at ``xi``: l' sums the first over matches less the second over misses."""
+    a = 1.0 - pg
+    den = (2.0 - pg) - a * xi
+    with np.errstate(divide="ignore"):
+        return 2.0 * a / (den * (pg + a * xi)), 1.0 / (den * (1.0 - xi))
+
+
+def _cond_loglik_rows(pg, sizes, matched, xi_rows, slopes=False):
     """Conditional log-likelihood of each row's counts at its own xi.
 
     pg: (G,); sizes: (G,), or (K, G) per row; matched: (K, G); xi_rows:
     (K,), or (2, K) for two points per row in one call. Returns
-    ``xi_rows``' shape, each plane with the bits of its own (K,) call.
-    ``xi_miss``, if given, replaces ``xi_rows`` in the unmatched terms only.
-    Since q rises with xi, ``xi_rows = hi`` with ``xi_miss = lo`` bounds the
-    log-likelihood from above over every xi in ``[lo, hi]``. More than
-    ``_ROW_SLAB`` rows are evaluated ``_ROW_SLAB`` rows at a time.
+    ``xi_rows``' shape, each plane with the bits of its own (K,) call, or
+    with ``slopes`` l and l' stacked on a new first axis, l with the same
+    bits. More than ``_ROW_SLAB`` rows are evaluated ``_ROW_SLAB`` at a time.
     """
     if matched.shape[0] > _ROW_SLAB:
-        out = np.empty(np.shape(xi_rows))
+        out = np.empty((2, *np.shape(xi_rows)) if slopes else np.shape(xi_rows))
         for start in range(0, matched.shape[0], _ROW_SLAB):
             rows = slice(start, start + _ROW_SLAB)
             out[..., rows] = _cond_loglik_rows(pg, _rows_of(sizes, rows, 1), matched[rows], xi_rows[..., rows],
-                                               None if xi_miss is None else xi_miss[..., rows])
+                                               slopes)
         return out
     q = match_probabilities(pg, xi_rows[..., None])
-    q_miss = q if xi_miss is None else match_probabilities(pg, xi_miss[..., None])
     unmatched = sizes - matched
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_match = np.where(matched > 0, matched * np.log(q), 0.0)
-        t_miss = np.where(unmatched > 0, unmatched * np.log1p(-q_miss), 0.0)
-    return _row_sums(t_match + t_miss, sizes)
+        terms = np.where(matched > 0, matched * np.log(q), 0.0) + np.where(unmatched > 0, unmatched * np.log1p(-q), 0.0)
+        if slopes:
+            per_match, per_miss = _slope_factors(pg, xi_rows[..., None])
+            terms = np.stack([terms, matched * per_match - np.where(unmatched > 0, unmatched * per_miss, 0.0)])
+    return _row_sums(terms, sizes)
+
+
+def _tangent_bound(values, slopes, h):
+    """An upper bound on a concave l over ``[lo, lo + h]`` from l and l' at both ends, (2, ...) each.
+
+    Where l' turns from positive to negative, the higher tangent where the
+    two meet (so rounding the meeting point cannot lower it); else, l being
+    monotone, the larger end value. A high end at xi = 1 with a miss (l =
+    l' = -inf) leaves the low end's tangent at lo + h.
+    """
+    (l_lo, l_hi), (d_lo, d_hi) = values, slopes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.fmax(np.fmin((l_hi - l_lo - d_hi * h) / (d_lo - d_hi), h), 0.0)  # NaN (no high tangent): h
+        meet = np.fmax(l_lo + d_lo * t, l_hi + d_hi * (t - h))
+    return np.where((d_lo > 0.0) & (d_hi < 0.0), meet, np.fmax(l_lo, l_hi))
 
 
 def _golden_max(loglik_rows, lo, hi, keep=None):
     """Vectorized golden-section maximization over per-row brackets.
 
-    ``loglik_rows(xi, sel, xi_miss=None)`` evaluates the rows ``sel`` (an
-    index array, or ``slice(None)`` for all) each at its own xi, (P, K) for
-    P points per row, as :func:`_cond_loglik_rows` does. ``keep(sel,
-    bound)``, if given, says which rows still need refining from each row's
-    log-likelihood bound over its bracket; the bound takes a call of its
-    own before every step, and the rows it drops take no further step.
-    Without ``keep``, a batch takes its steps in rounds
-    (:func:`_golden_round`) while ``_ROUND_POINTS`` allows two or more steps
-    in one call, and one step per call after that. Every bracket and point
-    is computed as a one-step loop computes it. Returns ``(sel, xi)``: the
-    rows refined to the end and their maximizers.
+    ``loglik_rows(xi, sel)`` evaluates the rows ``sel`` (an index array, or
+    ``slice(None)`` for all) each at its own xi, (P, K) for P points per
+    row, and ``loglik_rows(xi, sel, True)`` l and l' too, as
+    :func:`_cond_loglik_rows` does. ``keep(sel, bound)``, if given, drops
+    rows by the :func:`_tangent_bound` over each bracket, whose ends are
+    points already evaluated; a dropped row takes no further step. Without
+    ``keep``, a batch takes its steps in rounds (:func:`_golden_round`)
+    while ``_ROUND_POINTS`` allows two or more steps in one call, and one
+    step per call after that. Every bracket and point is computed as a
+    one-step loop computes it. Returns ``(sel, xi)``: the rows refined to
+    the end and their maximizers.
     """
     sel = slice(None) if keep is None else np.arange(lo.size)
+    ends = None if keep is None else loglik_rows(np.array([lo, hi]), sel, True)
     steps = 0
     while steps < _GOLDEN_ITER and lo.size:
         levels = min(_GOLDEN_ITER - steps, (_ROUND_POINTS // (2 * lo.size) + 1).bit_length() - 1)
@@ -205,17 +231,17 @@ def _golden_max(loglik_rows, lo, hi, keep=None):
             continue
         steps += 1
         if keep is not None:
-            kept = keep(sel, loglik_rows(hi, sel, lo))
-            sel, lo, hi = sel[kept], lo[kept], hi[kept]
+            kept = keep(sel, _tangent_bound(*ends, hi - lo))
+            sel, lo, hi, ends = sel[kept], lo[kept], hi[kept], ends[..., kept]
             if not sel.size:
                 break
         h = hi - lo
-        x1 = lo + _INVPHI2 * h
-        x2 = lo + _INVPHI * h
-        ll1, ll2 = loglik_rows(np.array([x1, x2]), sel)
-        left = ll1 >= ll2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
+        xi = np.array([lo + _INVPHI2 * h, lo + _INVPHI * h])
+        points = loglik_rows(xi, sel) if keep is None else loglik_rows(xi, sel, True)
+        left = np.greater_equal(*(points if keep is None else points[0]))
+        lo, hi = np.where(left, lo, xi[0]), np.where(left, xi[1], hi)
+        if keep is not None:  # the new bracket, [lo, x2] or [x1, hi], ends at evaluated points
+            ends = np.where(left, np.stack([ends[:, 0], points[:, 1]], 1), np.stack([points[:, 0], ends[:, 1]], 1))
     return sel, (lo + hi) / 2.0
 
 
@@ -273,11 +299,6 @@ def _grid_scan(terms):
     return best, value
 
 
-def _grid_bracket(best):
-    """The bracket of the two grid neighbours of each row's grid argmax ``best``."""
-    return _GRID[np.maximum(best - 1, 0)], _GRID[np.minimum(best + 1, _COARSE_POINTS - 1)]
-
-
 def _fit_rows(loglik_rows, best, keep=None):
     """Golden refinement from each row's grid argmax ``best``, then the final comparison.
 
@@ -286,7 +307,7 @@ def _fit_rows(loglik_rows, best, keep=None):
     golden-section result, evaluated in one call, the one with the larger
     log-likelihood, and that log-likelihood.
     """
-    lo, hi = _grid_bracket(best)
+    lo, hi = _GRID[np.maximum(best - 1, 0)], _GRID[np.minimum(best + 1, _COARSE_POINTS - 1)]  # its neighbours
     sel, refined = _golden_max(loglik_rows, lo, hi, keep)
     candidates = np.stack([_GRID[best[sel]], refined])
     cand_ll = loglik_rows(candidates, sel)
@@ -360,8 +381,7 @@ def fit_conditional_batch(
     with no matches pin ``xi_hat = 0``; fully matched patterns pin
     ``xi_hat = 1`` with the finite q-form limit statistic.
     """
-    pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(
-        pg, sizes, matched)
+    pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(pg, sizes, matched)
     K = matched.shape[0]
 
     xi_hat = np.zeros(K)
@@ -372,8 +392,8 @@ def fit_conditional_batch(
     if grid is not None:
         m_mixed, s_mixed = matched[mixed], _rows_of(sizes, mixed, 1)
 
-        def rows(xi, sel=slice(None), xi_miss=None):
-            return _cond_loglik_rows(pg, _rows_of(s_mixed, sel, 1), m_mixed[sel], xi, xi_miss)
+        def rows(xi, sel=slice(None)):
+            return _cond_loglik_rows(pg, _rows_of(s_mixed, sel, 1), m_mixed[sel], xi)
 
         _, xi_m, ll_m = _fit_rows(rows, grid[0])
         xi_hat[mixed] = xi_m
@@ -394,10 +414,10 @@ def conditional_exceeds(
     is proven. A mixed row whose grid value, which differs from the fit's
     value there only by summation rounding, reaches the threshold with a
     ``_BOUND_SLACK`` margin is extreme. The other rows take the fit's own
-    golden-section steps, and a row is dropped, not extreme, once its
-    log-likelihood bound over the current bracket falls short of the
-    threshold by more than ``_BOUND_SLACK``. Rows refined to the end are
-    decided by the fit's final comparison.
+    golden-section steps, and a row is dropped, not extreme, once the
+    :func:`_tangent_bound` over its bracket, which holds every value the
+    fit may still take, falls short by :func:`settle_by_bounds`' margin.
+    Rows refined to the end are decided by the fit's final comparison.
 
     ``known``, if given, is a (K,) mask of rows the caller has proven to
     reach ``threshold``. A known mixed row is decided extreme at the grid
@@ -405,8 +425,7 @@ def conditional_exceeds(
     result is the call's without the mask, OR the mask. When no row is
     left open, nothing is evaluated past the grid.
     """
-    pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(
-        pg, sizes, matched)
+    pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(pg, sizes, matched)
     exceeds = np.full(matched.shape[0], 0.0 >= threshold)  # no match: statistic 0
     exceeds[full] = full_stat >= _rows_of(threshold, full, 0)
     if grid is None:
@@ -421,12 +440,13 @@ def conditional_exceeds(
     if open_rows.size:
         m_open, ll0_open = matched[mixed][open_rows], ll0_mixed[open_rows]
         s_open, t_open = _rows_of(_rows_of(sizes, mixed, 1), open_rows, 1), _rows_of(t_mixed, open_rows, 0)
+        margin = _BOUND_SLACK + _MAGNITUDE_ULP * (s_open @ bound_tables(pg)[1][_MAGNITUDE])
 
-        def rows(xi, sel=slice(None), xi_miss=None):
-            return _cond_loglik_rows(pg, _rows_of(s_open, sel, 1), m_open[sel], xi, xi_miss)
+        def rows(xi, sel=slice(None), slopes=False):
+            return _cond_loglik_rows(pg, _rows_of(s_open, sel, 1), m_open[sel], xi, slopes)
 
         def keep(sel, bound):
-            return bound - ll0_open[sel] >= _rows_of(t_open, sel, 0) - _BOUND_SLACK
+            return bound - ll0_open[sel] >= _rows_of(t_open, sel, 0) - _rows_of(margin, sel, 0)
 
         left, _, ll = _fit_rows(rows, best[open_rows], keep)
         decided[open_rows[left]] = np.maximum(ll - ll0_open[left], 0.0) >= _rows_of(t_open, left, 0)
@@ -434,58 +454,51 @@ def conditional_exceeds(
     return exceeds
 
 
-def bound_tables(pg: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
-    """Per-group terms of the coarse log-likelihood and of its interval bounds.
+def bound_tables(pg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(slope, intercept)``, each (22, G): group g's column for c of its s markers is ``c * slope + s * intercept``.
 
-    One table per probability group g, shape (21, size_g + 1); column c is
-    for c matched markers. Rows 0-10 hold the group's log-likelihood term
-    at the coarse points xi = 0, 0.1, ..., 1 (every tenth grid point). Rows
-    11-20 hold ``c log q(hi) + (size_g - c) log1p(-q(lo))`` for each
-    interval [lo, hi] between them: q rises with xi, so this bounds the
-    term over the interval from above, as the refinement's bound does. A
-    pattern's sums of its groups' columns go to :func:`settle_by_bounds`.
+    A term c log q + (s - c) log(1 - q), and its slope, are linear in c, so
+    a pattern's sums are ``slope @ matched + intercept @ sizes``. Rows: l
+    and l' at xi = 0, 0.1, ..., 0.9, the misses and the magnitude, s times
+    the largest |log q| + |log(1 - q)| + q/(1 - q) + (q'/q + q'/(1 - q)) /
+    10 there, which bounds the rounding of l and of a tangent carried 0.1
+    (log1p(-q) of a q an ulp off is q/(1 - q) ulps off), and within a small
+    factor the refinement's. xi = 1 is left out: with a miss, l = -inf.
     """
-    pg = np.asarray(pg, dtype=float)
-    with np.errstate(divide="ignore"):
-        q = match_probabilities(pg[:, None], _COARSE[None, :])
-        log_q = np.log(q)
-        log_miss = np.log1p(-q)
-    log_miss[np.isneginf(log_miss)] = _LOG_ZERO  # xi = 1 with a miss
-    # per group, the factors of the table's rows, (G, 21, 1): the 11 coarse
-    # points, then each interval's hi for matches and lo for misses
-    log_q = np.hstack([log_q, log_q[:, 1:]])[..., None]
-    log_miss = np.hstack([log_miss, log_miss[:, :-1]])[..., None]
-    sizes = np.asarray(sizes, dtype=int)
-    tables = [None] * sizes.size
-    for size in set(sizes.tolist()):  # a set: plain np.unique imports numpy.ma
-        groups = np.flatnonzero(sizes == size)
-        matched = np.arange(size + 1.0)
-        block = log_q[groups] * matched + log_miss[groups] * (size - matched)
-        for g, table in zip(groups.tolist(), block):
-            tables[g] = table
-    return tables
+    pg = np.asarray(pg, dtype=float)[:, None]
+    q = match_probabilities(pg, _COARSE)
+    log_q, log_miss = np.log(q), np.log1p(-q)
+    per_match, per_miss = _slope_factors(pg, _COARSE)
+    magnitude = (np.abs(log_q) - log_miss + q / (1.0 - q) + _COARSE[1] * (per_match + per_miss)).max(axis=1)
+    ones = np.ones(pg.shape[0])
+    slope = np.vstack([(log_q - log_miss).T, (per_match + per_miss).T, -ones, 0.0 * ones])
+    return slope, np.vstack([log_miss.T, -per_miss.T, ones, magnitude])
 
 
-def settle_by_bounds(sums: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def settle_by_bounds(sums: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarray]:
     """Patterns whose answer the bound tables prove: ``(extreme, open_rows)``.
 
-    Column k of ``sums`` (21, K) is pattern k's sum of its groups' columns
-    of :func:`bound_tables`: its row 0, the value at xi = 0, stands in for
-    ``ll0``, rows 0-10 give its largest coarse value and rows 11-20 its
-    largest interval bound. A pattern is extreme, statistic >=
-    ``threshold``, when its largest coarse value reaches ``ll0 + threshold +
-    _BOUND_SLACK``: coarse points are grid points, and the fit is at least
-    as good as its best grid point. It is not extreme when its largest
-    interval bound falls below ``ll0 + threshold - _BOUND_SLACK``. Both
-    hold as well for patterns with no match and fully matched ones, and the
-    slack is far above the rounding by which the sums differ from the
-    fit's. ``extreme`` marks the proven extreme patterns; ``open_rows``
-    indexes the rest, for :func:`conditional_exceeds`.
+    Column k of ``sums`` (22, K) is pattern k's sum of its groups'
+    :func:`bound_tables` columns, and ``threshold`` a scalar or (K,). With
+    the value at xi = 0 as ``ll0``, and to a margin of ``_BOUND_SLACK`` plus
+    ``_MAGNITUDE_ULP`` of the magnitude, a pattern is extreme when the
+    threshold is at most 0 or a value at a coarse point or at xi = 1 (0
+    without a miss) reaches ``ll0 + threshold``. It is not extreme when the
+    :func:`_tangent_bound` where l peaks falls short of that: between the
+    first coarse point with l' < 0 and the one before (at xi = 0 if that is
+    the first), or past 0.9, where a miss makes l'(1) -inf, and without one
+    l rises to 0. ``open_rows`` indexes the patterns neither proves.
     """
-    ll0 = sums[0]
-    extreme = sums[:_COARSE.size].max(axis=0) - ll0 >= threshold + _BOUND_SLACK
-    ruled_out = sums[_COARSE.size:].max(axis=0) - ll0 < threshold - _BOUND_SLACK
-    return extreme, np.flatnonzero(~(extreme | ruled_out))
+    ll0, top = sums[0], np.where(sums[_MISSES] > 0, -np.inf, 0.0)  # l at xi = 1
+    margin = _BOUND_SLACK + _MAGNITUDE_ULP * sums[_MAGNITUDE]
+    extreme = (np.fmax(sums[_VALUES].max(axis=0), top) - ll0 >= threshold + margin) | (0.0 >= threshold)
+    hi = np.vstack([sums[_SLOPES] < 0.0, np.ones(ll0.shape, dtype=bool)]).argmax(axis=0)  # first l' < 0, or 1
+    ends, cols = np.stack([np.maximum(hi - 1, 0), np.minimum(hi, _COARSE.size - 1)]), np.arange(hi.size)
+    values, slopes = sums[ends, cols], sums[_SLOPES.start + ends, cols]
+    past = hi == _COARSE.size  # l at xi = 1, and 0 in place of l' > 0 without a miss
+    values[1, past] = slopes[1, past] = top[past]
+    bound = _tangent_bound(values, slopes, _GRID[10 * hi] - _GRID[10 * ends[0]])
+    return extreme, np.flatnonzero(~extreme & (bound - ll0 >= threshold - margin))
 
 
 def _uncond_loglik_rows(pg, n_markers, matched, single, xi_rows):

@@ -6,36 +6,35 @@ only the match indicators, each Bernoulli with the null match probability
 so the null works on per-probability match counts, over the groups that
 :func:`~clonality.inference.group_by_probability` makes once per pair and
 the observed fit shares. Two sources yield count patterns in chunks,
-``(patterns, weights, reps, settle)``, a pattern standing for ``reps``
-atoms of weight ``weights`` (``reps`` is None where every one is 1). For
-small E, :func:`_exact_patterns` enumerates all 2^|E| match vectors (up to
+``(patterns, weights, reps, settle)``, a pattern standing for ``reps`` atoms
+of weight ``weights`` (``reps`` is None where every one is 1), and
+``settle(threshold)`` proving what sums of per-group bound tables prove
+(:func:`~clonality.inference.settle_by_bounds`). For small E,
+:func:`_exact_patterns` enumerates all 2^|E| match vectors (up to
 ``EXACT_ATOM_LIMIT``) in chunks of ``_FIT_CHUNK`` patterns weighted by one
-vector's mass, with a closure ``settle(threshold)`` that proves what the
-sums of per-group bound tables prove. The patterns that share their leading
-groups' counts form a block, and one bound at the block's corner settles a
-whole block extreme: at the observed statistic of a distinct-p pair
-(p ~ U(0.002, 0.3), 30 % matched), 56-63 % of the blocks at |E| = 14-16,
-and 33-60 % over four shared probabilities. Otherwise :func:`_drawn_rows`
-counts the distinct patterns of Monte Carlo draws that it takes block by
-block from :func:`_drawn_blocks`, by their keys (:func:`_pattern_counts`),
-and :func:`_drawn_chunks` yields its distinct
-patterns ``_DRAWN_CHUNK`` at a time, weight 1, their draw counts and no
-closure. A p-value needs only
-whether each pattern's statistic reaches the observed one, so the one
-decide-and-sum, :func:`_extreme_share`, settles what an exact chunk's
-closure proves and passes the rest to
+vector's mass. The patterns that share their leading groups' counts form a
+block, and one proof at the block's corner settles a whole block extreme: at
+the observed statistic of a distinct-p pair (p ~ U(0.002, 0.3), 30 %
+matched), 56-63 % of the blocks at |E| = 14-16, and 33-60 % over four shared
+probabilities. Otherwise :func:`_drawn_rows` counts the distinct patterns of
+Monte Carlo draws that it takes block by block from :func:`_drawn_blocks`,
+by their keys (:func:`_pattern_counts`), and :func:`_drawn_chunks` yields
+them ``_DRAWN_CHUNK`` at a time, weight 1, with their draw counts. A p-value
+needs only whether each pattern's statistic reaches the observed one, so the
+one decide-and-sum, :func:`_extreme_share`, settles what a chunk's closure
+proves (all but 0.1 % of the case benchmark's exact patterns and 6 % of the
+cohort benchmark's drawn ones) and passes the rest to
 :func:`~clonality.inference.conditional_exceeds`, which stops refining a
-pattern once its answer is proven. A pattern equal to the observed counts
-is the observed outcome itself, a tie, so it is passed on as known extreme
-and never refined. It returns the same float as
-:func:`p_value` on the null the one oracle, :func:`_fitted_null`, fits in
-full (:func:`exact_conditional_null`, :func:`sample_conditional_null`),
-which tests use as the reference. Memory follows count patterns, not
-atoms: the only chunk-sized arrays of an exact chunk are its (K, G)
-patterns, their masses and, over shared probabilities, their
-multiplicities; its closure reduces the table sums of at most
-``_BOUND_SLAB`` patterns at a time. The decide-and-sum keeps one weight per
-extreme pattern and a multiplicity only where one exceeds 1, and
+pattern once its answer is proven. A pattern equal to the observed counts is
+the observed outcome itself, a tie, so it is passed on as known extreme and
+never refined. It returns the same float as :func:`p_value` on the null the
+one oracle, :func:`_fitted_null`, fits in full
+(:func:`exact_conditional_null`, :func:`sample_conditional_null`), which
+tests use as the reference. Memory follows count patterns, not atoms: the
+only chunk-sized arrays of an exact chunk are its (K, G) patterns, their
+masses and, over shared probabilities, their multiplicities; table sums are
+reduced ``_BOUND_SLAB`` patterns at a time. The decide-and-sum keeps one
+weight per extreme pattern and a multiplicity only where one exceeds 1, and
 :func:`_repeat_sum` sums the atoms without repeating them. A Monte Carlo
 null holds one int64 key per draw and one fill of at most ``_DRAW_SLAB``
 uniforms, not a (G, sims) table, and the fits and decisions work
@@ -101,17 +100,17 @@ TIE_TOLERANCE = 1e-9
 EXACT_MAX_DEFAULT = 20
 SIMS_DEFAULT = 100_000
 _FIT_CHUNK = 1 << 16
-# Patterns per drawn chunk. Deciding a chunk makes (K, G) float copies: a
-# counts_test of a 29-marker distinct-p pair at 10^6 sims peaked at 83.3 MiB
-# with chunks of 65,536 patterns and at 31.1 MiB with 8,192, in no more
-# time; 4,096 were no better.
-_DRAWN_CHUNK = 1 << 13
+# Patterns per drawn chunk, which bounds the (K, G) copies and (22, K) table
+# sums of deciding it: a 29-marker distinct-p pair at 10^6 sims peaked at
+# 83.3 MiB with 65,536 and 31.1 MiB with 8,192 in no more time; 4,096 is a
+# _BOUND_SLAB.
+_DRAWN_CHUNK = 1 << 12
 # Uniforms per fill of the inverted Monte Carlo draws (8 MiB of float64): a
 # whole number of groups' rows, one row at least. 29 groups of 20,000 draws
 # stay one fill; fills of 2^17 cost page faults and system time there
 # without lowering the peak RSS.
 _DRAW_SLAB = 1 << 20
-_BOUND_SLAB = 1 << 12  # patterns per (21, n) table-sum temporary of an exact chunk
+_BOUND_SLAB = 1 << 12  # patterns per (22, n) table-sum temporary of an exact chunk
 _SUM_LEAF = 1 << 16  # atoms per repeated piece of _repeat_sum
 # Most atoms (2^|E|) an exact null may enumerate, for exact_p_value and the
 # oracle exact_conditional_null alike. At the limit the oracle's 16.8M atoms
@@ -316,18 +315,22 @@ def _drawn_rows(pg: np.ndarray, sizes: np.ndarray, n_sims: int, rng: RngStream):
     return _pattern_counts(sizes, ((drawn[groups], rows) for groups, rows in blocks), n_sims)
 
 
-def _drawn_chunks(patterns: np.ndarray, draws: np.ndarray):
-    """Drawn patterns as ``(patterns, ones, draws, None)`` per ``_DRAWN_CHUNK`` patterns.
+def _drawn_chunks(pg: np.ndarray, sizes: np.ndarray, patterns: np.ndarray, draws: np.ndarray, row_of=None):
+    """Drawn patterns as ``(patterns, ones, draws, settle)`` per ``_DRAWN_CHUNK`` patterns.
 
-    A chunk is never longer than ``_FIT_CHUNK``. A drawn pattern's decision
-    does not depend on its batch, so the chunk only bounds the (K, G) copies
-    that deciding it makes. Bound-table sums would leave about half of the
-    drawn patterns open and cost more time than they save.
+    ``sizes`` (K, G) holds each row's own, pattern j being drawn for row
+    ``row_of[j]`` (row 0 when K is 1). ``settle`` settles the chunk's table
+    sums, two products, by :func:`~clonality.inference.settle_by_bounds`. A
+    chunk is never longer than ``_FIT_CHUNK``; a drawn pattern's decision
+    does not depend on its batch.
     """
+    slope, intercept = bound_tables(pg)
     step = min(_DRAWN_CHUNK, _FIT_CHUNK)
     for start in range(0, patterns.shape[0], step):
         rows = slice(start, start + step)
-        yield patterns[rows], np.ones(draws[rows].size), draws[rows], None
+        chunk_sizes = sizes[:1] if len(sizes) == 1 else sizes[row_of[rows]]
+        sums = slope @ patterns[rows].T + intercept @ chunk_sizes.T
+        yield patterns[rows], np.ones(draws[rows].size), draws[rows], functools.partial(settle_by_bounds, sums)
 
 
 def _split_patterns(counts: Sequence[int]) -> list[np.ndarray]:
@@ -356,21 +359,19 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
     product-Bernoulli mass of one match vector with those counts, the number
     of match vectors sharing them (None when every group has one marker, so
     every number is 1) and a closure ``settle(threshold) -> (extreme,
-    open_rows)``. It gives the chunk's patterns that the sums of their
-    groups' columns of :func:`~clonality.inference.bound_tables` prove to
-    reach ``threshold`` (a (K,) mask) and those they leave open (indices),
-    as :func:`~clonality.inference.settle_by_bounds` gives them pattern by
-    pattern, and more: the patterns of one leading row of
-    :func:`_split_patterns` form a block, and a block whose corner (next to
-    the trailing row without a match) is proven extreme is extreme whole.
+    open_rows)``, which proves what
+    :func:`~clonality.inference.settle_by_bounds` proves pattern by pattern,
+    and more: the patterns of one leading row of :func:`_split_patterns`
+    form a block, and a block whose corner (next to the trailing row
+    without a match) is proven extreme is extreme whole.
 
     Patterns, multiplicities and table sums are computed once per row of
     each part of :func:`_split_patterns`; a chunk combines the two parts'
-    rows by broadcasting, and its closure reduces the (21, n) table sums of
-    at most ``_BOUND_SLAB`` patterns at a time, only over the blocks that
-    their corner leaves unsettled. The mass is one matrix-vector product over
-    the chunk's patterns and one over their misses, whose rounding, and with
-    it every p-value's, may depend on the batch, so the chunks stay those of
+    rows by broadcasting, and its closure sums the tables of at most
+    ``_BOUND_SLAB`` patterns at a time, only over the blocks that their
+    corner leaves unsettled. The mass is one matrix-vector product over the
+    chunk's patterns and one over their misses, whose rounding, and with it
+    every p-value's, may depend on the batch, so the chunks stay those of
     the flat enumeration. The misses ``sizes - patterns`` are written into
     the pattern block and back, which is exact for these whole numbers, and
     the masses are exponentiated in place, so a chunk allocates one (K, G)
@@ -393,15 +394,15 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
     log_match, log_miss = np.log(q0), np.log1p(-q0)
     counts = sizes.astype(int)
     choose = [np.array([math.comb(c, k) for k in range(c + 1)], dtype=np.int64) for c in counts]
-    tables = bound_tables(pg, sizes)
+    slope, intercept = bound_tables(pg)
     # per part: float patterns, multiplicities and table sums
     parts, first = [], 0
     for part in _split_patterns(counts):
         reps = np.ones(part.shape[0], dtype=np.int64)
-        sums = np.zeros((tables[0].shape[0], part.shape[0]))
-        for j in range(part.shape[1]):
-            reps *= choose[first + j][part[:, j]]
-            sums += tables[first + j][:, part[:, j]]
+        sums = np.zeros((slope.shape[0], part.shape[0]))
+        for j, g in enumerate(range(first, first + part.shape[1])):
+            reps *= choose[g][part[:, j]]
+            sums += slope[:, g, None] * part[:, j] + sizes[g] * intercept[:, g, None]
         parts.append((part.astype(float), reps, sums))
         first += part.shape[1]
     (lead, lead_reps, lead_sums), (trail, trail_reps, trail_sums) = parts
@@ -414,10 +415,10 @@ def _exact_patterns(pg: np.ndarray, sizes: np.ndarray, exact_max: int):
         """``(extreme, open_rows)`` of a chunk's patterns, as the bound tables prove them.
 
         The chunk is ``span`` of the flattened (leading ``rows``) x (every
-        trailing row) patterns, as ``chunks`` computes both. A block's corner has the block's smallest
-        coarse value above ``ll0``: for xi > 0, ll(xi) - ll(0) rises with
-        every group's match count. A proof with the ``_BOUND_SLACK`` margin
-        gives the fit's own answer, so a corner proven extreme settles its
+        trailing row) patterns, as ``chunks`` computes both. A block's
+        corner has the block's smallest coarse value above ``ll0``: for xi >
+        0, ll(xi) - ll(0) rises with every group's match count, and the
+        sizes alone set the margin, so a corner proven extreme settles its
         whole block. Only the other blocks' patterns get their table sums,
         ``slab`` leading rows at a time.
         """
@@ -499,14 +500,14 @@ def _share(weights: np.ndarray, reps, total: float) -> float:
 def _ties(patterns, counts, owner):
     """Which ``patterns`` equal their row's observed ``counts`` (K, G); None without counts.
 
-    Pattern j belongs to row ``owner[j]``, or to row 0 when ``owner`` is
-    None. Compared column by column, so no (n, G) copy of the counts is made.
+    Pattern j belongs to row ``owner[j]``, or to row ``owner`` if an int.
+    Compared column by column, so no (n, G) copy of the counts is made.
     """
     if counts is None:
         return None
     tie = np.ones(len(patterns), dtype=bool)
     for g, column in enumerate(patterns.T):
-        tie &= column == (counts[0, g] if owner is None else counts[owner, g])
+        tie &= column == counts[owner, g]
     return tie
 
 
@@ -522,15 +523,12 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
     whole, and ``count_nonzero`` counts it (``np.bincount`` took 0.70 ms
     per 65,536-pattern exact chunk, against 6 µs).
     Each pattern is decided as the full fit would decide it: by its
-    chunk's ``settle`` closure where it has one (exact chunks, which are
-    one row's, so the threshold is a scalar), else by
-    :func:`conditional_exceeds`. ``counts`` (K, G), if given, holds
-    the match counts whose statistics ``observed`` are: a pattern equal to
-    its row's counts is the observed outcome, a tie, so it is passed to
-    :func:`conditional_exceeds` as known extreme and never refined. Its fit
-    would give it the observed statistic up to the grid bracket's rounding,
-    far inside the tolerance, so this moves no decision. On an exact chunk
-    only the patterns the closure leaves open are compared.
+    chunk's ``settle`` where that proves it, else by
+    :func:`conditional_exceeds`. ``counts`` (K, G), if given, holds the
+    match counts whose statistics ``observed`` are: a pattern equal to its
+    row's counts is the observed outcome, a tie, passed on as known extreme
+    and never refined; its fit would give it the observed statistic up to
+    rounding far inside the tolerance, so this moves no decision.
     The extreme patterns' weights go into one buffer of ``n_patterns``,
     and their multiplicities (1 where a chunk has none) into another from
     the first kept one above 1 on. A row's share is :func:`_share` of
@@ -540,23 +538,17 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
     thresholds = np.asarray(observed, dtype=float) - TIE_TOLERANCE
     k_rows = len(thresholds)
     weights, reps = np.empty(n_patterns), None
-    n_extreme, n_seen = np.zeros(k_rows, dtype=np.int64), np.zeros(k_rows, dtype=np.int64)
+    n_extreme = np.zeros(k_rows, dtype=np.int64)
+    n_seen = np.array([n_patterns]) if k_rows == 1 else np.bincount(row_of, minlength=k_rows)
     start = filled = 0
     for patterns, weight, rep, settle in chunks:
-        if k_rows == 1:
-            owner, row_sizes, threshold = None, sizes[0], thresholds[0]
-        else:
-            owner = row_of[start:start + len(patterns)]
-            row_sizes, threshold = sizes[owner], thresholds[owner]
+        owner = None if k_rows == 1 else row_of[start:start + len(patterns)]
         start += len(patterns)
-        if settle is None:
-            extreme = conditional_exceeds(pg, row_sizes, patterns, threshold,
-                                          _ties(patterns, counts, owner))
-        else:
-            extreme, open_rows = settle(threshold)
-            open_patterns = patterns[open_rows]
-            extreme[open_rows] = conditional_exceeds(pg, row_sizes, open_patterns, threshold,
-                                                     _ties(open_patterns, counts, owner))
+        extreme, open_rows = settle(thresholds[0 if owner is None else owner])
+        at = 0 if owner is None else owner[open_rows]  # the open patterns' rows
+        open_patterns = patterns[open_rows]
+        extreme[open_rows] = conditional_exceeds(pg, sizes[at], open_patterns, thresholds[at],
+                                                 _ties(open_patterns, counts, at))
         kept = np.count_nonzero(extreme)
         np.compress(extreme, weight, out=weights[filled:filled + kept])
         kept_reps = 1 if rep is None else rep[extreme]
@@ -566,12 +558,7 @@ def _extreme_share(pg, sizes, chunks, observed, n_patterns: int, total: float = 
         if reps is not None:
             reps[filled:filled + kept] = kept_reps
         filled += kept
-        if owner is None:
-            n_extreme[0] += kept
-            n_seen[0] += len(patterns)
-        else:
-            n_extreme += np.bincount(owner[extreme], minlength=k_rows)
-            n_seen += np.bincount(owner, minlength=k_rows)
+        n_extreme += kept if owner is None else np.bincount(owner[extreme], minlength=k_rows)
     ends = np.cumsum(n_extreme)
     shares = np.ones(k_rows)
     for k in np.flatnonzero(n_extreme < n_seen):  # a row with every pattern extreme has 1
@@ -611,7 +598,7 @@ def sample_conditional_null(ps: Sequence[float], n_sims: int, rng: RngStream) ->
     grouped by pattern in the patterns' sorted order, not in draw order.
     """
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
-    return _fitted_null(pg, sizes, _drawn_chunks(*_drawn_rows(pg, sizes, n_sims, rng)), n_sims)
+    return _fitted_null(pg, sizes, _drawn_chunks(pg, sizes[None, :], *_drawn_rows(pg, sizes, n_sims, rng)), n_sims)
 
 
 def _require_statistic(observed: float) -> None:
@@ -652,7 +639,7 @@ def monte_carlo_p_value(observed: float, ps: Sequence[float], n_sims: int, rng: 
     _require_statistic(observed)
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
     patterns, draws = _drawn_rows(pg, sizes, n_sims, rng)
-    chunks = _drawn_chunks(patterns, draws)
+    chunks = _drawn_chunks(pg, sizes[None, :], patterns, draws)
     return float(_extreme_share(pg, sizes[None, :], chunks, [observed], draws.size, n_sims)[0])
 
 
@@ -726,8 +713,8 @@ def counts_test(
         rows = [_drawn_rows(pg, sizes[k], sims, streams[k]) for k in drawn]
         patterns, draws = rows[0] if len(rows) == 1 else map(np.concatenate, zip(*rows))
         row_of = np.repeat(np.arange(len(rows)), [row_draws.size for _, row_draws in rows])
-        p[drawn] = _extreme_share(pg, sizes[drawn], _drawn_chunks(patterns, draws),
-                                  stat[drawn], draws.size, sims, row_of, matched[drawn])
+        chunks = _drawn_chunks(pg, sizes[drawn], patterns, draws, row_of)
+        p[drawn] = _extreme_share(pg, sizes[drawn], chunks, stat[drawn], draws.size, sims, row_of, matched[drawn])
     results = [TestResult(statistic=float(stat[k]), xi_hat=float(xi_hat[k]), p_value=float(p[k]),
                           method="exact" if exact[k] else "monte-carlo",
                           n_sims=0 if exact[k] else int(sims), seed=None if exact[k] else int(seed),

@@ -38,6 +38,6 @@ def independent_pairs(gen, n, p, xi, size):
 
 
 def table_sums(pg, sizes, patterns):
-    """Each pattern's (21,) sums of its groups' bound-table columns, gathered group by group."""
-    tables = bound_tables(pg, sizes)
-    return sum(table[:, patterns[:, g].astype(int)] for g, table in enumerate(tables))
+    """Each pattern's (22,) sums of its groups' bound-table columns, added group by group."""
+    slope, intercept = bound_tables(pg)
+    return sum(slope[:, g, None] * patterns[:, g] + sizes[g] * intercept[:, g, None] for g in range(len(pg)))

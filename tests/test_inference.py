@@ -16,6 +16,7 @@ from clonality.inference import (
     settle_by_bounds,
     weight_form_statistic,
 )
+from clonality.model import PROB_CEIL, PROB_FLOOR
 
 from conftest import table_sums
 
@@ -506,12 +507,13 @@ def stacked_cases(gen):
 def test_stacked_kernels_equal_their_two_one_point_calls():
     gen = np.random.default_rng(311)
     for pg, sizes, matched, xi in stacked_cases(gen):
-        lo = xi * gen.random(xi.shape)
-        for miss in (None, lo):
-            stacked = inference._cond_loglik_rows(pg, sizes, matched, xi, miss)
-            assert stacked.shape == xi.shape
+        for slopes in (False, True):
+            stacked = inference._cond_loglik_rows(pg, sizes, matched, xi, slopes)
+            assert stacked.shape == ((2, *xi.shape) if slopes else xi.shape)
             assert np.array_equal(stacked, np.stack([inference._cond_loglik_rows(
-                pg, sizes, matched, xi[j], None if miss is None else miss[j]) for j in (0, 1)]))
+                pg, sizes, matched, xi[j], slopes) for j in (0, 1)], axis=-2), equal_nan=True)
+        values = inference._cond_loglik_rows(pg, sizes, matched, xi)
+        assert np.array_equal(inference._cond_loglik_rows(pg, sizes, matched, xi, True)[0], values)
         if sizes.ndim == 1:
             n_markers = sizes + gen.integers(0, 40, sizes.size)
             single = np.floor(gen.random(matched.shape) * (n_markers - matched + 1))
@@ -605,10 +607,10 @@ def test_golden_rounds_equal_the_one_step_loop(monkeypatch):
 
 def test_golden_rounds_break_ties_left_and_send_nan_right(monkeypatch):
     """On log-likelihoods with plateaus and NaN, rounds walk each bracket as the one-step loop does."""
-    def loglik(xi, sel=slice(None), xi_miss=None):
+    def loglik(xi, sel=slice(None), slopes=False):
         values = np.round(-(xi - 0.3) ** 2, 3)  # plateaus: ll1 == ll2 goes left
         values[np.floor(xi * 1e4) % 7 == 0] = np.nan  # NaN goes right
-        return values
+        return np.stack([values, -2.0 * (xi - 0.3)]) if slopes else values
 
     def keep(sel, bound):
         return bound >= -0.02
@@ -638,21 +640,22 @@ def test_one_row_fit_takes_a_few_kernel_calls(monkeypatch):
     assert [a[3].shape for a in calls] == [(126, 1)] * 3 + [(14, 1), (2, 1)]
 
 
-def test_a_decision_calls_the_kernel_for_one_bound_or_two_points_per_row(monkeypatch):
-    """Each kernel call of a null decision is a bracket bound or a step's (or the final) two points.
+def test_a_decision_calls_the_kernel_for_two_points_per_row(monkeypatch):
+    """Each kernel call of a null decision evaluates two points per row: bracket ends, a step or the end.
 
     Batches of at most 14 rows, near ties over per-row sizes, with and
-    without a ``known`` mask: a bound is one plane with ``xi_miss``, points
-    are two planes without it. No call evaluates the grid argmax alone or
-    several steps' points and bounds at once.
+    without a ``known`` mask. The root brackets' ends and every step's two
+    points come with slopes, for the tangent bound, in one call each; the
+    final comparison's two candidates come without. No call evaluates a
+    bound of its own, one point per row or several steps' points at once.
     """
     gen = np.random.default_rng(4301)
     calls = []
     loglik = inference._cond_loglik_rows
 
-    def spy(pg, sizes, matched, xi_rows, xi_miss=None):
-        calls.append((np.shape(xi_rows), None if xi_miss is None else np.shape(xi_miss), matched.shape[0]))
-        return loglik(pg, sizes, matched, xi_rows, xi_miss)
+    def spy(pg, sizes, matched, xi_rows, slopes=False):
+        calls.append((np.shape(xi_rows), slopes, matched.shape[0]))
+        return loglik(pg, sizes, matched, xi_rows, slopes)
 
     for case in range(24):
         n_groups, n_rows = int(gen.integers(2, 12)), int(gen.integers(1, 15))
@@ -668,29 +671,106 @@ def test_a_decision_calls_the_kernel_for_one_bound_or_two_points_per_row(monkeyp
             patch.setattr(inference, "_cond_loglik_rows", spy)
             decided = conditional_exceeds(pg, sizes, matched, thresholds, known)
         assert np.array_equal(decided, stats >= thresholds)
-    bounds = [(xi, rows) for xi, miss, rows in calls if miss is not None]
-    points = [(xi, rows) for xi, miss, rows in calls if miss is None]
-    assert bounds and points
-    assert all(xi == (rows,) for xi, rows in bounds)
-    assert all(xi == (2, rows) for xi, rows in points)
-    assert all(miss in (None, xi) for xi, miss, _ in calls)
+    assert any(slopes for _, slopes, _ in calls) and not all(slopes for _, slopes, _ in calls)
+    assert all(xi == (2, rows) for xi, _, rows in calls)
 
 
 def test_bound_tables_equal_their_outer_products():
-    """Each group's table is built by outer products of its coarse log terms and counts."""
+    """A group's column for c of s markers, c * slope + s * intercept, holds l, l', the misses and the magnitude.
+
+    At every coarse point, against one group's kernel value and slope
+    (within rounding), for sizes up to 60 and p at ``PROB_FLOOR`` and
+    ``PROB_CEIL``; the magnitude bounds every column's |l| + |l'| / 10.
+    """
     gen = np.random.default_rng(3912)
-    pg = np.sort(gen.uniform(1e-3, 0.9, 9))
-    sizes = np.array([0, 1, 3, 1, 0, 7, 3, 12, 1])
-    tables = inference.bound_tables(pg, sizes)
-    with np.errstate(divide="ignore"):
-        q = inference.match_probabilities(pg[:, None], inference._COARSE[None, :])
-        log_q, log_miss = np.log(q), np.log1p(-q)
-    log_miss[np.isneginf(log_miss)] = inference._LOG_ZERO
-    for g, size in enumerate(sizes):
+    pg = np.sort(np.concatenate([gen.uniform(1e-3, 0.9, 7), [PROB_FLOOR, PROB_CEIL]]))
+    slope, intercept = inference.bound_tables(pg)
+    assert slope.shape == intercept.shape == (22, pg.size)
+    for g, size in enumerate([1.0, 3.0, 60.0, 7.0, 12.0, 1.0, 2.0, 60.0, 5.0]):
         matched = np.arange(size + 1.0)
-        want = np.vstack([np.outer(log_q[g], matched) + np.outer(log_miss[g], size - matched),
-                          np.outer(log_q[g, 1:], matched) + np.outer(log_miss[g, :-1], size - matched)])
-        assert tables[g].shape == (21, size + 1) and np.array_equal(tables[g], want)
+        table = np.outer(slope[:, g], matched) + np.outer(intercept[:, g], np.full(matched.size, size))
+        for j, xi in enumerate(inference._COARSE):
+            want = inference._cond_loglik_rows(pg[g:g + 1], np.array([size]), matched[:, None],
+                                               np.full(matched.size, xi), True)
+            scale = 1e-12 * table[inference._MAGNITUDE]
+            assert np.all(np.abs(table[j] - want[0]) <= scale)
+            assert np.all(np.abs(table[inference._SLOPES][j] - want[1]) <= scale)
+            assert np.all(np.abs(want[0]) + 0.1 * np.abs(want[1]) <= table[inference._MAGNITUDE])
+        assert np.array_equal(table[inference._MISSES], size - matched)
+
+
+def test_the_conditional_log_likelihood_is_concave():
+    """l' is non-increasing on 2,001 points in [0, 1) over random rows, and l' is l's derivative.
+
+    Rows over up to 12 groups of up to 60 markers, some at ``PROB_FLOOR``
+    or ``PROB_CEIL``, some without a match or fully matched; l' agrees
+    with central differences of l at interior points.
+    """
+    gen = np.random.default_rng(4701)
+    xi = np.arange(2001) / 2001.0
+    for case in range(60):
+        n_groups = int(gen.integers(1, 13))
+        pg = gen.uniform(1e-3, 0.9, n_groups)
+        pg[gen.random(n_groups) < 0.2] = PROB_FLOOR
+        pg[gen.random(n_groups) < 0.1] = PROB_CEIL
+        pg = np.unique(pg)
+        sizes = gen.integers(1, 61, pg.size).astype(float)
+        matched = np.floor(gen.random((4, pg.size)) * (sizes + 1))
+        matched[1], matched[2] = 0.0, sizes
+        rows = np.repeat(matched, xi.size, axis=0)
+        l, d = inference._cond_loglik_rows(pg, sizes, rows, np.tile(xi, 4), True).reshape(2, 4, xi.size)
+        magnitude = sizes @ inference.bound_tables(pg)[1][inference._MAGNITUDE]
+        assert np.all(np.diff(d, axis=1) <= 1e-12 * magnitude * (1.0 / (1.0 - xi[1:])))
+        # log1p(-q) at PROB_CEIL keeps about 10 digits, too few for differences
+        h, inner, fine = 2e-5, xi[(xi > 0.01) & (xi < 0.99)][::50], pg < PROB_CEIL
+        for row in matched[:, fine]:
+            at = np.concatenate([inner + k * h for k in (-2, -1, 1, 2)])
+            ends = inference._cond_loglik_rows(pg[fine], sizes[fine], np.tile(row, (at.size, 1)), at)
+            ends = ends.reshape(4, -1)
+            central = (ends[0] - 8.0 * ends[1] + 8.0 * ends[2] - ends[3]) / (12.0 * h)
+            slope = inference._cond_loglik_rows(pg[fine], sizes[fine], np.tile(row, (inner.size, 1)), inner,
+                                                True)[1]
+            rounding = 1e-13 * np.abs(ends).max() / h  # of differences of sums of that size
+            assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(slope) + rounding)
+
+
+def test_a_miss_makes_l_and_its_slope_minus_inf_at_xi_1():
+    """At xi = 1 a row with a miss has l = l' = -inf, a fully matched row l = 0 and l' > 0."""
+    pg = np.array([PROB_FLOOR, 0.05, 0.4, PROB_CEIL])
+    sizes = np.array([3.0, 60.0, 2.0, 1.0])
+    matched = np.array([sizes, sizes - [0, 1, 0, 0], sizes - [0, 0, 0, 1], np.zeros(4)])
+    l, d = inference._cond_loglik_rows(pg, sizes, matched, np.ones(4), True)
+    assert l[0] == 0.0 and 0.0 < d[0] < np.inf
+    assert np.all(l[1:] == -np.inf) and np.all(d[1:] == -np.inf)
+
+
+def settle_rows(values, slopes, misses):
+    """(22, K) table sums with the given l and l' at the coarse points, the misses and no magnitude."""
+    return np.vstack([values, slopes, misses, np.zeros_like(misses)])
+
+
+def test_settle_bounds_l_where_its_first_slope_turns_negative():
+    """The bound comes from the first coarse point with l' < 0 and the one before it, not a later turn.
+
+    Row 0's slopes turn negative at xi = 0.1 and back: the tangents at 0 and
+    0.1 meet at 0.05 above l(0), so the bound is l(0) + 0.05. Row 1 rises to
+    0.9 with a miss: the tangent at 0.9 bounds it, l(0.9) + 0.1 l'(0.9). Row
+    2 rises to 0.9 without a miss: l(1) = 0 bounds it, and proves it extreme.
+    Row 3 falls from 0: its statistic is 0.
+    """
+    flat = np.full(10, -10.0)
+    values = np.column_stack([flat, flat, flat, flat])
+    slopes = np.column_stack([[1.0, -1.0] + [5.0] * 8, np.full(10, 2.0), np.full(10, 2.0), np.full(10, -1.0)])
+    sums = settle_rows(values, slopes, np.array([3.0, 1.0, 0.0, 2.0]))
+    for row, bound in enumerate([0.05, 0.2, 10.0, 0.0]):
+        one = sums[:, row:row + 1]
+        for threshold in (bound - 1e-3, bound + 1e-3):
+            extreme, open_rows = settle_by_bounds(one, threshold)
+            ruled_out = not extreme[0] and open_rows.size == 0
+            assert ruled_out == (threshold > bound), (row, threshold)
+            assert extreme[0] == (threshold <= 0.0 or (row == 2 and threshold <= 10.0)), (row, threshold)
+    extreme, open_rows = settle_by_bounds(sums, np.array([0.06, 0.21, 10.1, 1e-3]))
+    assert not extreme.any() and open_rows.size == 0
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -377,12 +377,61 @@ def test_monte_carlo_p_value_over_several_chunks(monkeypatch):
     monkeypatch.setattr(nullref, "_FIT_CHUNK", 1000)
     ps = list(np.linspace(0.3, 0.8, 16))
     pg, sizes = group_by_probability(ps, np.ones(len(ps)))
-    chunks = nullref._drawn_chunks(*nullref._drawn_rows(pg, sizes, 20_000, RngStream(8)))
+    chunks = nullref._drawn_chunks(pg, sizes[None, :], *nullref._drawn_rows(pg, sizes, 20_000, RngStream(8)))
     assert sum(patterns.shape[0] for patterns, *_ in chunks) > 3 * nullref._FIT_CHUNK
     null = sample_conditional_null(ps, 20_000, RngStream(8))
     for q in (0.5, 0.9, 0.999):
         s = float(np.quantile(null.statistics, q))
         assert monte_carlo_p_value(s, ps, 20_000, RngStream(8)) == p_value(s, null)
+
+
+def test_settled_drawn_chunks_decide_as_the_fit(monkeypatch):
+    """Drawn chunks of several rows, settled and then decided, equal ``fit_conditional_batch(...)[1] >= threshold``.
+
+    Rows with their own sizes, zero-size columns and a group at
+    ``PROB_FLOOR`` draw on their own streams; their patterns are stacked in
+    row order and cut into chunks that straddle rows. Each row's
+    threshold sits at, 1e-9 from or one float from the fitted statistic of
+    one of its patterns, with and without a ``known`` mask. A chunk's settle
+    proves only what the fit gives, and proves most patterns.
+    """
+    monkeypatch.setattr(nullref, "_DRAWN_CHUNK", 100)
+    gen = np.random.default_rng(4702)
+    settled = seen = 0
+    for case in range(4):
+        n_groups, k_rows = int(gen.integers(6, 20)), int(gen.integers(2, 5))
+        pg = np.sort(gen.uniform(2e-3, 0.6, n_groups))
+        pg[0] = PROB_FLOOR
+        sizes = (gen.integers(1, 8, (k_rows, n_groups)) * (gen.random((k_rows, n_groups)) < 0.6)).astype(float)
+        sizes[:, -1] += 1.0
+        rows = [nullref._drawn_rows(pg, sizes[k], 1000, RngStream(case, k)) for k in range(k_rows)]
+        patterns, draws = map(np.concatenate, zip(*rows))
+        row_of = np.repeat(np.arange(k_rows), [row_draws.size for _, row_draws in rows])
+        stats = fit_conditional_batch(pg, sizes[row_of], patterns)[1]
+        observed = np.array([gen.choice(stats[row_of == k]) for k in range(k_rows)])
+        for shifted in (observed, observed - 1e-9, observed + 1e-9, np.nextafter(observed, np.inf),
+                        np.nextafter(observed, -np.inf)):
+            thresholds = shifted[row_of]
+            reach = stats >= thresholds
+            for known in (None, reach & (gen.random(reach.size) < 0.5)):
+                decided, start = [], 0
+                for chunk, _, _, settle in nullref._drawn_chunks(pg, sizes, patterns, draws, row_of):
+                    at = slice(start, start + len(chunk))
+                    start += len(chunk)
+                    owner, threshold = row_of[at], thresholds[at]
+                    extreme, open_rows = settle(threshold)
+                    ruled_out = ~extreme
+                    ruled_out[open_rows] = False
+                    assert reach[at][extreme].all() and not reach[at][ruled_out].any()
+                    settled += extreme.size - open_rows.size
+                    seen += extreme.size
+                    extreme[open_rows] = inference.conditional_exceeds(
+                        pg, sizes[owner[open_rows]], chunk[open_rows], threshold[open_rows],
+                        None if known is None else known[at][open_rows])
+                    decided.append(extreme)
+                assert start == patterns.shape[0] > 2 * nullref._DRAWN_CHUNK
+                assert np.array_equal(np.concatenate(decided), reach)
+    assert settled > 0.6 * seen
 
 
 def test_tie_tolerance_counts_an_atom_up_to_1e_9_below_the_observed_statistic():

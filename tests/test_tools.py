@@ -172,3 +172,43 @@ def test_ab_calls_keeps_recorded_paths_until_the_replay_ends(monkeypatch, capsys
     assert ab_calls.main([str(ROOT), str(ROOT), *argv]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "outputs: all 1 =="
     assert not made[0].exists()  # removed once the replay is over
+
+
+def test_ab_calls_keeps_what_replayed_calls_print_out_of_its_report(tmp_path, capsys):
+    package = tmp_path / "src" / "clonality"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "_blas.py").write_text("import contextlib\n\none_blas_thread = contextlib.nullcontext\n")
+    (package / "noisy.py").write_text("def shout(x):\n    print('replayed', x)\n    return x\n")
+    calls = [pickle.dumps(((k,), {})) for k in range(3)]
+    times, differs = load("ab_calls").replay(tmp_path, tmp_path, "noisy.shout", calls, 2)
+    assert differs is None and [len(times[side]) for side in ("parent", "change")] == [2, 2]
+    assert "replayed" not in capsys.readouterr().out
+
+
+def test_bench_record_takes_each_metric_median_over_its_runs(tmp_path, monkeypatch, capsys):
+    bench_record = load("bench_record")
+    values = iter([1.0, 5.0, 2.0, 4.0, 3.0])
+    runs = []
+
+    def run_bench(checkout, workload, args):
+        runs.append((checkout, workload, args.seconds))
+        value = next(values)
+        return {"case-exact.units_per_s": value, "case-exact.ok_ratio": 1.0, "cohort-mc.peak_rss_mb": 10 * value}
+
+    monkeypatch.setattr(bench_record.ab_bench, "run_bench", run_bench)
+    out = tmp_path / "BENCH_9.json"
+    assert bench_record.main(["9", "--seconds", "2", "--out", str(out)]) == 0
+    assert runs == [(ROOT, "all", 2.0)] * 5
+    record = json.loads(out.read_text())
+    assert record["bench"] == 9 and record["runs"] == 5
+    assert record["workloads"]["case-exact"]["units_per_s"] == {"median": 3.0, "runs": [1.0, 5.0, 2.0, 4.0, 3.0]}
+    assert record["workloads"]["case-exact"]["ok_ratio"]["median"] == 1.0
+    assert record["workloads"]["cohort-mc"]["peak_rss_mb"]["median"] == 30.0
+    environment = record["environment"]
+    assert environment["numpy"] == np.__version__ and environment["numpy_targets"]
+    assert environment["src_clonality_lines"] > environment["src_clonality_code_lines"] > 0
+    assert set(environment) >= {"commit", "nproc", "python", "blas", "blas_threads"}
+    with pytest.raises(SystemExit):
+        bench_record.main(["9", "--runs", "4", "--out", str(out)])
+    capsys.readouterr()

@@ -14,17 +14,20 @@ until the replay ends, so a call that takes a file's path (a reader) can
 be replayed. It then imports both checkouts' packages
 in one process under distinct names and replays every recorded call on
 each side inside ``one_blas_thread``, ``--passes`` times, alternating which
-side goes first. It prints the minimum, lower quartile and median of each
+side goes first. What the replayed calls print goes to a sink, not into
+the report. It prints the minimum, lower quartile and median of each
 side's ``time.process_time`` per pass, and whether every output of the
 change is ``==`` the parent's (NaN equal to NaN). Standard library and
 numpy only; exit code 2 when an output differs or a run fails.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
 import io
+import os
 import pickle
 import statistics
 import subprocess
@@ -128,7 +131,10 @@ def same(a, b) -> bool:
 
 
 def replay(parent: Path, change: Path, call: str, calls: list[bytes], passes: int):
-    """``(times, differs)``: each side's process time per pass, and the first call whose outputs differ, or None."""
+    """``(times, differs)``: each side's process time per pass, and the first call whose outputs differ, or None.
+
+    The calls' stdout goes to ``os.devnull``.
+    """
     module_name, name = call.rsplit(".", 1)
     functions, blas, times, outputs = {}, {}, {}, {}
     for side, checkout in zip(SIDES, (parent, change)):
@@ -137,15 +143,16 @@ def replay(parent: Path, change: Path, call: str, calls: list[bytes], passes: in
         functions[side] = getattr(importlib.import_module(f"{alias}.{module_name}"), name)
         blas[side] = importlib.import_module(f"{alias}._blas").one_blas_thread
         times[side] = []
-    for k in range(passes):
-        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            loaded = [_Unpickler(data, f"ab_calls_{side}").load() for data in calls]
-            function = functions[side]
-            with blas[side]():
-                start = time.process_time()
-                out = [function(*args, **kwargs) for args, kwargs in loaded]
-                times[side].append(time.process_time() - start)
-            outputs.setdefault(side, out)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        for k in range(passes):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                loaded = [_Unpickler(data, f"ab_calls_{side}").load() for data in calls]
+                function = functions[side]
+                with blas[side](), contextlib.redirect_stdout(sink):
+                    start = time.process_time()
+                    out = [function(*args, **kwargs) for args, kwargs in loaded]
+                    times[side].append(time.process_time() - start)
+                outputs.setdefault(side, out)
     differs = next((k for k, (a, b) in enumerate(zip(outputs["parent"], outputs["change"]))
                     if not same(a, b)), None)
     return times, differs

@@ -165,20 +165,29 @@ def emit(name, value):
     print(f"{name}\t{value!r}")
 
 
-def header():
-    """The versions line and the dispatch targets line; ``unknown`` where numpy < 1.26 cannot say."""
+def blas_build():
+    """Numpy's BLAS build dependency as a dict; empty where numpy < 1.26 cannot say."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26: show_config takes no mode
-        blas = {}
+        return {}
+
+
+def dispatch_targets():
+    """The dispatch targets numpy enabled for its kernels, in numpy's order."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    targets = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    return [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+
+
+def header():
+    """The versions line and the dispatch targets line; ``unknown`` where numpy < 1.26 cannot say."""
+    blas = blas_build()
     return (f"# python {platform.python_version()} numpy {np.__version__} "
             f"blas {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}\n"
-            f"# numpy targets {' '.join(targets) or 'none'}")
+            f"# numpy targets {' '.join(dispatch_targets()) or 'none'}")
 
 
 def cli_output(*argv):
