@@ -8,13 +8,14 @@ Runs ``bench/run.py --workload all --trace 0`` ``--runs`` times (at least
 and records, per workload, each end-to-end metric's median over the runs
 next to every run's value. The environment goes with them: the commit
 (``-dirty`` after it when tracked files differ from it), nproc and the
-usable CPUs, the Python and numpy versions, numpy's BLAS and its thread
-count, numpy's dispatch targets (as ``tools/pinned_outputs.py`` names them
-in its header) and the ``tools/src_lines.py`` totals of ``src/clonality``.
-The file is written at the repository's root unless ``--out`` names another
-path; the tool writes nothing under ``bench/``, where ``bench/run.py`` keeps
-its own results. Speed claims still come from alternating pairs
-(``tools/ab_bench.py``); these files give the trajectory.
+usable CPUs, the Python and numpy versions, numpy's BLAS and its default
+thread count (the CLI itself runs on one), numpy's dispatch targets (as
+``tools/pinned_outputs.py`` names them in its header) and the
+``tools/src_lines.py`` totals of ``src/clonality``. The file is written at
+the repository's root unless ``--out`` names another path; the tool writes
+nothing under ``bench/``, where ``bench/run.py`` keeps its own results.
+Speed claims still come from alternating pairs (``tools/ab_bench.py``);
+these files give the trajectory.
 """
 
 import argparse
