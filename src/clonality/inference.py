@@ -21,16 +21,17 @@ The constrained MLE of ``xi`` on [0, 1] is found by a 101-point grid scan
 followed by golden-section refinement of the bracketing interval (absolute
 tolerance 1e-6). The scan/refinement is vectorized across many match
 patterns at once because the null-distribution builders need to fit
-thousands of simulated patterns. A fit of many rows takes one golden-section
-step per likelihood call, both of its points for every row; a fit of a few
-rows takes its steps in rounds, one likelihood call evaluating every point
-the next several steps can reach, which the steps then walk. The grid scan
-works ``_GRID_SLAB`` rows at a time and the likelihood kernel ``_ROW_SLAB``,
-so their temporaries do not grow with a batch's size. Markers are grouped by
+thousands of simulated patterns. A fit of many rows takes one
+golden-section step per likelihood call, both of its points for every row;
+a fit of a few rows takes its steps in rounds, one likelihood call
+evaluating every point the next several steps can reach, which the steps
+then walk. The grid scan works
+``_GRID_SLAB`` rows at a time and the likelihood kernel ``_ROW_SLAB``, so
+their temporaries do not grow with a batch's size. Markers are grouped by
 distinct ``p`` in one function, :func:`group_by_probability`, which the
 observed fits, both nulls and the simulation harness share, so each
-likelihood evaluation is O(#groups). The batch kernels take their arrays as
-given: a test's counts are checked once, by
+likelihood evaluation is O(#groups). The batch kernels take their arrays
+as given: a test's counts are checked once, by
 :func:`~clonality.nullref.counts_test`, before any fit.
 
 A p-value only needs to know whether each null pattern's statistic
@@ -183,7 +184,8 @@ def _cond_loglik_rows(pg, sizes, matched, xi_rows, slopes=False):
     q = match_probabilities(pg, xi_rows[..., None])
     unmatched = sizes - matched
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(matched > 0, matched * np.log(q), 0.0) + np.where(unmatched > 0, unmatched * np.log1p(-q), 0.0)
+        terms = (np.where(matched > 0, matched * np.log(q), 0.0)
+                 + np.where(unmatched > 0, unmatched * np.log1p(-q), 0.0))
         if slopes:
             per_match, per_miss = _slope_factors(pg, xi_rows[..., None])
             terms = np.stack([terms, matched * per_match - np.where(unmatched > 0, unmatched * per_miss, 0.0)])
@@ -381,7 +383,8 @@ def fit_conditional_batch(
     with no matches pin ``xi_hat = 0``; fully matched patterns pin
     ``xi_hat = 1`` with the finite q-form limit statistic.
     """
-    pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(pg, sizes, matched)
+    pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(
+        pg, sizes, matched)
     K = matched.shape[0]
 
     xi_hat = np.zeros(K)
@@ -425,7 +428,8 @@ def conditional_exceeds(
     result is the call's without the mask, OR the mask. When no row is
     left open, nothing is evaluated past the grid.
     """
-    pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(pg, sizes, matched)
+    pg, sizes, matched, ll0, full, full_stat, mixed, grid = _conditional_stage(
+        pg, sizes, matched)
     exceeds = np.full(matched.shape[0], 0.0 >= threshold)  # no match: statistic 0
     exceeds[full] = full_stat >= _rows_of(threshold, full, 0)
     if grid is None:

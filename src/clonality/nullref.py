@@ -101,9 +101,9 @@ EXACT_MAX_DEFAULT = 20
 SIMS_DEFAULT = 100_000
 _FIT_CHUNK = 1 << 16
 # Patterns per drawn chunk, which bounds the (K, G) copies and (22, K) table
-# sums of deciding it: a 29-marker distinct-p pair at 10^6 sims peaked at
-# 83.3 MiB with 65,536 and 31.1 MiB with 8,192 in no more time; 4,096 is a
-# _BOUND_SLAB.
+# sums of deciding it: a 29-marker distinct-p pair at 10^6 sims peaked
+# (tracemalloc) at 38.7 MiB with 4,096 and with 8,192, and 41.5 MiB with
+# 65,536; 4,096 is a _BOUND_SLAB.
 _DRAWN_CHUNK = 1 << 12
 # Uniforms per fill of the inverted Monte Carlo draws (8 MiB of float64): a
 # whole number of groups' rows, one row at least. 29 groups of 20,000 draws

@@ -23,6 +23,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+SEED, SECONDS = 20150836, 25.0
+
 
 def run_bench(checkout: Path, workload: str, args) -> dict:
     """End-to-end metric values of one untraced run of ``workload`` in ``checkout``."""
@@ -97,8 +99,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True, help="a workload name, or all")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--seed", type=int, default=20150836)
+    parser.add_argument("--seconds", type=float, default=SECONDS)
+    parser.add_argument("--seed", type=int, default=SEED)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")

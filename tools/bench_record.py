@@ -1,14 +1,15 @@
 """Record the benchmark's medians over repeated runs in ``BENCH_<n>.json``, outside ``bench/``.
 
     python3 tools/bench_record.py 47
-    python3 tools/bench_record.py 47 --runs 7 --seconds 25 --out /tmp/BENCH_47.json
+    python3 tools/bench_record.py 47 --out /tmp/BENCH_47.json
 
-Runs ``bench/run.py --workload all --trace 0`` ``--runs`` times (at least
-5), each in its own process through ``tools/ab_bench.py``'s ``run_bench``,
-and records, per workload, each end-to-end metric's median over the runs
-next to every run's value. The environment goes with them: the commit
-(``-dirty`` after it when tracked files differ from it), nproc and the
-usable CPUs, the Python and numpy versions, numpy's BLAS and its default
+Runs ``bench/run.py --workload all --trace 0`` ``RUNS`` (5) times, each in
+its own process through ``tools/ab_bench.py``'s ``run_bench`` at its default
+seed and window (``ab_bench.SEED``, ``ab_bench.SECONDS``), so every record
+is made alike, and records, per workload, each end-to-end metric's median
+over the runs next to every run's value. The environment goes with them: the
+commit (``-dirty`` after it when tracked files differ from it), nproc and
+the usable CPUs, the Python and numpy versions, numpy's BLAS and its default
 thread count (the CLI itself runs on one), numpy's dispatch targets (as
 ``tools/pinned_outputs.py`` names them in its header) and the
 ``tools/src_lines.py`` totals of ``src/clonality``. The file is written at
@@ -28,7 +29,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MIN_RUNS = 5
+RUNS = 5
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "src")]
 
 import ab_bench  # noqa: E402
@@ -83,21 +84,17 @@ def medians(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("number", type=int, help="n of BENCH_<n>.json")
-    parser.add_argument("--runs", type=int, default=MIN_RUNS)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--seed", type=int, default=20150836)
     parser.add_argument("--out", type=Path, help="output path (default: BENCH_<n>.json at the root)")
     args = parser.parse_args(argv)
-    if args.runs < MIN_RUNS:
-        parser.error(f"--runs must be at least {MIN_RUNS}")
+    bench = argparse.Namespace(seed=ab_bench.SEED, seconds=ab_bench.SECONDS)
     runs = []
-    for k in range(args.runs):
-        runs.append(ab_bench.run_bench(ROOT, "all", args))
-        print(f"run {k + 1}/{args.runs} done", file=sys.stderr)
+    for k in range(RUNS):
+        runs.append(ab_bench.run_bench(ROOT, "all", bench))
+        print(f"run {k + 1}/{RUNS} done", file=sys.stderr)
     record = {
         "bench": args.number,
-        "command": f"bench/run.py --workload all --seed {args.seed} --seconds {args.seconds:g} --trace 0",
-        "runs": args.runs,
+        "command": f"bench/run.py --workload all --seed {bench.seed} --seconds {bench.seconds:g} --trace 0",
+        "runs": RUNS,
         "environment": environment(),
         "workloads": medians(runs),
     }
