@@ -24,9 +24,7 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,7 +47,6 @@ _COUNT_HEADER = ["marker", "ref_mutated", "ref_total", "study_mutated", "study_t
 # the options of each command that bound its memory, named when it runs out
 _LOWER_EXACT = "--exact-max, so that large mutated sets use Monte Carlo sampling, or --sims"
 _MEMORY_OPTIONS = {"test": _LOWER_EXACT, "pairs": _LOWER_EXACT, "simulate": "--sims or --replicates"}
-_PAIRS_POOL_MAX = 2  # widest `pairs` pool measured to pay; each exact pair in flight holds its own chunks
 
 
 def _read_rows(path: str):
@@ -272,10 +269,7 @@ def _cmd_pairs(args) -> int:
                                   seed=args.seed, stream_index=stream_index)
         return str(result.p_value)
 
-    # pair k draws on stream k, so the pool's width moves no result
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(len(pairs), _PAIRS_POOL_MAX, cpus)) as pool:
-        cells = dict(zip(pairs, pool.map(p_value_text, range(len(pairs)), pairs)))
+    cells = {pair: p_value_text(k, pair) for k, pair in enumerate(pairs)}  # pair k draws on stream k
     cells.update({(tb, ta): text for (ta, tb), text in cells.items()})
     lines = ["\t".join(["tumor"] + ids)]
     for ta in ids:
@@ -358,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pairs = sub.add_parser("pairs", help="p-value matrix over all tumor pairs (TSV)")
     _add_test_options(p_pairs)
     p_pairs.add_argument("--threads", type=int_range(1), default=1,
-                         help="accepted (at least 1) and ignored: pairs run on a pool of up to 2 "
-                              "threads, one per usable CPU and pair")
+                         help="accepted (at least 1) and ignored: pairs are tested in order on one "
+                              "thread, and the value changes neither the results nor the work")
     p_pairs.set_defaults(func=_cmd_pairs)
 
     p_sim = sub.add_parser("simulate", help="run a simulation preset, report as TSV")

@@ -10,7 +10,6 @@ import tempfile
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -142,16 +141,19 @@ spec = dataclasses.replace(preset_scenario("table2-m5", 0.25), replicates=10, si
 run_size_power(spec, RngStream(1))
 run_calibrated_comparison(spec, RngStream(2))
 calibrated_rejection([0.1, 0.1, 0.5, 0.5, 1.0], [0.1, 0.3], 0.2)
-print("numpy.ma" in sys.modules)
+print("numpy.ma" in sys.modules, "concurrent.futures" in sys.modules)
 """
 
 
 def test_the_package_never_imports_numpy_ma():
-    """``numpy.ma`` stays out of a process that runs every command path; plain ``np.unique`` imports it."""
+    """``numpy.ma`` stays out of a process that runs every command path; plain ``np.unique`` imports it.
+
+    So does ``concurrent.futures``: no command runs a thread pool.
+    """
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, "-c", NO_NUMPY_MA, str(FIXTURES / "table1"), str(FIXTURES / "table5")],
                           capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
 
 
 def test_cmd_test_metastasis_pair_below_point_001(capsys):
@@ -263,45 +265,14 @@ def test_cmd_pairs_monte_carlo_thread_count_invariance(capsys):
     assert run(capsys, *argv, "--threads", "3") == (0, out, "")
 
 
-def test_cmd_pairs_output_does_not_depend_on_pool_width(capsys, monkeypatch):
-    """The pool has a thread per usable CPU, at most 2, and its width moves no result."""
-    argv = ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB, "--exact-max", "0", "--sims", "3000")
-    widths = []
-
-    def spy(max_workers):
-        widths.append(max_workers)
-        return ThreadPoolExecutor(max_workers)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", spy)
-    outputs = set()
-
-    def run_pairs():
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (0, "")
-        outputs.add(out)
-
-    for cpus in (1, 3):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        run_pairs()
-    # without an affinity mask the CPU count decides
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    for cpus in (None, 4):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        run_pairs()
-    n_tumors = len(parse_matrix(outputs.pop())[0])
-    assert n_tumors * (n_tumors - 1) // 2 > 3
-    assert widths == [1, 2, 1, 2]
-    assert not outputs
-
-
 @pytest.mark.parametrize("argv", [
     ("test", "--mutations", T1_MUT, "--probs", T1_PROB, "--tumor-a", "T3", "--tumor-b", "Left/Mucinous"),
     ("pairs", "--mutations", T5_MUT, "--probs", T5_PROB),
     ("simulate", "--preset", "table2-m5", "--xi", "0.5", "--replicates", "2"),
 ], ids=["test", "pairs", "simulate"])
 def test_out_of_memory_is_input_error(capsys, monkeypatch, argv):
-    """A ``MemoryError``, in ``pairs`` raised on a pool thread, exits 2 with one line naming
-    the options of the command that ran out: --exact-max only where it has one."""
+    """A ``MemoryError``, raised on the main thread by every command, exits 2 with one line
+    naming the options of the command that ran out: --exact-max only where it has one."""
     threads = []
 
     def out_of_memory(*args, **options):
@@ -315,7 +286,7 @@ def test_out_of_memory_is_input_error(capsys, monkeypatch, argv):
     assert err.startswith("error: out of memory") and err.count("\n") == 1 and "--sims" in err
     assert ("--exact-max" in err) == (argv[0] in ("test", "pairs"))
     assert ("--replicates" in err) == (argv[0] == "simulate")
-    assert threads and (threads[0] is threading.main_thread()) == (argv[0] != "pairs")
+    assert threads and threads[0] is threading.main_thread()
 
 
 def usage_error(capsys, *argv):

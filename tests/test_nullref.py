@@ -616,6 +616,13 @@ def test_monte_carlo_null_of_millions_of_draws_holds_no_draw_table():
 def test_drawn_chunks_of_a_million_draws_are_decided_in_little_memory(monkeypatch):
     gen = np.random.default_rng(29)
     pg, sizes, matched = np.sort(gen.uniform(0.002, 0.3, 29)), np.ones(29), (gen.random(29) < 0.3) * 1.0
+    settle, widths = nullref.settle_by_bounds, []
+
+    def spy(sums, threshold):
+        widths.append(sums.shape[1])
+        return settle(sums, threshold)
+
+    monkeypatch.setattr(nullref, "settle_by_bounds", spy)
     tracemalloc.start()
     try:
         result = nullref.counts_test(pg, sizes, matched, sims=1_000_000, exact_max=0)
@@ -623,6 +630,8 @@ def test_drawn_chunks_of_a_million_draws_are_decided_in_little_memory(monkeypatc
     finally:
         tracemalloc.stop()
     assert peak < 48 << 20  # 38.7 MiB in chunks of 4,096; 41.5 MiB in chunks of 65,536
+    # the peak alone cannot tell chunk sizes apart, so the chunks' table sums are counted too
+    assert len(widths) > 1 and max(widths) == nullref._DRAWN_CHUNK <= 1 << 13
     monkeypatch.setattr(nullref, "_DRAWN_CHUNK", 1 << 16)
     assert nullref.counts_test(pg, sizes, matched, sims=1_000_000, exact_max=0) == result
 
